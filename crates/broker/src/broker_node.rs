@@ -638,8 +638,10 @@ impl Broker {
     /// Finds a registered subscription that makes flooding `expr` toward
     /// `neighbor` redundant: an entry that did not arrive over that link
     /// (so it *was* propagated toward it), is not itself suppressed toward
-    /// it, and is implied by the new subscription. Sound but incomplete —
-    /// a `None` only means no subsumer was *found*.
+    /// it, still holds the tree it was propagated with (a pruned entry
+    /// matches more than its copies downstream do), and is implied by the
+    /// new subscription. Sound but incomplete — a `None` only means no
+    /// subsumer was *found*.
     fn find_blocker(
         &self,
         neighbor: BrokerId,
@@ -651,7 +653,9 @@ impl Broker {
             if candidate.id() == id || origin == Some(neighbor) {
                 return None;
             }
-            if suppressed.is_some_and(|records| records.contains_key(&candidate.id())) {
+            if suppressed.is_some_and(|records| records.contains_key(&candidate.id()))
+                || self.table.is_pruned(candidate.id())
+            {
                 return None;
             }
             implies(expr, &candidate.tree().to_expr()).then(|| candidate.id())
@@ -843,6 +847,32 @@ mod tests {
         let handling =
             broker.handle_message(&WireMessage::Unsubscribe { id: local.id() }, Some(b(2)));
         assert!(handling.outgoing.is_empty());
+    }
+
+    #[test]
+    fn subscribe_for_a_known_id_over_another_link_rehomes_the_entry() {
+        let mut broker = broker();
+        let subscription = sub(1, 11, &Expr::eq("category", "books"));
+        let subscribe = WireMessage::Subscribe { subscription };
+        let publish = WireMessage::PublishBatch {
+            events: std::iter::once(books_event()).collect(),
+        };
+        let forwarded_to = |broker: &mut Broker| -> Vec<BrokerId> {
+            let handling = broker.handle_message(&publish, None);
+            handling.outgoing.iter().map(|(to, _)| *to).collect()
+        };
+        broker.handle_message(&subscribe, Some(b(0)));
+        assert_eq!(forwarded_to(&mut broker), [b(0)]);
+        // The subscriber moved: the same id now arrives over the other link.
+        broker.handle_message(&subscribe, Some(b(2)));
+        assert_eq!(broker.remote_subscriptions().len(), 1);
+        assert_eq!(broker.memory_report().remote_subscriptions, 1);
+        assert_eq!(forwarded_to(&mut broker), [b(2)]);
+        // One Unsubscribe ends all forwarding for it.
+        let id = SubscriptionId::from_raw(1);
+        broker.handle_message(&WireMessage::Unsubscribe { id }, Some(b(2)));
+        assert!(forwarded_to(&mut broker).is_empty());
+        assert_eq!(broker.memory_report().remote_subscriptions, 0);
     }
 
     #[test]
@@ -1264,6 +1294,56 @@ mod tests {
         assert_eq!(broker.analysis_stats().subsumed_not_flooded, 1);
         assert_eq!(broker.suppressed_toward(b(2)), 1);
         assert_eq!(broker.suppressed_toward(b(0)), 0);
+    }
+
+    #[test]
+    fn a_pruned_entry_suppresses_no_flood() {
+        let mut broker = broker();
+        let cheap_books = Expr::and(vec![
+            Expr::eq("category", "books"),
+            Expr::le("price", 10i64),
+        ]);
+        // Arrives from 0, is flooded to 2 as it is, then pruned here.
+        broker.handle_message(
+            &WireMessage::Subscribe {
+                subscription: sub(1, 11, &cheap_books),
+            },
+            Some(b(0)),
+        );
+        assert!(broker.install_remote_tree(
+            SubscriptionId::from_raw(1),
+            SubscriptionTree::from_expr(&Expr::eq("category", "books"))
+        ));
+        // The pruned tree subsumes this subscription, but broker 2 holds the
+        // exact one, which does not: the flood must go out.
+        let all_books_under_50 = Expr::and(vec![
+            Expr::eq("category", "books"),
+            Expr::le("price", 50i64),
+        ]);
+        let handling = broker.handle_message(
+            &WireMessage::Subscribe {
+                subscription: sub(2, 22, &all_books_under_50),
+            },
+            Some(b(0)),
+        );
+        let targets: Vec<BrokerId> = handling.outgoing.iter().map(|(to, _)| *to).collect();
+        assert_eq!(targets, vec![b(2)]);
+        assert_eq!(broker.suppressed_toward(b(2)), 0);
+        // Registered again in its exact form, the entry blocks as before.
+        broker.handle_message(
+            &WireMessage::Subscribe {
+                subscription: sub(1, 11, &Expr::eq("category", "books")),
+            },
+            Some(b(0)),
+        );
+        let handling = broker.handle_message(
+            &WireMessage::Subscribe {
+                subscription: sub(3, 33, &cheap_books),
+            },
+            Some(b(0)),
+        );
+        assert!(handling.outgoing.is_empty());
+        assert_eq!(broker.suppressed_toward(b(2)), 1);
     }
 
     #[test]

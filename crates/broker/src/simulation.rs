@@ -689,16 +689,8 @@ impl Simulation {
         let mut per_broker_filter = BTreeMap::new();
         let mut filter_stats = FilterStats::new();
         for (id, broker) in &self.brokers {
-            let mut stats = broker.filter_stats();
-            let before = filter_before[id];
             // Report only the delta caused by this batch.
-            stats.events_filtered -= before.events_filtered;
-            stats.batches_filtered -= before.batches_filtered;
-            stats.matches -= before.matches;
-            stats.trees_evaluated -= before.trees_evaluated;
-            stats.skipped_by_pmin -= before.skipped_by_pmin;
-            stats.predicates_fulfilled -= before.predicates_fulfilled;
-            stats.filter_time -= before.filter_time;
+            let stats = broker.filter_stats().since(&filter_before[id]);
             filter_stats.merge(&stats);
             per_broker_filter.insert(*id, stats);
         }
@@ -1266,6 +1258,93 @@ mod tests {
         // Cumulative counters keep including the warm-up event.
         assert_eq!(sim.events_published(), 11);
         assert_eq!(sim.deliveries(), 11);
+    }
+
+    #[test]
+    fn a_second_batch_report_excludes_the_first() {
+        use filtering::PrefilterMode;
+        type Counter = (&'static str, fn(&FilterStats) -> u64);
+        // Conjunctions sharing a subtree, and events lacking an attribute
+        // they require: stage 0 kills on the counting engine, the A-Tree
+        // saves node evaluations, and witnesses answer on both.
+        let common: [Counter; 3] = [
+            ("events_filtered", |s| s.events_filtered),
+            ("stage2_candidates", |s| s.stage2_candidates),
+            ("witness_evals", |s| s.witness_evals),
+        ];
+        let killed: Counter = ("killed_by_prefilter", |s| s.killed_by_prefilter);
+        let saved: Counter = ("node_evals_saved", |s| s.node_evals_saved);
+        for (kind, counter) in [(EngineKind::Counting, killed), (EngineKind::ATree, saved)] {
+            let config = SimulationConfig::new(Topology::line(5))
+                .with_engine(kind)
+                .with_engine_config(EngineConfig::with_prefilter(PrefilterMode::On));
+            let mut sim = Simulation::new(config);
+            let shared = Expr::and(vec![
+                Expr::eq("category", "books"),
+                Expr::le("price", 30i64),
+            ]);
+            for i in 0..12u64 {
+                sim.register_subscription(sub(
+                    i,
+                    i,
+                    &Expr::and(vec![shared.clone(), Expr::ge("price", (i * 3) as i64)]),
+                ));
+            }
+            let no_price = EventMessage::builder().attr("category", "books").build();
+            let batch: EventBatch = (0..20)
+                .map(|i| {
+                    if i % 4 == 3 {
+                        no_price.clone()
+                    } else {
+                        books(i * 2)
+                    }
+                })
+                .collect();
+
+            let first = sim.publish_batch(&batch).filter_stats;
+            let before = sim.filter_stats();
+            let second = sim.publish_batch(&batch).filter_stats;
+            let after = sim.filter_stats();
+            for (name, read) in common.into_iter().chain([counter]) {
+                assert!(read(&first) > 0, "{kind:?}: {name} did not move");
+                assert_eq!(
+                    read(&second),
+                    read(&after) - read(&before),
+                    "{kind:?}: {name} is not the second batch's"
+                );
+            }
+            assert!(second.witness_hits > 0, "{kind:?}");
+            // Gauges are levels, not deltas.
+            assert_eq!(second.dag_nodes, after.dag_nodes, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn rehoming_a_subscription_moves_its_routing_entries() {
+        let mut sim = line_simulation();
+        let id = SubscriptionId::from_raw(1);
+        let subscription = sub(1, 0, &Expr::eq("category", "books"));
+        sim.register_subscription_at(subscription.clone(), b(0));
+        // The subscriber reconnects at the other end of the line.
+        sim.register_subscription_at(subscription, b(4));
+        for i in 0..5u32 {
+            let broker = sim.broker(b(i)).unwrap();
+            let (local, remote) = if i == 4 { (1, 0) } else { (0, 1) };
+            assert_eq!(broker.local_subscriptions().len(), local, "broker {i}");
+            assert_eq!(broker.remote_subscriptions().len(), remote, "broker {i}");
+            let toward = (i < 4).then(|| b(i + 1));
+            assert_eq!(broker.routing_table().remote_destination(id), toward);
+        }
+        // Delivered once, at the new home, travelling only towards it.
+        let outcome = sim.publish_at(books(5), b(2));
+        assert_eq!(outcome.deliveries.len(), 1);
+        assert_eq!(outcome.broker_messages, 2);
+        assert_eq!(sim.network_stats().link_messages(b(1), b(2)), 0);
+        // One unsubscribe ends it everywhere.
+        sim.unregister_subscription(id, b(4));
+        let outcome = sim.publish_at(books(5), b(2));
+        assert!(outcome.deliveries.is_empty());
+        assert_eq!(outcome.broker_messages, 0);
     }
 
     #[test]

@@ -58,6 +58,15 @@ pub struct FilterStats {
     /// time a DAG node with `r > 1` references is evaluated once instead of
     /// `r` times, this grows by `r - 1`.
     pub node_evals_saved: u64,
+    /// Number of forwarding decisions a routing table answered from its
+    /// witness cache — an entry that recently matched towards the same
+    /// neighbor matched again — without running the neighbor's engine. Zero
+    /// for a bare engine; a table counts these decisions in
+    /// [`events_filtered`](Self::events_filtered) too.
+    pub witness_hits: u64,
+    /// Number of direct subscription-tree evaluations the witness cache
+    /// spent, hits and misses together.
+    pub witness_evals: u64,
     /// Total wall-clock time spent inside `match_event`.
     ///
     /// With a plain `serde` feature the real serde's built-in `Duration`
@@ -144,7 +153,33 @@ impl FilterStats {
         self.dag_nodes += other.dag_nodes;
         self.shared_subtrees += other.shared_subtrees;
         self.node_evals_saved += other.node_evals_saved;
+        self.witness_hits += other.witness_hits;
+        self.witness_evals += other.witness_evals;
         self.filter_time += other.filter_time;
+    }
+
+    /// What accumulated since the earlier snapshot `before` of the same
+    /// statistics: the matching-time counters and the filter time are
+    /// subtracted; the gauges (`dag_nodes`, `shared_subtrees`) and the
+    /// registration-time counters (`subs_simplified`, `nodes_eliminated`,
+    /// `unsatisfiable_rejected`), which describe the subscription population
+    /// rather than the events filtered, keep their current value.
+    pub fn since(&self, before: &FilterStats) -> FilterStats {
+        FilterStats {
+            events_filtered: self.events_filtered - before.events_filtered,
+            batches_filtered: self.batches_filtered - before.batches_filtered,
+            matches: self.matches - before.matches,
+            trees_evaluated: self.trees_evaluated - before.trees_evaluated,
+            skipped_by_pmin: self.skipped_by_pmin - before.skipped_by_pmin,
+            predicates_fulfilled: self.predicates_fulfilled - before.predicates_fulfilled,
+            killed_by_prefilter: self.killed_by_prefilter - before.killed_by_prefilter,
+            stage2_candidates: self.stage2_candidates - before.stage2_candidates,
+            node_evals_saved: self.node_evals_saved - before.node_evals_saved,
+            witness_hits: self.witness_hits - before.witness_hits,
+            witness_evals: self.witness_evals - before.witness_evals,
+            filter_time: self.filter_time - before.filter_time,
+            ..*self
+        }
     }
 }
 
@@ -177,6 +212,8 @@ mod tests {
             dag_nodes: 5,
             shared_subtrees: 2,
             node_evals_saved: 4,
+            witness_hits: 3,
+            witness_evals: 9,
             filter_time: Duration::from_millis(40),
         };
         assert_eq!(s.avg_matches_per_event(), 2.0);
@@ -186,9 +223,9 @@ mod tests {
         assert_eq!(FilterStats::new().avg_batch_size(), 0.0);
     }
 
-    #[test]
-    fn merge_accumulates_all_counters() {
-        let mut a = FilterStats {
+    /// Every field set to a distinct non-zero value.
+    fn all_fields() -> FilterStats {
+        FilterStats {
             events_filtered: 1,
             batches_filtered: 1,
             matches: 2,
@@ -203,8 +240,15 @@ mod tests {
             dag_nodes: 11,
             shared_subtrees: 12,
             node_evals_saved: 13,
+            witness_hits: 14,
+            witness_evals: 15,
             filter_time: Duration::from_micros(10),
-        };
+        }
+    }
+
+    #[test]
+    fn merge_accumulates_all_counters() {
+        let mut a = all_fields();
         let b = a;
         a.merge(&b);
         assert_eq!(a.events_filtered, 2);
@@ -221,7 +265,27 @@ mod tests {
         assert_eq!(a.dag_nodes, 22);
         assert_eq!(a.shared_subtrees, 24);
         assert_eq!(a.node_evals_saved, 26);
+        assert_eq!(a.witness_hits, 28);
+        assert_eq!(a.witness_evals, 30);
         assert_eq!(a.filter_time, Duration::from_micros(20));
+    }
+
+    #[test]
+    fn since_subtracts_counters_and_keeps_gauges_and_registration_counters() {
+        let before = all_fields();
+        let mut after = before;
+        after.merge(&before);
+        // Every field doubled: the counters' delta is `before`'s value, the
+        // gauges and registration-time counters stay at `after`'s.
+        let expected = FilterStats {
+            subs_simplified: after.subs_simplified,
+            nodes_eliminated: after.nodes_eliminated,
+            unsatisfiable_rejected: after.unsatisfiable_rejected,
+            dag_nodes: after.dag_nodes,
+            shared_subtrees: after.shared_subtrees,
+            ..before
+        };
+        assert_eq!(after.since(&before), expected);
     }
 
     #[cfg(feature = "serde-json-tests")]
