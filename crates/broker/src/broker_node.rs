@@ -3,13 +3,14 @@
 use crate::durability::DurableLog;
 use crate::metrics::{AnalysisStats, RoutingMemoryReport};
 use crate::routing_table::RoutingTable;
+use crate::subsumption::SubsumptionQuery;
 use crate::wire::WireMessage;
 use filtering::{EngineConfig, EngineKind, FilterStats};
-use pubsub_core::analysis::{implies, Analyzer};
+use pubsub_core::analysis::Analyzer;
 #[cfg(test)]
 use pubsub_core::EventMessage;
 use pubsub_core::{
-    BrokerId, EventBatch, Expr, SubscriberId, Subscription, SubscriptionId, SubscriptionTree,
+    BrokerId, EventBatch, SubscriberId, Subscription, SubscriptionId, SubscriptionTree,
 };
 use std::collections::BTreeMap;
 
@@ -377,33 +378,7 @@ impl Broker {
                     // form is a fixed point.
                     journal.append_subscribe(&subscription, from);
                 }
-                // Flood the (normalized) subscription to every other
-                // neighbor, except where an already-propagated subscription
-                // subsumes it — those links already receive every event
-                // this subscription needs.
-                let expr = analyze.then(|| subscription.tree().to_expr());
-                for i in 0..self.neighbors.len() {
-                    let neighbor = self.neighbors[i];
-                    if Some(neighbor) == from {
-                        continue;
-                    }
-                    if let Some(expr) = &expr {
-                        if let Some(blocker) = self.find_blocker(neighbor, id, expr) {
-                            self.analysis.subsumed_not_flooded += 1;
-                            self.suppressed
-                                .entry(neighbor)
-                                .or_default()
-                                .insert(id, blocker);
-                            continue;
-                        }
-                    }
-                    handling.outgoing.push((
-                        neighbor,
-                        WireMessage::Subscribe {
-                            subscription: subscription.clone(),
-                        },
-                    ));
-                }
+                self.flood(&subscription, from, handling);
                 self.maybe_compact();
             }
             WireMessage::Unsubscribe { id } => {
@@ -506,7 +481,6 @@ impl Broker {
                 let Some(from) = from else {
                     return;
                 };
-                let analyze = self.table.engine_config().analyze.is_on();
                 for subscription in subscriptions {
                     let id = subscription.id();
                     let replaced = self.table.subscription(id).is_some();
@@ -523,29 +497,7 @@ impl Broker {
                     if replaced {
                         continue;
                     }
-                    let expr = analyze.then(|| subscription.tree().to_expr());
-                    for i in 0..self.neighbors.len() {
-                        let neighbor = self.neighbors[i];
-                        if neighbor == from {
-                            continue;
-                        }
-                        if let Some(expr) = &expr {
-                            if let Some(blocker) = self.find_blocker(neighbor, id, expr) {
-                                self.analysis.subsumed_not_flooded += 1;
-                                self.suppressed
-                                    .entry(neighbor)
-                                    .or_default()
-                                    .insert(id, blocker);
-                                continue;
-                            }
-                        }
-                        handling.outgoing.push((
-                            neighbor,
-                            WireMessage::Subscribe {
-                                subscription: subscription.clone(),
-                            },
-                        ));
-                    }
+                    self.flood(subscription, Some(from), handling);
                 }
                 self.maybe_compact();
             }
@@ -635,30 +587,56 @@ impl Broker {
         self.suppressed.get(&neighbor).map_or(0, BTreeMap::len)
     }
 
-    /// Finds a registered subscription that makes flooding `expr` toward
-    /// `neighbor` redundant: an entry that did not arrive over that link
-    /// (so it *was* propagated toward it), is not itself suppressed toward
-    /// it, still holds the tree it was propagated with (a pruned entry
-    /// matches more than its copies downstream do), and is implied by the
-    /// new subscription. Sound but incomplete — a `None` only means no
-    /// subsumer was *found*.
+    /// Floods the (normalized) subscription to every neighbor but `from`,
+    /// except where an already-propagated subscription subsumes it — those
+    /// links already receive every event this subscription needs.
+    fn flood(
+        &mut self,
+        subscription: &Subscription,
+        from: Option<BrokerId>,
+        handling: &mut MessageHandling,
+    ) {
+        let analyze = self.table.engine_config().analyze.is_on();
+        // Prepared for the first neighbor that needs it: a broker with
+        // nobody to flood to pays nothing.
+        let mut query = None;
+        for i in 0..self.neighbors.len() {
+            let neighbor = self.neighbors[i];
+            if Some(neighbor) == from {
+                continue;
+            }
+            if analyze {
+                let query = query.get_or_insert_with(|| SubsumptionQuery::new(subscription));
+                if let Some(blocker) = self.find_blocker(neighbor, query) {
+                    self.analysis.subsumed_not_flooded += 1;
+                    self.suppressed
+                        .entry(neighbor)
+                        .or_default()
+                        .insert(subscription.id(), blocker);
+                    continue;
+                }
+            }
+            handling.outgoing.push((
+                neighbor,
+                WireMessage::Subscribe {
+                    subscription: subscription.clone(),
+                },
+            ));
+        }
+    }
+
+    /// Finds the registered subscription that makes flooding the query's
+    /// subscription toward `neighbor` redundant:
+    /// [`RoutingTable::subsumer`], skipping the entries whose own flood
+    /// toward `neighbor` is suppressed.
     fn find_blocker(
-        &self,
+        &mut self,
         neighbor: BrokerId,
-        id: SubscriptionId,
-        expr: &Expr,
+        query: &SubsumptionQuery,
     ) -> Option<SubscriptionId> {
         let suppressed = self.suppressed.get(&neighbor);
-        self.table.entries().find_map(|(origin, candidate)| {
-            if candidate.id() == id || origin == Some(neighbor) {
-                return None;
-            }
-            if suppressed.is_some_and(|records| records.contains_key(&candidate.id()))
-                || self.table.is_pruned(candidate.id())
-            {
-                return None;
-            }
-            implies(expr, &candidate.tree().to_expr()).then(|| candidate.id())
+        self.table.subsumer(query, neighbor, |id| {
+            suppressed.is_some_and(|records| records.contains_key(&id))
         })
     }
 
@@ -684,7 +662,7 @@ impl Broker {
             let Some(subscription) = self.table.subscription(blocked).cloned() else {
                 continue;
             };
-            match self.find_blocker(neighbor, blocked, &subscription.tree().to_expr()) {
+            match self.find_blocker(neighbor, &SubsumptionQuery::new(&subscription)) {
                 Some(blocker) => {
                     self.suppressed
                         .entry(neighbor)

@@ -66,6 +66,7 @@ mod parallel;
 pub mod reliable;
 mod routing_table;
 mod simulation;
+pub mod subsumption;
 mod topology;
 pub mod wire;
 
@@ -84,5 +85,6 @@ pub use pubsub_core::BrokerId;
 pub use reliable::{ReliableConfig, ReliableSession, SendOutcome};
 pub use routing_table::RoutingTable;
 pub use simulation::{PublishOutcome, Simulation, SimulationConfig};
+pub use subsumption::SubsumptionQuery;
 pub use topology::Topology;
 pub use wire::{ChannelTransport, Codec, CodecError, Transport, WireKind, WireMessage};

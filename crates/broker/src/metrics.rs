@@ -176,6 +176,13 @@ pub struct RoutingMemoryReport {
     pub remote_associations: usize,
     /// Estimated bytes of remote entries.
     pub remote_bytes: usize,
+    /// Distinct `attribute = constant` pairs the engines' predicate indexes
+    /// hold a bucket for. Bounded by the live entries, however many
+    /// constants passed through under churn.
+    pub equality_constants: usize,
+    /// Entries filed in the flood-suppression indexes built so far: at most
+    /// every unpruned entry.
+    pub subsumption_entries: usize,
 }
 
 impl RoutingMemoryReport {
@@ -214,6 +221,8 @@ impl RoutingMemoryReport {
         self.remote_subscriptions += other.remote_subscriptions;
         self.remote_associations += other.remote_associations;
         self.remote_bytes += other.remote_bytes;
+        self.equality_constants += other.equality_constants;
+        self.subsumption_entries += other.subsumption_entries;
     }
 }
 
@@ -423,6 +432,7 @@ mod tests {
             remote_subscriptions: 40,
             remote_associations: 120,
             remote_bytes: 1200,
+            ..RoutingMemoryReport::default()
         };
         let pruned = RoutingMemoryReport {
             remote_associations: 60,
@@ -448,10 +458,13 @@ mod tests {
             remote_subscriptions: 4,
             remote_associations: 5,
             remote_bytes: 6,
+            equality_constants: 7,
+            subsumption_entries: 8,
         };
         a.merge(&a.clone());
         assert_eq!(a.local_subscriptions, 2);
         assert_eq!(a.remote_bytes, 12);
+        assert_eq!((a.equality_constants, a.subsumption_entries), (14, 16));
     }
 
     #[test]

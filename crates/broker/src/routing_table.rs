@@ -35,12 +35,21 @@
 //! match pays nothing — its batches go to the engine as they are. The
 //! witnesses (at most 32 cloned trees per link) are not part of
 //! [`RoutingTable::memory_report`].
+//!
+//! # Flood suppression
+//!
+//! [`RoutingTable::subsumer`] names the entry that makes flooding a new
+//! subscription towards a neighbor redundant. It runs `implies` only on the
+//! entries the [subsumption indexes](crate::subsumption) — one per origin,
+//! maintained by the same `evict` — cannot rule out.
 
 use crate::metrics::RoutingMemoryReport;
+use crate::subsumption::{SubsumptionIndex, SubsumptionQuery};
 use filtering::{
     AnyEngine, DiscriminationHint, EngineConfig, EngineKind, FilterStats, MatchSink,
     MatchingEngine, VecSink,
 };
+use pubsub_core::analysis::implies;
 use pubsub_core::{
     BrokerId, EventBatch, EventMessage, SubscriberId, Subscription, SubscriptionId,
     SubscriptionTree,
@@ -83,6 +92,10 @@ struct Link {
     /// Clones of entries of `engine` that recently matched an event, most
     /// recent first; see the [module documentation](self).
     witnesses: Vec<Subscription>,
+    /// The unpruned entries of `engine`, filed for
+    /// [`RoutingTable::subsumer`]; built by the first lookup that may
+    /// report an entry of this link.
+    subsumers: Option<SubsumptionIndex>,
 }
 
 impl Link {
@@ -129,6 +142,9 @@ pub struct RoutingTable {
     /// built after the hint was installed.
     hint: Option<DiscriminationHint>,
     local: AnyEngine,
+    /// The local entries, filed for [`subsumer`](Self::subsumer); built by
+    /// the first lookup, so a broker that never floods keeps none.
+    local_subsumers: Option<SubsumptionIndex>,
     per_neighbor: BTreeMap<BrokerId, Link>,
     /// Where each remote entry currently lives (subscription id → neighbor).
     remote_destination: BTreeMap<SubscriptionId, BrokerId>,
@@ -157,6 +173,8 @@ pub struct RoutingTable {
     /// shrinks its output to a smaller batch, so alternating hop sizes do
     /// not free and reallocate the nested buffers.
     forward_spares: Vec<Vec<BrokerId>>,
+    /// Reusable candidate list of [`subsumer`](Self::subsumer).
+    subsumer_scratch: Vec<SubscriptionId>,
 }
 
 impl RoutingTable {
@@ -220,8 +238,14 @@ impl RoutingTable {
     /// Registers a local-client subscription, replacing any entry — local or
     /// remote — registered under the same id.
     pub fn add_local(&mut self, subscription: Subscription) {
-        self.evict(subscription.id());
+        let id = subscription.id();
+        self.evict(id);
         self.local.insert(subscription);
+        if let Some(index) = &mut self.local_subsumers {
+            if let Some(entry) = self.local.get(id) {
+                index.insert(entry);
+            }
+        }
     }
 
     /// Registers a remote entry whose matches must be forwarded towards the
@@ -230,6 +254,23 @@ impl RoutingTable {
     pub fn add_remote(&mut self, subscription: Subscription, toward: BrokerId) {
         let id = subscription.id();
         self.evict(id);
+        if let Some(Link {
+            engine,
+            subsumers: Some(index),
+            ..
+        }) = self.place_remote(subscription, toward)
+        {
+            if let Some(entry) = engine.get(id) {
+                index.insert(entry);
+            }
+        }
+    }
+
+    /// Indexes `subscription` in the engine towards `toward` and records its
+    /// destination. Returns the link if the engine accepted the entry, which
+    /// is not yet filed as a possible subsumer.
+    fn place_remote(&mut self, subscription: Subscription, toward: BrokerId) -> Option<&mut Link> {
+        let id = subscription.id();
         let kind = self.engine_kind;
         let config = self.engine_config;
         let hint = &self.hint;
@@ -241,15 +282,16 @@ impl RoutingTable {
             Link {
                 engine,
                 witnesses: Vec::new(),
+                subsumers: None,
             }
         });
         link.engine.insert(subscription);
         // The engine's registration-time analysis may have rejected the tree
         // as unsatisfiable; the destination map records only what is
         // actually indexed.
-        if link.engine.get(id).is_some() {
-            self.remote_destination.insert(id, toward);
-        }
+        link.engine.get(id)?;
+        self.remote_destination.insert(id, toward);
+        Some(link)
     }
 
     /// Removes a subscription from wherever it is registered.
@@ -258,19 +300,27 @@ impl RoutingTable {
     }
 
     /// Takes the entry registered under `id` out of the table: out of the
-    /// local engine, or out of the engine *and the witness list* of the
-    /// neighbor it points towards. Every mutation starts here, so no copy of
-    /// an entry survives in a second engine and no witness outlives or lags
-    /// the entry it was cloned from.
+    /// local engine, or out of the engine, *the witness list and the
+    /// subsumption index* of the neighbor it points towards. Every mutation
+    /// starts here, so no copy of an entry survives in a second engine, no
+    /// witness outlives or lags the entry it was cloned from, and no replaced
+    /// or removed entry is reported as a subsumer.
     fn evict(&mut self, id: SubscriptionId) -> Option<Subscription> {
         if let Some(sub) = self.local.remove(id) {
+            if let Some(index) = &mut self.local_subsumers {
+                index.remove(&sub);
+            }
             return Some(sub);
         }
         let toward = self.remote_destination.remove(&id)?;
-        self.pruned.remove(&id);
+        let pruned = self.pruned.remove(&id);
         let link = self.per_neighbor.get_mut(&toward)?;
         link.witnesses.retain(|w| w.id() != id);
-        link.engine.remove(id)
+        let sub = link.engine.remove(id)?;
+        if let (Some(index), false) = (&mut link.subsumers, pruned) {
+            index.remove(&sub);
+        }
+        Some(sub)
     }
 
     /// Replaces the tree of a remote entry (installing a pruned version).
@@ -283,8 +333,12 @@ impl RoutingTable {
         let Some(existing) = self.evict(id) else {
             return false;
         };
-        self.add_remote(existing.with_tree(tree), toward);
-        if self.remote_destination.contains_key(&id) {
+        // Not filed as a subsumer: a pruned entry matches more than the
+        // copies of it downstream do.
+        if self
+            .place_remote(existing.with_tree(tree), toward)
+            .is_some()
+        {
             self.pruned.insert(id);
         }
         true
@@ -296,6 +350,51 @@ impl RoutingTable {
     /// says nothing about what the brokers downstream of it match.
     pub fn is_pruned(&self, id: SubscriptionId) -> bool {
         self.pruned.contains(&id)
+    }
+
+    /// The entry that makes flooding the query's subscription towards
+    /// `toward` redundant: one that did not arrive over that link (so it
+    /// *was* propagated towards it), is registered under another id, is not
+    /// `is_suppressed` towards it itself, still holds the tree it was
+    /// propagated with (see [`is_pruned`](Self::is_pruned)), and is implied
+    /// by the subscription. Of several, **the one with the lowest id** — a
+    /// rule that depends on the entries alone, so a broker and its
+    /// log-replayed twin record the same blocker. Sound but incomplete: a
+    /// `None` only means [`implies`] found no subsumer.
+    ///
+    /// `implies` runs on the few entries the per-origin
+    /// [subsumption indexes](crate::subsumption) cannot rule out; each index
+    /// is built by the first lookup that needs it.
+    pub fn subsumer(
+        &mut self,
+        query: &SubsumptionQuery,
+        toward: BrokerId,
+        is_suppressed: impl Fn(SubscriptionId) -> bool,
+    ) -> Option<SubscriptionId> {
+        let mut candidates = std::mem::take(&mut self.subsumer_scratch);
+        candidates.clear();
+        let pruned = &self.pruned;
+        self.local_subsumers
+            .get_or_insert_with(|| file_all(&self.local, pruned))
+            .candidates(query, &mut candidates);
+        for (neighbor, link) in &mut self.per_neighbor {
+            if *neighbor != toward {
+                link.subsumers
+                    .get_or_insert_with(|| file_all(&link.engine, pruned))
+                    .candidates(query, &mut candidates);
+            }
+        }
+        candidates.sort_unstable();
+        candidates.dedup();
+        let found = candidates.iter().copied().find(|&id| {
+            id != query.id
+                && !is_suppressed(id)
+                && self
+                    .subscription(id)
+                    .is_some_and(|entry| implies(&query.expr, &entry.tree().to_expr()))
+        });
+        self.subsumer_scratch = candidates;
+        found
     }
 
     /// The current remote entries (their possibly pruned form), in
@@ -494,23 +593,23 @@ impl RoutingTable {
     /// Memory accounting for this routing table.
     pub fn memory_report(&self) -> RoutingMemoryReport {
         let local = self.local.report();
-        let mut remote_associations = 0;
-        let mut remote_bytes = 0;
-        let mut remote_subscriptions = 0;
-        for link in self.per_neighbor.values() {
-            let report = link.engine.report();
-            remote_associations += report.association_count;
-            remote_bytes += report.tree_bytes;
-            remote_subscriptions += report.subscription_count;
-        }
-        RoutingMemoryReport {
+        let mut memory = RoutingMemoryReport {
             local_subscriptions: local.subscription_count,
             local_associations: local.association_count,
             local_bytes: local.tree_bytes,
-            remote_subscriptions,
-            remote_associations,
-            remote_bytes,
+            equality_constants: local.equality_constants,
+            subsumption_entries: self.local_subsumers.as_ref().map_or(0, |index| index.len()),
+            ..RoutingMemoryReport::default()
+        };
+        for link in self.per_neighbor.values() {
+            let report = link.engine.report();
+            memory.remote_associations += report.association_count;
+            memory.remote_bytes += report.tree_bytes;
+            memory.remote_subscriptions += report.subscription_count;
+            memory.equality_constants += report.equality_constants;
+            memory.subsumption_entries += link.subsumers.as_ref().map_or(0, |index| index.len());
         }
+        memory
     }
 
     /// Merged filtering statistics of all engines in this table, plus what
@@ -535,6 +634,17 @@ impl RoutingTable {
         }
         self.witness_stats = FilterStats::new();
     }
+}
+
+/// Files every unpruned entry of `engine`.
+fn file_all(engine: &AnyEngine, pruned: &BTreeSet<SubscriptionId>) -> SubsumptionIndex {
+    let mut index = SubsumptionIndex::default();
+    for entry in engine.subscriptions() {
+        if !pruned.contains(&entry.id()) {
+            index.insert(entry);
+        }
+    }
+    index
 }
 
 #[cfg(test)]
@@ -691,6 +801,46 @@ mod tests {
         assert!(table.match_local(&books_event(5)).is_empty());
         assert_eq!(table.neighbors_to_forward(&books_event(5), None), [b(1)]);
         assert_eq!(table.entries().count(), 1);
+    }
+
+    #[test]
+    fn the_subsumer_is_the_lowest_id_among_the_entries_that_qualify() {
+        let books = Expr::eq("category", "books");
+        let cheap_books = Expr::and(vec![books.clone(), Expr::le("price", 10i64)]);
+        let mut table = RoutingTable::new();
+        // Registered highest id first, across three origins.
+        table.add_remote(sub(7, 10, &books), b(0));
+        table.add_remote(sub(5, 10, &books), b(2));
+        table.add_local(sub(3, 10, &books));
+        table.add_local(sub(4, 10, &Expr::eq("category", "music")));
+        // Nobody asked yet, so nothing is filed.
+        assert_eq!(table.memory_report().subsumption_entries, 0);
+
+        let query = SubsumptionQuery::new(&sub(9, 10, &cheap_books));
+        let id = SubscriptionId::from_raw;
+        let nobody = |_| false;
+        assert_eq!(table.subsumer(&query, b(1), nobody), Some(id(3)));
+        assert_eq!(table.memory_report().subsumption_entries, 4);
+        // Suppressed entries and entries that arrived over the link do not
+        // count; neither does an entry registered under the query's own id.
+        assert_eq!(table.subsumer(&query, b(1), |s| s == id(3)), Some(id(5)));
+        assert_eq!(table.subsumer(&query, b(2), |s| s == id(3)), Some(id(7)));
+        let own = SubsumptionQuery::new(&sub(3, 10, &cheap_books));
+        assert_eq!(table.subsumer(&own, b(1), nobody), Some(id(5)));
+        // Nor does an entry holding a pruned tree, until it is registered
+        // again.
+        let wider = Expr::or(vec![books.clone(), Expr::eq("category", "music")]);
+        assert!(table.install_remote_tree(id(5), SubscriptionTree::from_expr(&wider)));
+        assert_eq!(table.subsumer(&query, b(1), |s| s == id(3)), Some(id(7)));
+        table.add_remote(sub(5, 10, &books), b(2));
+        assert_eq!(table.subsumer(&query, b(1), |s| s == id(3)), Some(id(5)));
+        // A replaced body is judged as it is now; a removed one not at all.
+        table.add_local(sub(3, 10, &Expr::eq("category", "music")));
+        assert_eq!(table.subsumer(&query, b(1), nobody), Some(id(5)));
+        table.remove(id(5));
+        table.remove(id(7));
+        assert_eq!(table.subsumer(&query, b(1), nobody), None);
+        assert_eq!(table.memory_report().subsumption_entries, 2);
     }
 
     fn witness_ids(table: &RoutingTable, neighbor: BrokerId) -> Vec<u64> {

@@ -167,9 +167,10 @@ pub struct Simulation {
     /// [`flush_ready`](Self::flush_ready) once the whole neighborhood is
     /// back.
     flush_deferred: BTreeSet<BrokerId>,
-    /// Client subscriptions by home broker, re-injected after a restart.
-    /// Only tracked under reliability — recovery is meaningless without it.
-    client_subs: BTreeMap<BrokerId, Vec<Subscription>>,
+    /// Client subscriptions by home broker and id, re-injected (in id order)
+    /// after a restart. An id lives under one home at a time. Only tracked
+    /// under reliability — recovery is meaningless without it.
+    client_subs: BTreeMap<BrokerId, BTreeMap<SubscriptionId, Subscription>>,
     /// When enabled, every local delivery as `(event, subscriber,
     /// subscription)` — the ground truth for fault-equivalence checks.
     delivery_log: Option<Vec<(EventId, SubscriberId, SubscriptionId)>>,
@@ -546,11 +547,13 @@ impl Simulation {
         );
         if self.reliable.is_some() {
             // Remember the client's subscription so a crash of its home
-            // broker can re-install it after the restart.
+            // broker can re-install it after the restart; a re-registered
+            // id replaces the body remembered for it, wherever that was.
+            self.forget_client_subscription(subscription.id());
             self.client_subs
                 .entry(home)
                 .or_default()
-                .push(subscription.clone());
+                .insert(subscription.id(), subscription.clone());
         }
         self.send_frame.clear();
         self.codec.encode_into(
@@ -561,6 +564,12 @@ impl Simulation {
         // flooding between brokers is recorded as control frames by `pump`.
         self.transport.send(None, home, &self.send_frame);
         let _ = self.pump(&mut None);
+    }
+
+    fn forget_client_subscription(&mut self, id: SubscriptionId) {
+        for subs in self.client_subs.values_mut() {
+            subs.remove(&id);
+        }
     }
 
     /// Registers many subscriptions.
@@ -577,9 +586,7 @@ impl Simulation {
             self.brokers.contains_key(&at),
             "{at} is not part of the topology"
         );
-        for subs in self.client_subs.values_mut() {
-            subs.retain(|s| s.id() != id);
-        }
+        self.forget_client_subscription(id);
         self.send_frame.clear();
         self.codec
             .encode_into(&WireMessage::Unsubscribe { id }, &mut self.send_frame);
@@ -972,7 +979,7 @@ impl Simulation {
         let _ = self.pump(&mut None);
         // 3. Local clients reconnect and re-subscribe.
         let resubscribe = self.client_subs.get(&broker).cloned().unwrap_or_default();
-        for subscription in resubscribe {
+        for subscription in resubscribe.into_values() {
             self.send_frame.clear();
             self.codec.encode_into(
                 &WireMessage::Subscribe { subscription },
@@ -1861,6 +1868,50 @@ mod tests {
         // New traffic flows normally.
         let outcome = sim.publish_at(id_books(2, 5), b(2));
         assert_eq!(outcome.deliveries.len(), 1);
+    }
+
+    #[test]
+    fn a_re_registered_id_is_re_injected_once_after_a_restart() {
+        let local_at = |sim: &Simulation, broker: BrokerId| {
+            sim.broker(broker)
+                .expect("part of the line")
+                .local_subscriptions()
+                .len()
+        };
+        let restart_frames = |bodies: &[&str]| {
+            let config = SimulationConfig::new(Topology::line(3)).with_reliability(true);
+            let mut sim = Simulation::new(config);
+            for body in bodies {
+                sim.register_subscription(sub(1, 0, &Expr::eq("category", *body)));
+            }
+            sim.crash_broker(b(0));
+            let before = sim.network_stats().control_frames;
+            sim.restart_broker(b(0));
+            assert_eq!(local_at(&sim, b(0)), 1);
+            assert_eq!(sim.publish_at(id_books(1, 5), b(2)).deliveries.len(), 1);
+            sim.network_stats().control_frames - before
+        };
+        // Only the body the client holds now comes back: the restart of a
+        // broker whose client re-registered floods what a single
+        // registration would.
+        assert_eq!(
+            restart_frames(&["music", "games", "books"]),
+            restart_frames(&["books"])
+        );
+
+        // An id registered again at another home left its old one for good.
+        let config = SimulationConfig::new(Topology::line(3)).with_reliability(true);
+        let mut sim = Simulation::new(config);
+        sim.register_subscription_at(sub(1, 0, &Expr::eq("category", "books")), b(0));
+        sim.register_subscription_at(sub(1, 0, &Expr::eq("category", "books")), b(2));
+        sim.crash_broker(b(0));
+        sim.restart_broker(b(0));
+        assert_eq!(local_at(&sim, b(0)), 0);
+        assert_eq!(local_at(&sim, b(2)), 1);
+        sim.unregister_subscription(SubscriptionId::from_raw(1), b(1));
+        sim.crash_broker(b(2));
+        sim.restart_broker(b(2));
+        assert_eq!(local_at(&sim, b(2)), 0);
     }
 
     #[test]

@@ -941,6 +941,7 @@ impl MatchingEngine for ATreeEngine {
             subscription_count: self.subs.len(),
             association_count: self.index.len(),
             tree_bytes: self.memory().slab_bytes,
+            equality_constants: self.index.equality_constants(),
         }
     }
 }

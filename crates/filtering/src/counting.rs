@@ -696,6 +696,7 @@ impl MatchingEngine for CountingEngine {
             subscription_count: self.id_to_slot.len(),
             association_count: self.index.len(),
             tree_bytes: self.subscriptions().map(|s| s.tree().size_bytes()).sum(),
+            equality_constants: self.index.equality_constants(),
         }
     }
 }

@@ -17,6 +17,10 @@ pub struct EngineReport {
     pub association_count: usize,
     /// Estimated memory footprint of all subscription trees in bytes.
     pub tree_bytes: usize,
+    /// Distinct `attribute = constant` pairs the predicate index holds a
+    /// bucket for. Bounded by the live subscriptions: a constant whose last
+    /// subscription left is gone from the index too.
+    pub equality_constants: usize,
 }
 
 impl EngineReport {
@@ -131,11 +135,13 @@ mod tests {
             subscription_count: 10,
             association_count: 100,
             tree_bytes: 1000,
+            equality_constants: 0,
         };
         let pruned = EngineReport {
             subscription_count: 10,
             association_count: 40,
             tree_bytes: 400,
+            ..baseline
         };
         assert!((pruned.association_reduction_vs(&baseline) - 0.6).abs() < 1e-12);
         assert!((pruned.bytes_reduction_vs(&baseline) - 0.6).abs() < 1e-12);
@@ -148,6 +154,7 @@ mod tests {
             subscription_count: 0,
             association_count: 0,
             tree_bytes: 0,
+            equality_constants: 0,
         };
         assert_eq!(empty.association_reduction_vs(&empty), 0.0);
         assert_eq!(empty.bytes_reduction_vs(&empty), 0.0);

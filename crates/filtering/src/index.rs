@@ -290,6 +290,16 @@ impl AttributeIndex {
         self.buckets(id).map_or(0, |b| b.equality.len())
     }
 
+    /// Number of distinct `attribute = constant` pairs with a bucket in the
+    /// equality index, over all attributes.
+    pub fn equality_constants(&self) -> usize {
+        self.attributes
+            .iter()
+            .flatten()
+            .map(|buckets| buckets.equality.len())
+            .sum()
+    }
+
     /// Registers a predicate under the given key.
     pub fn insert(&mut self, predicate: &Predicate, key: PredicateKey) {
         let buckets = self.buckets_mut(predicate.attr_id());
@@ -333,7 +343,15 @@ impl AttributeIndex {
         let removed = match predicate.operator() {
             Operator::Eq => match EqKey::from_value(predicate.constant()) {
                 Some(eq_key) => match buckets.equality.get_mut(&eq_key) {
-                    Some(keys) => remove_key(keys, key),
+                    Some(keys) => {
+                        let removed = remove_key(keys, key);
+                        // A constant nobody subscribes to any more must not
+                        // stay allocated, nor count as a distinct constant.
+                        if keys.is_empty() {
+                            buckets.equality.remove(&eq_key);
+                        }
+                        removed
+                    }
                     None => false,
                 },
                 None => remove_scan(&mut buckets.scan, key),
@@ -643,6 +661,30 @@ mod tests {
         // Double removal reports false and does not underflow.
         assert!(!idx.remove(&p_eq, key(1, 0)));
         assert_eq!(idx.len(), 0);
+    }
+
+    #[test]
+    fn removed_constants_leave_no_equality_bucket_behind() {
+        let mut idx = AttributeIndex::new();
+        let title = pubsub_core::attr::intern("index_test_title");
+        let predicates: Vec<Predicate> = (0..200)
+            .map(|i| Predicate::new("index_test_title", Operator::Eq, format!("t{i}")))
+            .collect();
+        for (i, p) in predicates.iter().enumerate() {
+            idx.insert(p, key(i as u32, 0));
+            idx.insert(p, key(i as u32, 1));
+        }
+        assert_eq!(idx.equality_cardinality(title), predicates.len());
+        for (i, p) in predicates.iter().enumerate() {
+            assert!(idx.remove(p, key(i as u32, 0)));
+        }
+        // Every constant still has one subscriber.
+        assert_eq!(idx.equality_cardinality(title), predicates.len());
+        for (i, p) in predicates.iter().enumerate() {
+            assert!(idx.remove(p, key(i as u32, 1)));
+        }
+        assert_eq!(idx.equality_cardinality(title), 0);
+        assert!(idx.is_empty());
     }
 
     #[test]

@@ -147,6 +147,8 @@ impl MatchingEngine for NaiveEngine {
                 .values()
                 .map(|s| s.tree().size_bytes())
                 .sum(),
+            // No predicate index.
+            equality_constants: 0,
         }
     }
 }

@@ -723,12 +723,14 @@ impl<E: ShardEngine> MatchingEngine for ShardedEngine<E> {
             subscription_count: 0,
             association_count: 0,
             tree_bytes: 0,
+            equality_constants: 0,
         };
         for shard in &self.shards {
             let r = shard.report();
             report.subscription_count += r.subscription_count;
             report.association_count += r.association_count;
             report.tree_bytes += r.tree_bytes;
+            report.equality_constants += r.equality_constants;
         }
         report
     }

@@ -500,15 +500,247 @@ pub fn subsumes(general: &SubscriptionTree, specific: &SubscriptionTree) -> bool
     implies(&specific.to_expr(), &general.to_expr())
 }
 
-/// Structural FNV-64 fingerprint of a single predicate — the leaf case of
-/// [`expr_fingerprint`], exposed so shared-subexpression indexes can
-/// fingerprint nodes bottom-up without materializing an [`Expr`].
-pub fn predicate_fingerprint(p: &Predicate) -> u64 {
+/// What [`implies`] can be told about one attribute an expression *bounds*:
+/// every derivation `implies(S, W)` in which `W` bounds the attribute goes
+/// through an `attribute = constant` leaf the two share.
+///
+/// An attribute is bounded by an `=` predicate on it, by an `And` with a
+/// child that bounds it, and by an `Or` all of whose children bound it.
+/// Constants are identified by a 64-bit key ([`Predicate`] equality decides
+/// whether two `=` leaves are one constant, so `-0.0` and `0.0` share a
+/// key); a key collision only ever admits extra candidates.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EqBound {
+    attr: AttrId,
+    /// Three bits per constant: `And` intersects, `Or` unites.
+    bloom: u64,
+    filing: Vec<u64>,
+    probes: Vec<u64>,
+}
+
+impl EqBound {
+    /// The bounded attribute.
+    pub fn attr(&self) -> AttrId {
+        self.attr
+    }
+
+    /// The keys to file the expression under as a *weaker* side: an `Or`
+    /// contributes all its children's keys, an `And` those of its child with
+    /// the fewest. Never empty; sorted, without duplicates.
+    pub fn filing_keys(&self) -> &[u64] {
+        &self.filing
+    }
+
+    /// The keys to look the expression up with as a *stronger* side: an `And`
+    /// contributes all its bounding children's keys (any one of them may be
+    /// the one that implies), an `Or` those of its first child (all of them
+    /// imply). `implies(S, W)` with `W` bounding the attribute guarantees a
+    /// probe key of `S` among the filing keys of `W`. Never empty; sorted,
+    /// without duplicates.
+    pub fn probe_keys(&self) -> &[u64] {
+        &self.probes
+    }
+}
+
+/// The attributes and `=` constants a derivation of [`implies`] must go
+/// through, computed bottom-up over the same cases `implies` recurses over.
+///
+/// For a [valid](Expr::is_valid) expression `E`:
+///
+/// * `required(E)` — attributes every event satisfying `E` carries:
+///   predicate → its attribute, `And` → union, `Or` → intersection,
+///   `Not` → none;
+/// * `bounded(E)` — see [`EqBound`].
+///
+/// **Lemma.** `implies(S, W)` ⇒ `required(W) ⊆ required(S)`, and every
+/// attribute `W` bounds is bounded by `S`, with the bloom of `S` a subset of
+/// the bloom of `W` and a probe key of `S` among the filing keys of `W`.
+/// By induction over the rules of `implies`: equal sides are trivial;
+/// `W = And` and `S = Or` hold for every child, which union / intersection
+/// (and "the child with the fewest keys" / "the first child") preserve;
+/// `S = And` and `W = Or` hold for one child, of which the other side's
+/// union (respectively intersection) is a superset (subset); a predicate
+/// covered by an `=` predicate is that very predicate; a `Not` requires and
+/// bounds nothing. [`ImplicationSummary`] is the constant-size form of the
+/// subset tests; an index over the filing keys finds the candidates.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ImplicationProfile {
+    /// Sorted, without duplicates.
+    required: Vec<AttrId>,
+    /// Sorted by attribute, one entry per attribute.
+    bounded: Vec<EqBound>,
+}
+
+impl ImplicationProfile {
+    /// Profiles an expression (which must be [valid](Expr::is_valid), as
+    /// every expression read back from a [`SubscriptionTree`] is).
+    pub fn of(expr: &Expr) -> Self {
+        debug_assert!(expr.is_valid(), "profiled expression is invalid");
+        let mut profile = Self::fold(expr);
+        profile.required.sort_unstable();
+        profile.required.dedup();
+        profile.bounded.sort_unstable_by_key(|bound| bound.attr);
+        for bound in &mut profile.bounded {
+            for keys in [&mut bound.filing, &mut bound.probes] {
+                keys.sort_unstable();
+                keys.dedup();
+            }
+        }
+        profile
+    }
+
+    fn fold(expr: &Expr) -> Self {
+        match expr {
+            Expr::Pred(p) => {
+                let attr = p.attr_id();
+                let bounded = if p.operator() == Operator::Eq {
+                    let key = eq_constant_key(p.constant());
+                    vec![EqBound {
+                        attr,
+                        bloom: bloom_bits(key),
+                        filing: vec![key],
+                        probes: vec![key],
+                    }]
+                } else {
+                    Vec::new()
+                };
+                Self {
+                    required: vec![attr],
+                    bounded,
+                }
+            }
+            Expr::Not(_) => Self::default(),
+            Expr::And(children) => {
+                let mut all = Self::default();
+                for child in children.iter().map(Self::fold) {
+                    all.required.extend(child.required);
+                    for bound in child.bounded {
+                        match all.bounded.iter_mut().find(|b| b.attr == bound.attr) {
+                            Some(merged) => {
+                                merged.bloom &= bound.bloom;
+                                if bound.filing.len() < merged.filing.len() {
+                                    merged.filing = bound.filing;
+                                }
+                                merged.probes.extend(bound.probes);
+                            }
+                            None => all.bounded.push(bound),
+                        }
+                    }
+                }
+                all
+            }
+            Expr::Or(children) => {
+                let mut folded = children.iter().map(Self::fold);
+                let mut common = folded.next().unwrap_or_default();
+                for child in folded {
+                    common.required.retain(|attr| child.required.contains(attr));
+                    common.bounded.retain_mut(|merged| {
+                        let Some(bound) = child.bounded.iter().find(|b| b.attr == merged.attr)
+                        else {
+                            return false;
+                        };
+                        merged.bloom |= bound.bloom;
+                        merged.filing.extend(&bound.filing);
+                        true
+                    });
+                }
+                common
+            }
+        }
+    }
+
+    /// The attributes every satisfying event carries, ascending.
+    pub fn required(&self) -> &[AttrId] {
+        &self.required
+    }
+
+    /// The bounded attributes, ascending by attribute.
+    pub fn bounded(&self) -> &[EqBound] {
+        &self.bounded
+    }
+
+    /// The constant-size necessary test of the lemma.
+    pub fn summary(&self) -> ImplicationSummary {
+        let mut summary = ImplicationSummary {
+            required: attr_mask(self.required.iter().copied()),
+            bounded: attr_mask(self.bounded.iter().map(EqBound::attr)),
+            bloom_attrs: [NO_ATTR; 2],
+            blooms: [0; 2],
+        };
+        for (slot, bound) in self.bounded.iter().take(2).enumerate() {
+            summary.bloom_attrs[slot] = bound.attr.raw();
+            summary.blooms[slot] = bound.bloom;
+        }
+        summary
+    }
+}
+
+/// Three of 64 bits per constant, from disjoint bits of its key.
+fn bloom_bits(key: u64) -> u64 {
+    1 << (key >> 58) | 1 << (key >> 52 & 63) | 1 << (key >> 46 & 63)
+}
+
+fn attr_mask(attrs: impl Iterator<Item = AttrId>) -> u64 {
+    attrs.fold(0, |mask, attr| mask | 1 << (attr.raw() % 64))
+}
+
+/// Marks an unused bloom slot of an [`ImplicationSummary`]; the attribute
+/// table cannot hand out this id.
+const NO_ATTR: u32 = u32::MAX;
+
+/// 40 bytes of an [`ImplicationProfile`], enough to refuse most pairs
+/// without looking at either expression: the required and the bounded
+/// attributes as 64-bit masks (attribute id mod 64) and the blooms of the
+/// two lowest bounded attributes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ImplicationSummary {
+    required: u64,
+    bounded: u64,
+    bloom_attrs: [u32; 2],
+    blooms: [u64; 2],
+}
+
+impl ImplicationSummary {
+    /// Summarizes an expression: `ImplicationProfile::of(expr).summary()`.
+    pub fn of(expr: &Expr) -> Self {
+        ImplicationProfile::of(expr).summary()
+    }
+
+    /// `false` only if `implies(stronger, weaker)` is `false` for the
+    /// expressions `self` and `weaker` summarize (the lemma of
+    /// [`ImplicationProfile`]); `true` says nothing. An attribute whose bloom
+    /// `self` did not keep is bounded by an unknown set and passes.
+    pub fn may_imply(&self, weaker: &Self) -> bool {
+        if weaker.required & !self.required != 0 || weaker.bounded & !self.bounded != 0 {
+            return false;
+        }
+        weaker
+            .bloom_attrs
+            .iter()
+            .zip(weaker.blooms)
+            .filter(|(attr, _)| **attr != NO_ATTR)
+            .all(
+                |(attr, weaker_bloom)| match self.bloom_attrs.iter().position(|own| own == attr) {
+                    Some(slot) => self.blooms[slot] & !weaker_bloom == 0,
+                    None => true,
+                },
+            )
+    }
+}
+
+/// The identity of an `=` constant, agreeing with [`Value`] equality (which
+/// compares floats numerically) on everything that equals itself.
+fn eq_constant_key(constant: &Value) -> u64 {
     let mut h = Fnv64::new();
-    h.write_u8(0);
-    h.write_u32(p.attr_id().raw());
-    h.write_u8(p.operator().wire_tag());
-    match p.constant() {
+    match constant {
+        Value::Float(f) if *f == 0.0 => write_value(&mut h, &Value::Float(0.0)),
+        other => write_value(&mut h, other),
+    }
+    h.finish()
+}
+
+fn write_value(h: &mut Fnv64, value: &Value) {
+    match value {
         Value::Bool(b) => {
             h.write_u8(1);
             h.write_u8(u8::from(*b));
@@ -526,6 +758,17 @@ pub fn predicate_fingerprint(p: &Predicate) -> u64 {
             h.write(s.as_bytes());
         }
     }
+}
+
+/// Structural FNV-64 fingerprint of a single predicate — the leaf case of
+/// [`expr_fingerprint`], exposed so shared-subexpression indexes can
+/// fingerprint nodes bottom-up without materializing an [`Expr`].
+pub fn predicate_fingerprint(p: &Predicate) -> u64 {
+    let mut h = Fnv64::new();
+    h.write_u8(0);
+    h.write_u32(p.attr_id().raw());
+    h.write_u8(p.operator().wire_tag());
+    write_value(&mut h, p.constant());
     h.finish()
 }
 
@@ -1102,6 +1345,77 @@ mod tests {
         // No event-free tautologies: q does not imply Or(x>1, x≤1).
         let fake_tautology = Expr::or(vec![Expr::gt("x", 1i64), Expr::le("x", 1i64)]);
         assert!(!implies(&q, &fake_tautology));
+    }
+
+    /// The lemma of [`ImplicationProfile`], checked on one pair.
+    fn assert_findable(stronger: &Expr, weaker: &Expr) {
+        assert!(implies(stronger, weaker), "{stronger:?} => {weaker:?}");
+        let (s, w) = (
+            ImplicationProfile::of(stronger),
+            ImplicationProfile::of(weaker),
+        );
+        assert!(s.summary().may_imply(&w.summary()));
+        assert!(w.required().iter().all(|attr| s.required().contains(attr)));
+        for bound in w.bounded() {
+            let own = s
+                .bounded()
+                .iter()
+                .find(|own| own.attr() == bound.attr())
+                .expect("bounded by the stronger side too");
+            assert!(own
+                .probe_keys()
+                .iter()
+                .any(|key| bound.filing_keys().contains(key)));
+        }
+    }
+
+    #[test]
+    fn implication_profiles_follow_the_rules_of_implies() {
+        let books = Expr::eq("s", "books");
+        let tools = Expr::eq("s", "tools");
+        let cheap = Expr::le("x", 5i64);
+        let either = Expr::Or(vec![books.clone(), tools.clone()]);
+        assert_findable(&Expr::And(vec![books.clone(), cheap.clone()]), &books);
+        assert_findable(&Expr::And(vec![books.clone(), cheap.clone()]), &either);
+        assert_findable(&books, &Expr::Or(vec![cheap.clone(), books.clone()]));
+        assert_findable(&either, &Expr::Or(vec![tools.clone(), books.clone()]));
+        // Both zeros are one constant; an integer and its float twin are not.
+        assert_findable(&Expr::eq("x", 0.0f64), &Expr::eq("x", -0.0f64));
+        assert!(!implies(&Expr::eq("x", 3i64), &Expr::eq("x", 3.0f64)));
+        // A contradiction implies each of its conjuncts, and finds them.
+        let neither = Expr::And(vec![books.clone(), tools.clone()]);
+        assert_findable(&neither, &books);
+        assert_findable(&neither, &tools);
+
+        let profile = ImplicationProfile::of(&Expr::And(vec![either.clone(), cheap.clone()]));
+        let (s, x) = (crate::attr::intern("s"), crate::attr::intern("x"));
+        let mut required = vec![s, x];
+        required.sort_unstable();
+        assert_eq!(profile.required(), required);
+        assert_eq!(profile.bounded().len(), 1);
+        assert_eq!(profile.bounded()[0].attr(), s);
+        assert_eq!(profile.bounded()[0].filing_keys().len(), 2);
+        assert_eq!(profile.bounded()[0].probe_keys().len(), 1);
+        // A disjunction requires and bounds what all its branches do.
+        let mixed = ImplicationProfile::of(&Expr::Or(vec![books.clone(), cheap.clone()]));
+        assert!(mixed.required().is_empty() && mixed.bounded().is_empty());
+        assert_eq!(ImplicationProfile::of(&Expr::not(books.clone())), mixed);
+    }
+
+    #[test]
+    fn summaries_refuse_what_cannot_imply() {
+        assert_eq!(std::mem::size_of::<ImplicationSummary>(), 40);
+        let of = ImplicationSummary::of;
+        let books = Expr::eq("s", "books");
+        let cheap_books = Expr::And(vec![books.clone(), Expr::le("x", 5i64)]);
+        // The weaker side requires an attribute the stronger does not.
+        assert!(!of(&books).may_imply(&of(&cheap_books)));
+        assert!(of(&cheap_books).may_imply(&of(&books)));
+        // It bounds an attribute the stronger side leaves open.
+        assert!(!of(&Expr::le("s", "books")).may_imply(&of(&books)));
+        // Its constants do not include the stronger side's.
+        assert!(!of(&books).may_imply(&of(&Expr::eq("s", "tools"))));
+        assert!(!of(&Expr::Or(vec![books.clone(), Expr::eq("s", "tools")])).may_imply(&of(&books)));
     }
 
     #[test]

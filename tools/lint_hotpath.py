@@ -25,6 +25,7 @@ HOT_PATH_FILES = [
     "crates/filtering/src/sharded.rs",
     "crates/broker/src/broker_node.rs",
     "crates/broker/src/routing_table.rs",
+    "crates/broker/src/subsumption.rs",
     "crates/broker/src/wire.rs",
     "crates/broker/src/reliable.rs",
 ]
