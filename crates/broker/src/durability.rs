@@ -16,14 +16,21 @@
 //!   [`pubsub_core::record`] (length prefix + FNV-1a 64). A `Subscribe`
 //!   whose id is already registered is a *replace* — replay applies
 //!   records in order, so latest wins.
-//! * **Snapshot compaction.** Every
-//!   [`compact_every`](DurabilityConfig::compact_every) appended records
-//!   the whole routing table is serialized into a fresh snapshot (the same
-//!   record stream shape) and swapped in with write-new-then-rename
-//!   semantics; only after the swap is the log truncated. A crash between
-//!   the two steps leaves the new snapshot unswapped or the old log
-//!   untruncated — recovery discards an unswapped snapshot and tolerates a
-//!   stale log because replay is idempotent.
+//! * **Snapshot compaction.** Once the log holds at least
+//!   [`compact_every`](DurabilityConfig::compact_every) records *and* at
+//!   least as many bytes as the last snapshot written, the whole routing
+//!   table is serialized into a fresh snapshot (the same record stream
+//!   shape) and swapped in with write-new-then-rename semantics; only after
+//!   the swap is the log truncated. The size rule makes the rewrite
+//!   amortised O(1) per appended byte whatever the table's size, and keeps
+//!   snapshot + log within twice the larger of the last snapshot and the
+//!   live table, plus one period. A crash between the two steps leaves the
+//!   new snapshot unswapped or the old log untruncated — recovery discards
+//!   an unswapped snapshot and tolerates a stale log because replay is
+//!   idempotent.
+//! * **Restart.** The compaction counters are re-seeded from what replay
+//!   read (records and bytes of the log tail, bytes of the snapshot), so a
+//!   process that restarts more often than it compacts still compacts.
 //! * **Replay.** On restart the snapshot and then the log tail are driven
 //!   back through the broker's normal message ingress (flood responses
 //!   discarded — neighbors already hold their state), stopping cleanly at
@@ -312,8 +319,12 @@ impl Storage for FileStorage {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DurabilityConfig {
-    /// Appended records between snapshot compactions; `0` disables
-    /// compaction (the log grows unboundedly).
+    /// Minimum number of appended records between snapshot compactions; `0`
+    /// disables compaction (the log grows unboundedly). A compaction runs
+    /// once this many records were appended since the last one *and* their
+    /// bytes reach the bytes of the last snapshot written, so a large table
+    /// is rewritten once per table-sized stretch of log, not once per
+    /// period.
     pub compact_every: u64,
 }
 
@@ -329,7 +340,8 @@ impl DurabilityConfig {
         Self::default()
     }
 
-    /// Sets the compaction period in appended records (`0` disables).
+    /// Sets the minimum compaction spacing in appended records (`0`
+    /// disables).
     pub fn with_compact_every(mut self, records: u64) -> Self {
         self.compact_every = records;
         self
@@ -367,7 +379,12 @@ impl DurabilityStats {
 pub struct DurableLog {
     storage: Box<dyn Storage>,
     config: DurabilityConfig,
+    /// Records in the log, i.e. appended since the last compaction.
     records_since_compaction: u64,
+    /// Bytes in the log, i.e. appended since the last compaction.
+    bytes_since_compaction: u64,
+    /// Bytes of the last snapshot written; `0` before the first.
+    snapshot_bytes: u64,
     codec: Codec,
     /// Scratch: one record payload (origin prefix + operation frame).
     payload: Vec<u8>,
@@ -383,6 +400,8 @@ impl DurableLog {
             storage,
             config,
             records_since_compaction: 0,
+            bytes_since_compaction: 0,
+            snapshot_bytes: 0,
             codec: Codec::new(),
             payload: Vec::new(),
             record: Vec::new(),
@@ -408,6 +427,11 @@ impl DurableLog {
     /// Takes the counters, leaving zeroes.
     pub fn drain_stats(&mut self) -> DurabilityStats {
         self.stats.drain()
+    }
+
+    /// Read access to the backend (how many bytes are stored).
+    pub fn storage(&self) -> &dyn Storage {
+        self.storage.as_ref()
     }
 
     /// Mutable access to the backend (fault-plan installation, test
@@ -448,11 +472,16 @@ impl DurableLog {
         self.storage.append(LOG_OBJECT, &self.record);
         self.stats.log_bytes += self.record.len() as u64;
         self.records_since_compaction += 1;
+        self.bytes_since_compaction += self.record.len() as u64;
     }
 
-    /// Whether enough records accumulated for a compaction.
+    /// Whether the log grew enough for a compaction: at least
+    /// [`compact_every`](DurabilityConfig::compact_every) records, and at
+    /// least the bytes of the last snapshot.
     pub fn wants_compaction(&self) -> bool {
-        self.config.compact_every > 0 && self.records_since_compaction >= self.config.compact_every
+        self.config.compact_every > 0
+            && self.records_since_compaction >= self.config.compact_every
+            && self.bytes_since_compaction >= self.snapshot_bytes
     }
 
     /// Compacts the log: serializes the broker's current table (its
@@ -476,6 +505,8 @@ impl DurableLog {
         // Restart the period either way: an interrupted compaction retries
         // a full period later, not on every subsequent append.
         self.records_since_compaction = 0;
+        self.bytes_since_compaction = 0;
+        self.snapshot_bytes = snapshot.len() as u64;
         if self.storage.compaction_interrupted() {
             return;
         }
@@ -490,7 +521,9 @@ impl DurableLog {
     /// (counted in
     /// [`log_corrupt_truncations`](DurabilityStats::log_corrupt_truncations))
     /// and rewriting the stored object to the clean prefix so future
-    /// appends land after valid records.
+    /// appends land after valid records. The compaction counters restart
+    /// from what was read, so a log opened over existing storage compacts
+    /// when one that had written it all itself would.
     pub fn replay(&mut self, mut apply: impl FnMut(&WireMessage, Option<BrokerId>)) {
         // An unswapped staging snapshot is an interrupted compaction: the
         // old snapshot + untruncated log are authoritative; discard it.
@@ -501,17 +534,17 @@ impl DurableLog {
             broker: BrokerId::from_raw(0),
         };
         for object in [SNAPSHOT_OBJECT, LOG_OBJECT] {
-            let Some(bytes) = self.storage.read(object) else {
-                continue;
-            };
+            // A missing object replays like an empty one.
+            let bytes = self.storage.read(object).unwrap_or_default();
             let mut reader = RecordReader::new(&bytes);
             let mut clean_end = 0usize;
+            let mut records = 0u64;
             let mut undecodable = false;
             while let Some(payload) = reader.next_record() {
                 match decode_record(&mut self.codec, payload, &mut message) {
                     Some(origin) => {
                         apply(&message, origin);
-                        self.stats.log_records_replayed += 1;
+                        records += 1;
                         clean_end = reader.clean_len();
                     }
                     None => {
@@ -525,6 +558,13 @@ impl DurableLog {
             if reader.damage().is_some() || undecodable {
                 self.stats.log_corrupt_truncations += 1;
                 self.storage.write(object, &bytes[..clean_end]);
+            }
+            self.stats.log_records_replayed += records;
+            if object == SNAPSHOT_OBJECT {
+                self.snapshot_bytes = clean_end as u64;
+            } else {
+                self.records_since_compaction = records;
+                self.bytes_since_compaction = clean_end as u64;
             }
         }
     }
@@ -940,6 +980,142 @@ mod tests {
                 assert_eq!(broker.local_subscriptions().len(), intact as usize);
             }
         }
+    }
+
+    /// Bytes the log's backend holds for a restart to read.
+    fn stored_bytes(log: &DurableLog) -> usize {
+        [SNAPSHOT_OBJECT, LOG_OBJECT]
+            .into_iter()
+            .filter_map(|name| log.storage().read(name))
+            .map(|bytes| bytes.len())
+            .sum()
+    }
+
+    /// Bytes of a snapshot of the broker's table as it stands.
+    fn live_snapshot_bytes(broker: &Broker) -> usize {
+        let mut scratch = DurableLog::in_memory(DurabilityConfig::new());
+        scratch.compact(broker.routing_table().entries());
+        stored_bytes(&scratch)
+    }
+
+    fn resident(i: u64) -> Subscription {
+        sub(
+            i,
+            i,
+            &Expr::and(vec![
+                Expr::eq("category", format!("category-{i}")),
+                Expr::le("price", i as i64),
+            ]),
+        )
+    }
+
+    #[test]
+    fn compaction_waits_for_a_snapshot_sized_log() {
+        // 200 residents, then 1,000 unsubscribe + subscribe pairs. A
+        // compaction every `compact_every` records would rewrite the table
+        // 500 times; the size rule rewrites it once per table-sized stretch
+        // of log and still keeps the stored bytes within twice the table.
+        let mut broker = broker_with_log(4);
+        for i in 0..200 {
+            subscribe(&mut broker, resident(i), None);
+        }
+        let record = stored_bytes(&{
+            let mut scratch = DurableLog::in_memory(DurabilityConfig::new());
+            scratch.append_subscribe(&resident(1_000_000), None);
+            scratch
+        });
+        let after_load = broker.durable_log().unwrap().stats().snapshot_compactions;
+        for i in 0..1_000u64 {
+            broker.handle_message(
+                &WireMessage::Unsubscribe {
+                    id: SubscriptionId::from_raw(i % 200),
+                },
+                None,
+            );
+            subscribe(&mut broker, resident(i % 200), None);
+            let stored = stored_bytes(broker.durable_log().unwrap());
+            let live = live_snapshot_bytes(&broker);
+            assert!(
+                stored <= 2 * live + 4 * record,
+                "cycle {i}: {stored} bytes stored for a {live}-byte table"
+            );
+        }
+        let compactions = broker.durable_log().unwrap().stats().snapshot_compactions - after_load;
+        assert!((5..=20).contains(&compactions), "{compactions} compactions");
+    }
+
+    /// Satellite bugfix: a log opened over existing storage used to start
+    /// its counters at zero, so a process restarting more often than every
+    /// `compact_every` records never compacted. Forty "append ten, restart"
+    /// cycles must leave no more than twice the live table plus one period.
+    fn restarts_shorter_than_the_period(mut reopen: impl FnMut(&DurableLog) -> DurableLog) {
+        let config = DurabilityConfig::new();
+        let mut broker = Broker::new(b(1), vec![b(0), b(2)]);
+        broker.attach_durable_log(reopen(&DurableLog::in_memory(config)));
+        for i in 0..20 {
+            subscribe(&mut broker, resident(i), None);
+        }
+        let record = stored_bytes(&{
+            let mut scratch = DurableLog::in_memory(config);
+            scratch.append_subscribe(&resident(19), None);
+            scratch
+        });
+        let period = (config.compact_every as usize + 10) * record;
+        for cycle in 0..40u64 {
+            for k in 0..5 {
+                let id = (cycle * 5 + k) % 20;
+                broker.handle_message(
+                    &WireMessage::Unsubscribe {
+                        id: SubscriptionId::from_raw(id),
+                    },
+                    None,
+                );
+                subscribe(&mut broker, resident(id), None);
+            }
+            let expected = table_of(&broker);
+            // The process dies; a new one opens the same storage.
+            let log = reopen(broker.durable_log().expect("log attached"));
+            broker = Broker::new(b(1), vec![b(0), b(2)]);
+            broker.attach_durable_log(log);
+            broker.recover();
+            assert_eq!(table_of(&broker), expected, "cycle {cycle}");
+            let stored = stored_bytes(broker.durable_log().unwrap());
+            let live = live_snapshot_bytes(&broker);
+            assert!(
+                stored <= 2 * live + period,
+                "cycle {cycle}: {stored} bytes stored for a {live}-byte table"
+            );
+        }
+    }
+
+    #[test]
+    fn restarts_shorter_than_the_period_still_compact_in_memory() {
+        restarts_shorter_than_the_period(|old| {
+            let mut storage = MemoryStorage::new();
+            for name in [SNAPSHOT_OBJECT, LOG_OBJECT, SNAPSHOT_STAGING_OBJECT] {
+                if let Some(bytes) = old.storage().read(name) {
+                    storage.write(name, &bytes);
+                }
+            }
+            DurableLog::new(Box::new(storage), old.config())
+        });
+    }
+
+    #[test]
+    fn restarts_shorter_than_the_period_still_compact_on_files() {
+        let dir = std::env::temp_dir().join(format!(
+            "durability-restarts-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        restarts_shorter_than_the_period(|old| {
+            DurableLog::new(
+                Box::new(FileStorage::new(&dir).expect("open storage dir")),
+                old.config(),
+            )
+        });
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -6,9 +6,16 @@
 //! each broker's routing memory — entries, the engines' distinct `=`
 //! constants, the entries filed in the flood-suppression indexes — and its
 //! suppression records must equal those of a network that only ever saw the
-//! survivors.
+//! survivors. The same goes for what it stores: each broker's snapshot plus
+//! log stay within twice a snapshot of its table as it stands, and a
+//! whole-cluster restart reads the tables back from them.
 
-use broker::{BrokerId, Simulation, SimulationConfig, Topology};
+use broker::durability::Storage as _;
+use broker::durability::{LOG_OBJECT, SNAPSHOT_OBJECT};
+use broker::{
+    Broker, BrokerId, DurabilityConfig, DurableLog, MemoryStorage, Simulation, SimulationConfig,
+    Topology,
+};
 use pubsub_core::{EventMessage, Expr, SubscriberId, Subscription, SubscriptionId};
 use std::collections::VecDeque;
 
@@ -37,7 +44,31 @@ fn subscription(i: u64) -> Subscription {
 }
 
 fn line3() -> Simulation {
-    Simulation::new(SimulationConfig::new(Topology::line(3)))
+    Simulation::new(
+        SimulationConfig::new(Topology::line(3))
+            .with_reliability(true)
+            .with_durability(DurabilityConfig::new()),
+    )
+}
+
+/// Snapshot plus log bytes a log's backend holds.
+fn stored_bytes(log: &DurableLog) -> usize {
+    [SNAPSHOT_OBJECT, LOG_OBJECT]
+        .into_iter()
+        .filter_map(|name| log.storage().read(name))
+        .map(|bytes| bytes.len())
+        .sum()
+}
+
+/// A broker's table: every entry with the link it arrived on, by id.
+fn table_of(broker: &Broker) -> Vec<(Option<BrokerId>, Subscription)> {
+    let mut table: Vec<(Option<BrokerId>, Subscription)> = broker
+        .routing_table()
+        .entries()
+        .map(|(origin, sub)| (origin, sub.clone()))
+        .collect();
+    table.sort_by_key(|(_, sub)| sub.id());
+    table
 }
 
 #[test]
@@ -98,5 +129,78 @@ fn churned_network_holds_what_a_fresh_one_does() {
         .build();
     let delivered = churned.publish_at(event.clone(), brokers[0]).deliveries;
     assert!(!delivered.is_empty());
-    assert_eq!(delivered, fresh.publish_at(event, brokers[0]).deliveries);
+    assert_eq!(
+        delivered,
+        fresh.publish_at(event.clone(), brokers[0]).deliveries
+    );
+
+    // 6,000 records per broker later, what is stored is bounded by what is
+    // live: compaction fires once the log is as long as the last snapshot
+    // (and at least a period of 64 records, the slack allowed here).
+    let record = {
+        let mut scratch = DurableLog::in_memory(DurabilityConfig::new());
+        scratch.append_subscribe(&subscription(LIVE + CYCLES), None);
+        stored_bytes(&scratch)
+    };
+    let mut tables = Vec::new();
+    for &id in &brokers {
+        let broker = churned.broker(id).expect("part of the line");
+        let stored = stored_bytes(broker.durable_log().expect("durability is on"));
+        let live = {
+            let mut scratch = DurableLog::in_memory(DurabilityConfig::new());
+            scratch.compact(broker.routing_table().entries());
+            stored_bytes(&scratch)
+        };
+        assert!(live > 0, "{id}");
+        assert!(
+            stored <= 2 * live + 64 * record,
+            "{id}: {stored} bytes stored for a {live}-byte table"
+        );
+        tables.push(table_of(broker));
+    }
+    assert!(churned.network_stats().snapshot_compactions > 0);
+
+    // What a broker stored is its table: a lone broker opening a copy of
+    // the storage replays exactly the entries, links included.
+    for (&id, before) in brokers.iter().zip(&tables) {
+        let broker = churned.broker(id).expect("part of the line");
+        let stored = broker.durable_log().expect("durability is on").storage();
+        let mut copy = MemoryStorage::new();
+        for name in [SNAPSHOT_OBJECT, LOG_OBJECT] {
+            if let Some(bytes) = stored.read(name) {
+                copy.write(name, &bytes);
+            }
+        }
+        let mut lone = Broker::new(id, broker.neighbors().to_vec());
+        lone.attach_durable_log(DurableLog::new(Box::new(copy), DurabilityConfig::new()));
+        assert!(lone.recover() > 0, "{id}");
+        assert_eq!(&table_of(&lone), before, "{id}");
+    }
+
+    // Everybody down at once, then back up. Each broker replays the same
+    // storage and then syncs with its neighbours, which may hand it entries
+    // it never held: a neighbour rebuilds its suppression records in replay
+    // order, where a follower can precede the watcher that used to block it.
+    // Nothing a broker held may be missing, and no delivery may change.
+    for &id in &brokers {
+        churned.crash_broker(id);
+    }
+    for &id in &brokers {
+        churned.restart_broker(id);
+    }
+    for (&id, before) in brokers.iter().zip(&tables) {
+        let after = table_of(churned.broker(id).expect("part of the line"));
+        for entry in before {
+            assert!(after.contains(entry), "{id} lost {}", entry.1.id());
+        }
+        let locals = |table: &[(Option<BrokerId>, Subscription)]| {
+            table.iter().filter(|(origin, _)| origin.is_none()).count()
+        };
+        assert_eq!(locals(&after), locals(before), "{id}");
+    }
+    assert_eq!(
+        delivered,
+        churned.publish_at(event, brokers[0]).deliveries,
+        "the restart changed a delivery"
+    );
 }

@@ -17,8 +17,8 @@ pub enum PrefilterMode {
     Off,
     /// Pre-filter when it is likely to pay: at least 32 registered
     /// subscriptions of which at least half carry a stage-0 constraint.
-    /// Decided at pre-filter rebuild time, i.e. whenever the subscription
-    /// set changes.
+    /// Both counts are kept running, so the decision follows every
+    /// subscribe and unsubscribe.
     #[default]
     Auto,
 }

@@ -32,12 +32,15 @@
 //! the count of fulfilled entries is available by aggregation
 //! (`len - index` / `index`) before a single key is touched.
 //!
-//! Mutations never re-sort eagerly: `insert`/`remove` append to (or
-//! `swap_remove` from) the unsorted source arrays and mark the attribute
-//! dirty, and the sorted mirror is rebuilt lazily at the start of the next
-//! mutation epoch — [`AttributeIndex::ensure_built`], which the engines call
-//! once per batch. Probing a dirty attribute through the shared-reference
-//! path stays correct by scanning the (unsorted) source entries directly.
+//! A mutation costs what it changes. `insert` appends to the class's small
+//! unsorted `pending` tail; `remove` binary-searches the sorted arrays (which
+//! are ordered by `(threshold, key)`, so the search is exact) and shifts the
+//! suffix down in place. [`AttributeIndex::ensure_built`], which the engines
+//! call once per batch, sorts each touched class's tail and merges it into
+//! the arrays — untouched classes and attributes are not visited. A probe
+//! taken through the shared-reference path before that merge stays correct
+//! by also testing the tail's few entries one by one; no probe ever scans a
+//! whole class, and no interval predicate is stored twice.
 
 use pubsub_core::{AttrId, EventMessage, NodeId, Operator, Predicate, Value};
 use std::collections::HashMap;
@@ -94,7 +97,8 @@ impl PredicateKey {
 pub(crate) enum EqKey {
     Bool(bool),
     /// Numeric constants are normalized to their bit pattern after an
-    /// `Int -> Float` widening so that `= 3` and `= 3.0` share a bucket.
+    /// `Int -> Float` widening so that `= 3` and `= 3.0` share a bucket, as
+    /// do `= 0.0` and `= -0.0`.
     Num(u64),
     /// Strings share the value's `Arc` — registration never copies the text.
     Str(Arc<str>),
@@ -105,7 +109,8 @@ impl EqKey {
         match v {
             Value::Bool(b) => Some(EqKey::Bool(*b)),
             Value::Int(i) => Some(EqKey::Num((*i as f64).to_bits())),
-            Value::Float(f) if !f.is_nan() => Some(EqKey::Num(f.to_bits())),
+            // `+ 0.0` folds `-0.0` into `0.0`: the two compare equal.
+            Value::Float(f) if !f.is_nan() => Some(EqKey::Num((f + 0.0).to_bits())),
             Value::Float(_) => None,
             Value::Str(s) => Some(EqKey::Str(Arc::clone(s))),
         }
@@ -113,61 +118,104 @@ impl EqKey {
 }
 
 /// One interval predicate class of one attribute (all `< t` predicates, all
-/// `≤ t` predicates, …): an unsorted mutation-side array plus a flat sorted
-/// mirror rebuilt lazily.
+/// `≤ t` predicates, …): flat parallel arrays sorted by `(threshold, key)`
+/// plus the unsorted tail of entries inserted since the last merge.
 #[derive(Debug, Default)]
 pub(crate) struct IntervalClass {
-    /// Source of truth, in mutation order. `insert` pushes, `remove`
-    /// swap-removes; neither touches the sorted mirror.
-    entries: Vec<(f64, PredicateKey)>,
-    /// Thresholds of `entries` sorted ascending, rebuilt by
-    /// [`IntervalClass::rebuild`]. Parallel to `sorted_keys`.
-    sorted_thresholds: Vec<f64>,
-    /// Keys of `entries` in threshold order, parallel to
-    /// `sorted_thresholds`. A probe emits one contiguous slice of this.
-    sorted_keys: Vec<PredicateKey>,
+    /// Thresholds in ascending order (`f64::total_cmp`; NaN is rejected at
+    /// registration). Parallel to `keys`.
+    thresholds: Vec<f64>,
+    /// Keys in `(threshold, key)` order, parallel to `thresholds`. A probe
+    /// emits one contiguous slice of this.
+    keys: Vec<PredicateKey>,
+    /// Entries inserted since the last [`merge_pending`](Self::merge_pending),
+    /// in arrival order. Holds one mutation epoch's insertions, not a copy of
+    /// the class.
+    pending: Vec<(f64, PredicateKey)>,
 }
+
+/// The order of the sorted arrays. `-0.0` sorts before `+0.0`, which every
+/// probe comparison treats as equal — adjacent entries, so probes still see a
+/// partitioned array.
+fn entry_order(a: (f64, PredicateKey), b: (f64, PredicateKey)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1))
+}
+
+/// Capacity a merged-away pending tail keeps for the next epoch's
+/// insertions; a bulk load's tail is given back.
+const PENDING_KEEP: usize = 16;
 
 impl IntervalClass {
     fn insert(&mut self, threshold: f64, key: PredicateKey) {
-        self.entries.push((threshold, key));
+        self.pending.push((threshold, key));
     }
 
-    fn remove(&mut self, key: PredicateKey) -> bool {
-        match self.entries.iter().position(|(_, k)| *k == key) {
+    /// First index in the sorted arrays' prefix `..end` whose entry is not
+    /// below `(threshold, key)`.
+    fn lower_bound(&self, end: usize, threshold: f64, key: PredicateKey) -> usize {
+        let (mut lo, mut hi) = (0, end);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let entry = (self.thresholds[mid], self.keys[mid]);
+            if entry_order(entry, (threshold, key)).is_lt() {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    fn remove(&mut self, threshold: f64, key: PredicateKey) -> bool {
+        let pos = self.lower_bound(self.keys.len(), threshold, key);
+        if self.keys.get(pos) == Some(&key) && self.thresholds[pos].to_bits() == threshold.to_bits()
+        {
+            self.thresholds.remove(pos);
+            self.keys.remove(pos);
+            return true;
+        }
+        match self.pending.iter().position(|(_, k)| *k == key) {
             Some(pos) => {
-                self.entries.swap_remove(pos);
+                self.pending.swap_remove(pos);
                 true
             }
             None => false,
         }
     }
 
-    /// Rebuilds the sorted mirror from the source entries. Called once per
-    /// mutation epoch, not per mutation.
-    fn rebuild(&mut self) {
-        self.sorted_thresholds.clear();
-        self.sorted_keys.clear();
-        self.sorted_thresholds
-            .extend(self.entries.iter().map(|&(t, _)| t));
-        self.sorted_keys
-            .extend(self.entries.iter().map(|&(_, k)| k));
-        // Thresholds are NaN-free (rejected at registration), so a plain
-        // total-order sort over the index permutation is safe. The relative
-        // order of equal thresholds is unspecified (unstable sort) — nothing
-        // may depend on it; determinism comes from the engine's id-sort of
-        // each event's matches, not from emission order.
-        let mut order: Vec<u32> = (0..self.entries.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            self.entries[a as usize]
-                .0
-                .partial_cmp(&self.entries[b as usize].0)
-                .expect("NaN thresholds are rejected at registration")
-        });
-        for (slot, &src) in order.iter().enumerate() {
-            self.sorted_thresholds[slot] = self.entries[src as usize].0;
-            self.sorted_keys[slot] = self.entries[src as usize].1;
+    /// Sorts the pending tail and merges it into the sorted arrays: one
+    /// binary search per pending entry plus one block move per gap between
+    /// them, so a single insertion costs a `memmove` of the entries above it.
+    ///
+    /// The relative order of equal thresholds follows the keys — nothing may
+    /// depend on it; determinism comes from the engine's id-sort of each
+    /// event's matches, not from emission order.
+    fn merge_pending(&mut self) {
+        if self.pending.is_empty() {
+            return;
         }
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.sort_unstable_by(|&a, &b| entry_order(a, b));
+        let old_len = self.thresholds.len();
+        self.thresholds.resize(old_len + pending.len(), 0.0);
+        self.keys.resize(
+            old_len + pending.len(),
+            PredicateKey::new(SubSlot(0), NodeId(0)),
+        );
+        // Back to front: `end` is how much of the old arrays is still to be
+        // placed, `above` how many pending entries sit below the current one.
+        let mut end = old_len;
+        for (above, &(threshold, key)) in pending.iter().enumerate().rev() {
+            let pos = self.lower_bound(end, threshold, key);
+            self.thresholds.copy_within(pos..end, pos + above + 1);
+            self.keys.copy_within(pos..end, pos + above + 1);
+            self.thresholds[pos + above] = threshold;
+            self.keys[pos + above] = key;
+            end = pos;
+        }
+        pending.clear();
+        pending.shrink_to(PENDING_KEEP);
+        self.pending = pending;
     }
 
     /// Emits the keys of the suffix whose thresholds satisfy `pred` being
@@ -175,30 +223,45 @@ impl IntervalClass {
     /// found by binary search, starts the fulfilled suffix.
     #[inline]
     fn emit_suffix(&self, first_false: usize, on_fulfilled: &mut impl FnMut(PredicateKey)) {
-        for &k in &self.sorted_keys[first_false..] {
+        for &k in &self.keys[first_false..] {
             on_fulfilled(k);
         }
     }
 
     #[inline]
     fn emit_prefix(&self, end: usize, on_fulfilled: &mut impl FnMut(PredicateKey)) {
-        for &k in &self.sorted_keys[..end] {
+        for &k in &self.keys[..end] {
             on_fulfilled(k);
+        }
+    }
+
+    /// Emits the not-yet-merged entries whose threshold the event value
+    /// fulfils. Empty once [`AttributeIndex::ensure_built`] ran.
+    #[inline]
+    fn emit_pending(
+        &self,
+        fulfilled: impl Fn(f64) -> bool,
+        on_fulfilled: &mut impl FnMut(PredicateKey),
+    ) {
+        for &(t, k) in &self.pending {
+            if fulfilled(t) {
+                on_fulfilled(k);
+            }
         }
     }
 
     /// Index of the first sorted threshold for which `pred` is false.
     #[inline]
     pub(crate) fn partition(&self, pred: impl Fn(f64) -> bool) -> usize {
-        self.sorted_thresholds.partition_point(|&t| pred(t))
+        self.thresholds.partition_point(|&t| pred(t))
     }
 
-    /// The keys in threshold order. Only meaningful after
+    /// The merged keys in threshold order. Complete only after
     /// [`AttributeIndex::ensure_built`]; the batch probe plan slices this
     /// directly to emit a whole run of events against one partition point.
     #[inline]
     pub(crate) fn sorted_keys(&self) -> &[PredicateKey] {
-        &self.sorted_keys
+        &self.keys
     }
 }
 
@@ -223,9 +286,9 @@ pub(crate) struct AttributeBuckets {
     pub(crate) ge: IntervalClass,
     /// Everything else, checked by direct evaluation against the event value.
     pub(crate) scan: Vec<(Predicate, PredicateKey)>,
-    /// Set when an interval class mutated since the last rebuild; probes on a
-    /// dirty attribute fall back to scanning the source entries.
-    interval_dirty: bool,
+    /// Set while this attribute is listed in
+    /// [`AttributeIndex::pending_attributes`].
+    interval_pending: bool,
 }
 
 /// The top-level predicate index: dense `AttrId` → per-attribute buckets.
@@ -237,9 +300,10 @@ pub struct AttributeIndex {
     /// Number of `Some` entries in `attributes`.
     attributes_in_use: usize,
     registered: usize,
-    /// Number of attributes whose interval mirror is stale. Makes
-    /// [`ensure_built`](Self::ensure_built) O(1) in the steady state.
-    dirty_attributes: usize,
+    /// The attributes an interval insertion touched since the last
+    /// [`ensure_built`](Self::ensure_built), which visits these and nothing
+    /// else.
+    pending_attributes: Vec<AttrId>,
 }
 
 impl AttributeIndex {
@@ -268,12 +332,11 @@ impl AttributeIndex {
         if idx >= self.attributes.len() {
             self.attributes.resize_with(idx + 1, || None);
         }
-        let entry = &mut self.attributes[idx];
-        if entry.is_none() {
-            *entry = Some(Box::default());
-            self.attributes_in_use += 1;
-        }
-        entry.as_mut().expect("just populated")
+        let in_use = &mut self.attributes_in_use;
+        self.attributes[idx].get_or_insert_with(|| {
+            *in_use += 1;
+            Box::default()
+        })
     }
 
     pub(crate) fn buckets(&self, id: AttrId) -> Option<&AttributeBuckets> {
@@ -302,8 +365,9 @@ impl AttributeIndex {
 
     /// Registers a predicate under the given key.
     pub fn insert(&mut self, predicate: &Predicate, key: PredicateKey) {
-        let buckets = self.buckets_mut(predicate.attr_id());
-        let mut interval_mutated = false;
+        let attr = predicate.attr_id();
+        let buckets = self.buckets_mut(attr);
+        let mut interval_inserted = false;
         match predicate.operator() {
             Operator::Eq => {
                 if let Some(eq_key) = EqKey::from_value(predicate.constant()) {
@@ -316,16 +380,16 @@ impl AttributeIndex {
                 match predicate.constant().as_f64() {
                     Some(t) if !t.is_nan() => {
                         interval_class_mut(buckets, op).insert(t, key);
-                        interval_mutated = true;
+                        interval_inserted = true;
                     }
                     _ => buckets.scan.push((predicate.clone(), key)),
                 }
             }
             _ => buckets.scan.push((predicate.clone(), key)),
         }
-        if interval_mutated && !buckets.interval_dirty {
-            buckets.interval_dirty = true;
-            self.dirty_attributes += 1;
+        if interval_inserted && !buckets.interval_pending {
+            buckets.interval_pending = true;
+            self.pending_attributes.push(attr);
         }
         self.registered += 1;
     }
@@ -339,7 +403,6 @@ impl AttributeIndex {
         let Some(Some(buckets)) = self.attributes.get_mut(idx) else {
             return false;
         };
-        let mut interval_mutated = false;
         let removed = match predicate.operator() {
             Operator::Eq => match EqKey::from_value(predicate.constant()) {
                 Some(eq_key) => match buckets.equality.get_mut(&eq_key) {
@@ -358,45 +421,40 @@ impl AttributeIndex {
             },
             op @ (Operator::Lt | Operator::Le | Operator::Gt | Operator::Ge) => {
                 match predicate.constant().as_f64() {
-                    Some(t) if !t.is_nan() => {
-                        let removed = interval_class_mut(buckets, op).remove(key);
-                        interval_mutated = removed;
-                        removed
-                    }
+                    Some(t) if !t.is_nan() => interval_class_mut(buckets, op).remove(t, key),
                     _ => remove_scan(&mut buckets.scan, key),
                 }
             }
             _ => remove_scan(&mut buckets.scan, key),
         };
-        if interval_mutated && !buckets.interval_dirty {
-            buckets.interval_dirty = true;
-            self.dirty_attributes += 1;
-        }
         if removed {
             self.registered -= 1;
         }
         removed
     }
 
-    /// Rebuilds the flat sorted interval mirrors of every attribute that
-    /// mutated since the last call. O(1) when nothing changed; the engines
-    /// call this once per batch so steady-state probes always take the
-    /// binary-search + contiguous-slice path.
+    /// Merges the pending interval insertions of every attribute touched
+    /// since the last call into its sorted arrays. O(1) when nothing was
+    /// inserted and proportional to the touched classes otherwise; the
+    /// engines call this once per batch so steady-state probes take the
+    /// binary-search + contiguous-slice path alone.
     pub fn ensure_built(&mut self) {
-        if self.dirty_attributes == 0 {
-            return;
-        }
-        for buckets in self.attributes.iter_mut().flatten() {
-            if !buckets.interval_dirty {
+        for attr in self.pending_attributes.drain(..) {
+            let Some(Some(buckets)) = self.attributes.get_mut(attr.index()) else {
                 continue;
-            }
-            buckets.lt.rebuild();
-            buckets.le.rebuild();
-            buckets.gt.rebuild();
-            buckets.ge.rebuild();
-            buckets.interval_dirty = false;
+            };
+            buckets.lt.merge_pending();
+            buckets.le.merge_pending();
+            buckets.gt.merge_pending();
+            buckets.ge.merge_pending();
+            buckets.interval_pending = false;
         }
-        self.dirty_attributes = 0;
+    }
+
+    /// Whether every interval insertion has been merged, i.e. whether
+    /// [`IntervalClass::sorted_keys`] is the whole class.
+    pub(crate) fn is_built(&self) -> bool {
+        self.pending_attributes.is_empty()
     }
 
     /// Reports every registered predicate fulfilled by the event, by calling
@@ -433,47 +491,25 @@ impl AttributeIndex {
             // Interval indexes only apply to numeric event values.
             if let Some(v) = value.as_f64() {
                 if !v.is_nan() {
-                    if buckets.interval_dirty {
-                        // Mutation epoch in progress and nobody called
-                        // `ensure_built` yet: stay correct by scanning the
-                        // unsorted source entries. Engines rebuild before
-                        // their batch loops, so this path is cold.
-                        for &(t, k) in &buckets.lt.entries {
-                            if v < t {
-                                on_fulfilled(k);
-                            }
-                        }
-                        for &(t, k) in &buckets.le.entries {
-                            if v <= t {
-                                on_fulfilled(k);
-                            }
-                        }
-                        for &(t, k) in &buckets.gt.entries {
-                            if v > t {
-                                on_fulfilled(k);
-                            }
-                        }
-                        for &(t, k) in &buckets.ge.entries {
-                            if v >= t {
-                                on_fulfilled(k);
-                            }
-                        }
-                    } else {
-                        // Flat sorted layout: one binary search per class,
-                        // then a contiguous, branch-free slice emission.
-                        // `value < t` fulfilled for the suffix of t > value.
-                        let lt = buckets.lt.partition(|t| t <= v);
-                        buckets.lt.emit_suffix(lt, &mut on_fulfilled);
-                        // `value <= t` fulfilled for the suffix of t >= value.
-                        let le = buckets.le.partition(|t| t < v);
-                        buckets.le.emit_suffix(le, &mut on_fulfilled);
-                        // `value > t` fulfilled for the prefix of t < value.
-                        let gt = buckets.gt.partition(|t| t < v);
-                        buckets.gt.emit_prefix(gt, &mut on_fulfilled);
-                        // `value >= t` fulfilled for the prefix of t <= value.
-                        let ge = buckets.ge.partition(|t| t <= v);
-                        buckets.ge.emit_prefix(ge, &mut on_fulfilled);
-                    }
+                    // Flat sorted layout: one binary search per class, then a
+                    // contiguous, branch-free slice emission; entries not yet
+                    // merged (none once `ensure_built` ran) are tested singly.
+                    // `value < t` fulfilled for the suffix of t > value.
+                    let lt = buckets.lt.partition(|t| t <= v);
+                    buckets.lt.emit_suffix(lt, &mut on_fulfilled);
+                    buckets.lt.emit_pending(|t| v < t, &mut on_fulfilled);
+                    // `value <= t` fulfilled for the suffix of t >= value.
+                    let le = buckets.le.partition(|t| t < v);
+                    buckets.le.emit_suffix(le, &mut on_fulfilled);
+                    buckets.le.emit_pending(|t| v <= t, &mut on_fulfilled);
+                    // `value > t` fulfilled for the prefix of t < value.
+                    let gt = buckets.gt.partition(|t| t < v);
+                    buckets.gt.emit_prefix(gt, &mut on_fulfilled);
+                    buckets.gt.emit_pending(|t| v > t, &mut on_fulfilled);
+                    // `value >= t` fulfilled for the prefix of t <= value.
+                    let ge = buckets.ge.partition(|t| t <= v);
+                    buckets.ge.emit_prefix(ge, &mut on_fulfilled);
+                    buckets.ge.emit_pending(|t| v >= t, &mut on_fulfilled);
                 }
             }
             // Scan list.
@@ -568,6 +604,11 @@ mod tests {
         idx.insert(&Predicate::new("price", Operator::Eq, 3.0f64), key(1, 0));
         let ev = EventMessage::builder().attr("price", 3i64).build();
         assert_eq!(idx.fulfilled_keys(&ev), vec![key(1, 0)]);
+        // The two zeros compare equal, so they share a bucket too.
+        idx.insert(&Predicate::new("price", Operator::Eq, -0.0f64), key(2, 0));
+        let ev = EventMessage::builder().attr("price", 0i64).build();
+        assert_eq!(idx.fulfilled_keys(&ev), vec![key(2, 0)]);
+        assert!(idx.remove(&Predicate::new("price", Operator::Eq, 0.0f64), key(2, 0)));
     }
 
     #[test]
@@ -710,10 +751,10 @@ mod tests {
     }
 
     #[test]
-    fn dirty_interval_probes_agree_with_rebuilt_probes() {
-        // Probing between a mutation and `ensure_built` must give the same
-        // answers as the rebuilt flat layout (via the unsorted-scan
-        // fallback), and rebuilding must not change any result.
+    fn pending_interval_probes_agree_with_merged_probes() {
+        // Probing between an insertion and `ensure_built` must give the same
+        // answers as the merged layout (the pending tail is tested entry by
+        // entry), and merging must not change any result.
         let mut idx = AttributeIndex::new();
         let thresholds = [10i64, 5, 20, 5, 15];
         for (i, t) in thresholds.iter().enumerate() {
@@ -725,18 +766,74 @@ mod tests {
             hits.sort();
             hits
         };
-        let dirty: Vec<_> = (0..25).map(|v| probe(&idx, v)).collect();
+        assert!(!idx.is_built());
+        let pending: Vec<_> = (0..25).map(|v| probe(&idx, v)).collect();
         idx.ensure_built();
-        let clean: Vec<_> = (0..25).map(|v| probe(&idx, v)).collect();
-        assert_eq!(dirty, clean);
-        // A removal re-opens the epoch; both paths must again agree.
+        assert!(idx.is_built());
+        let merged: Vec<_> = (0..25).map(|v| probe(&idx, v)).collect();
+        assert_eq!(pending, merged);
+        // A removal from the merged arrays happens in place and leaves
+        // nothing pending; one from the tail (key 9) leaves the other
+        // pending entry (key 8) probe-able.
         assert!(idx.remove(&Predicate::new("price", Operator::Lt, 10i64), key(0, 0)));
-        let dirty: Vec<_> = (0..25).map(|v| probe(&idx, v)).collect();
+        assert!(idx.is_built());
+        idx.insert(&Predicate::new("price", Operator::Lt, 12i64), key(8, 0));
+        idx.insert(&Predicate::new("price", Operator::Lt, 12i64), key(9, 0));
+        assert!(idx.remove(&Predicate::new("price", Operator::Lt, 12i64), key(9, 0)));
+        let pending: Vec<_> = (0..25).map(|v| probe(&idx, v)).collect();
         idx.ensure_built();
         idx.ensure_built(); // idempotent
-        let clean: Vec<_> = (0..25).map(|v| probe(&idx, v)).collect();
-        assert_eq!(dirty, clean);
-        assert!(!dirty[11].contains(&key(0, 0)));
+        let merged: Vec<_> = (0..25).map(|v| probe(&idx, v)).collect();
+        assert_eq!(pending, merged);
+        assert!(!pending[9].contains(&key(0, 0)));
+        assert!(pending[11].contains(&key(8, 0)));
+        assert!(!pending[11].contains(&key(9, 0)));
+        assert_eq!(idx.len(), 10);
+    }
+
+    #[test]
+    fn merging_keeps_threshold_order_whatever_the_arrival_order() {
+        // Several epochs of insertions landing below, between and above the
+        // merged entries; after each merge the class is sorted by
+        // (threshold, key) and holds exactly the live entries.
+        let mut class = IntervalClass::default();
+        let mut live: Vec<(f64, PredicateKey)> = Vec::new();
+        let epochs: [&[f64]; 4] = [
+            &[5.0, 1.0, 9.0],
+            &[0.0, 5.0, 10.0, 5.0, -0.0],
+            &[7.5],
+            &[-3.0, 20.0, 6.0, 6.0],
+        ];
+        let mut next = 0u32;
+        for epoch in epochs {
+            for &t in epoch {
+                class.insert(t, key(next, 0));
+                live.push((t, key(next, 0)));
+                next += 1;
+            }
+            class.merge_pending();
+            live.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+            let merged: Vec<(f64, PredicateKey)> = class
+                .thresholds
+                .iter()
+                .copied()
+                .zip(class.keys.iter().copied())
+                .collect();
+            assert_eq!(
+                merged
+                    .iter()
+                    .map(|e| (e.0.to_bits(), e.1))
+                    .collect::<Vec<_>>(),
+                live.iter()
+                    .map(|e| (e.0.to_bits(), e.1))
+                    .collect::<Vec<_>>()
+            );
+            assert!(class.pending.is_empty());
+            // Drop one entry per epoch from the middle of the arrays.
+            let (t, k) = live.remove(live.len() / 2);
+            assert!(class.remove(t, k));
+            assert!(!class.remove(t, k));
+        }
     }
 
     #[test]
@@ -792,6 +889,117 @@ mod tests {
             let mut got = idx.fulfilled_keys(&ev);
             got.sort();
             assert_eq!(got, expected, "mismatch for price={value}");
+        }
+    }
+
+    mod interleavings {
+        use super::*;
+        use crate::prefilter::PreFilter;
+        use crate::probe::ProbePlan;
+        use proptest::prelude::*;
+        use pubsub_core::EventBatch;
+
+        /// Thresholds and probe values: duplicates are the norm, `3`/`3.0`
+        /// and `7`/`7.0` are `Int`/`Float` twins, and both zeros appear.
+        fn pool() -> Vec<Value> {
+            vec![
+                Value::Int(-1),
+                Value::Float(-0.0),
+                Value::Float(0.0),
+                Value::Int(0),
+                Value::Float(2.5),
+                Value::Int(3),
+                Value::Float(3.0),
+                Value::Int(7),
+                Value::Float(7.0),
+                Value::Float(7.25),
+            ]
+        }
+
+        const OPS: [Operator; 6] = [
+            Operator::Lt,
+            Operator::Le,
+            Operator::Gt,
+            Operator::Ge,
+            Operator::Eq,
+            Operator::Ne,
+        ];
+
+        fn probe_event(v: &Value) -> EventMessage {
+            EventMessage::builder().attr("ivp_x", v.clone()).build()
+        }
+
+        fn brute_force(live: &[(Predicate, PredicateKey)], ev: &EventMessage) -> Vec<PredicateKey> {
+            let mut expected: Vec<PredicateKey> = live
+                .iter()
+                .filter(|(p, _)| p.evaluate(ev))
+                .map(|(_, k)| *k)
+                .collect();
+            expected.sort();
+            expected
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(192))]
+
+            /// Any interleaving of insert / remove / probe / merge: every
+            /// probe — taken over a pending tail or not — equals a
+            /// brute-force evaluation of the live predicates, and after the
+            /// final merge the batch plan equals the per-event probe.
+            #[test]
+            fn probes_equal_brute_force(
+                steps in prop::collection::vec((0usize..10, 0usize..64, 0usize..10), 1..120),
+            ) {
+                let pool = pool();
+                let mut idx = AttributeIndex::new();
+                let mut live: Vec<(Predicate, PredicateKey)> = Vec::new();
+                let mut next = 0u32;
+                for (kind, a, b) in steps {
+                    match kind {
+                        // Insert (weighted: the tail must get long enough to
+                        // hold duplicates before a merge).
+                        0..=4 => {
+                            let p = Predicate::new("ivp_x", OPS[a % OPS.len()], pool[b].clone());
+                            let k = key(next, (a % 3) as u32);
+                            next += 1;
+                            idx.insert(&p, k);
+                            live.push((p, k));
+                        }
+                        5 | 6 if !live.is_empty() => {
+                            let (p, k) = live.swap_remove(a % live.len());
+                            prop_assert!(idx.remove(&p, k));
+                            prop_assert!(!idx.remove(&p, k));
+                        }
+                        7 => idx.ensure_built(),
+                        _ => {
+                            let ev = probe_event(&pool[b]);
+                            let mut got = idx.fulfilled_keys(&ev);
+                            got.sort();
+                            prop_assert_eq!(got, brute_force(&live, &ev));
+                        }
+                    }
+                    prop_assert_eq!(idx.len(), live.len());
+                }
+
+                idx.ensure_built();
+                let mut batch = EventBatch::new();
+                let events: Vec<EventMessage> = pool.iter().map(probe_event).collect();
+                for ev in &events {
+                    batch.push(ev.clone());
+                }
+                let mut plan = ProbePlan::new();
+                let mut killed = 0u64;
+                plan.run(&batch, &idx, &PreFilter::new(), &mut killed);
+                for (i, ev) in events.iter().enumerate() {
+                    let expected = brute_force(&live, ev);
+                    let mut single = idx.fulfilled_keys(ev);
+                    single.sort();
+                    prop_assert_eq!(&single, &expected);
+                    let mut batched = plan.emitted(i).to_vec();
+                    batched.sort();
+                    prop_assert_eq!(&batched, &expected);
+                }
+            }
         }
     }
 }

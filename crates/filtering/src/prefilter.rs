@@ -36,6 +36,10 @@
 //! leaf required unless its falsehood forces the tree false — which is what
 //! makes the kill sound for *any* Boolean structure.
 //!
+//! A subscription is compiled when it arrives and releases what it took when
+//! it leaves (see [`PreFilter`]); the whole population is recompiled only
+//! when the ranking behind the 64 presence bits is due for a refresh.
+//!
 //! Both tests reject without touching the attribute index, the counting
 //! arrays, or the subscription tree; surviving candidates flow into stage 1
 //! (index probing) and stage 2 (counting) unchanged, so match output is
@@ -94,28 +98,73 @@ impl Default for SlotFilter {
     }
 }
 
+/// One interned discrimination constant.
+#[derive(Debug)]
+struct InternedConstant {
+    /// The constant; `None` while the id sits in the free list.
+    key: Option<EqKey>,
+    /// Compiled filters referring to the id (a kill key, or one child of an
+    /// equality group folded into a signature).
+    refs: u32,
+}
+
 /// The stage-0 pre-filter of a [`CountingEngine`](crate::CountingEngine).
 ///
-/// Rebuilt lazily whenever the subscription set, the engine configuration,
-/// or the discrimination hint changes; queried once per `(event, candidate)`
-/// emission on the hot path. See the [module docs](self) for the semantics.
+/// Maintained per mutation: once a full [`rebuild`](Self::rebuild) has
+/// compiled the population, [`insert`](Self::insert) compiles the arriving
+/// subscription alone and [`remove`](Self::remove) gives back exactly what
+/// that compilation took — presence bits and interned constants are
+/// reference-counted, so neither leaks under churn, and the counts behind
+/// [`PrefilterMode::Auto`] are kept running. A full rebuild (the same
+/// per-subscription compilation, after re-ranking which attributes earn a
+/// presence bit) runs for a configuration or hint change, for a population
+/// loaded before the first match, and once the mutations absorbed since the
+/// last one reach the population — amortised O(1) per mutation, and what
+/// keeps kill-key scores and the tracked attributes honest. Queried once per
+/// `(event, candidate)` emission on the hot path. See the
+/// [module docs](self) for the semantics.
 #[derive(Debug, Default)]
 pub struct PreFilter {
-    /// Whether stage 0 runs at all (resolved from [`PrefilterMode`] at
-    /// rebuild time; `Auto` decides from the population shape).
+    /// Whether the compiled state reflects the engine's population. `false`
+    /// until the first rebuild and after [`invalidate`](Self::invalidate);
+    /// mutations are then ignored, the next rebuild covers them.
+    built: bool,
+    /// The mode of the last rebuild.
+    mode: PrefilterMode,
+    /// Whether stage 0 runs at all (`mode` resolved against the running
+    /// population counts; `Auto` decides from the population shape).
     enabled: bool,
-    /// The attributes assigned presence bits, in bit order.
-    tracked: Vec<AttrId>,
+    /// Presence bits handed out since the last rebuild: bits `0..bits` are
+    /// each held by an attribute or listed in `free_bits`.
+    bits: u8,
+    /// Bits whose attribute lost its last requirer since the last rebuild.
+    free_bits: Vec<u8>,
     /// `AttrId::index()` → presence bit, [`NO_BIT`] for untracked attributes.
+    /// An attribute's bit never changes while any compiled subscription
+    /// requires it, so [`remove`](Self::remove) sees the bits
+    /// [`compile`](Self::compile) saw.
     attr_bit: Vec<u8>,
+    /// `AttrId::index()` → required clauses naming the attribute, over all
+    /// compiled subscriptions (tracked or not). Same length as `attr_bit`.
+    attr_refs: Vec<u32>,
     /// Interning table over the discrimination constants of all
     /// subscriptions. Event values are looked up through the same table, so
     /// key equality is exactly engine equality ([`EqKey`] semantics,
     /// including the `Int -> Float` widening).
     constants: HashMap<EqKey, u32>,
+    /// Indexed by interned id.
+    constant_slab: Vec<InternedConstant>,
+    /// Ids of `constant_slab` whose last reference was released.
+    free_constants: Vec<u32>,
     /// Indexed by engine slot.
     slot_filters: Vec<SlotFilter>,
-    /// Reusable traversal stack for rebuilds.
+    /// Compiled subscriptions.
+    occupied: usize,
+    /// Compiled subscriptions with a non-empty presence mask.
+    constrained: usize,
+    /// Mutations absorbed since the last rebuild.
+    absorbed: usize,
+    /// Reusable traversal stack.
     stack: Vec<NodeId>,
 }
 
@@ -131,17 +180,36 @@ impl PreFilter {
         self.enabled
     }
 
-    /// Number of attributes assigned presence bits by the last rebuild.
+    /// Number of attributes currently holding a presence bit.
     pub fn tracked_attributes(&self) -> usize {
-        self.tracked.len()
+        self.bits as usize - self.free_bits.len()
     }
 
-    /// Recompiles the per-slot filters from the current subscription set.
+    /// Length of the key array [`fingerprint`](Self::fingerprint) fills: one
+    /// entry per presence bit handed out, free or not.
+    pub(crate) fn key_width(&self) -> usize {
+        self.bits as usize
+    }
+
+    /// Whether the compiled state reflects the engine's population; when
+    /// `false` the engine runs [`rebuild`](Self::rebuild) before matching.
+    pub(crate) fn is_built(&self) -> bool {
+        self.built
+    }
+
+    /// Forces a full rebuild before the next match (configuration or hint
+    /// changed).
+    pub(crate) fn invalidate(&mut self) {
+        self.built = false;
+    }
+
+    /// Recompiles everything from the current subscription set.
     ///
     /// `subs` yields every occupied `(slot, subscription)`; `slot_count` is
     /// the slab length (filters of free slots stay at the never-kill
     /// default). The iterator is walked twice — once to rank attributes for
-    /// the 64 tracked bits, once to compile masks — hence `Clone`.
+    /// the 64 tracked bits, once to compile each subscription — hence
+    /// `Clone`.
     pub(crate) fn rebuild<'a>(
         &mut self,
         slot_count: usize,
@@ -150,170 +218,323 @@ impl PreFilter {
         hint: Option<&DiscriminationHint>,
         mode: PrefilterMode,
     ) {
-        self.tracked.clear();
+        self.built = true;
+        self.mode = mode;
+        self.bits = 0;
+        self.free_bits.clear();
+        self.attr_bit.fill(NO_BIT);
+        self.attr_refs.fill(0);
         self.constants.clear();
+        self.constant_slab.clear();
+        self.free_constants.clear();
         self.slot_filters.clear();
-        self.attr_bit.iter_mut().for_each(|b| *b = NO_BIT);
+        self.occupied = 0;
+        self.constrained = 0;
+        self.absorbed = 0;
         if mode == PrefilterMode::Off {
             self.enabled = false;
             return;
         }
 
-        // Pass A: rank attributes by how many subscriptions require them, so
+        // Pass A: rank attributes by how many required clauses name them, so
         // the (at most 64) presence bits go to the most load-bearing ones.
-        let mut occupied = 0usize;
-        let mut counts: HashMap<AttrId, u64> = HashMap::new();
+        let mut stack = std::mem::take(&mut self.stack);
+        let mut ranked: Vec<AttrId> = Vec::new();
         for (_, sub) in subs.clone() {
-            occupied += 1;
-            for_each_required_item(sub.tree(), &mut self.stack, |item| {
-                let attr = match item {
-                    RequiredItem::Leaf(p) => p.attr_id(),
-                    RequiredItem::AnyEq(attr, _) => attr,
-                };
-                *counts.entry(attr).or_insert(0) += 1;
+            for_each_required_item(sub.tree(), &mut stack, |item| {
+                let attr = item.attr();
+                if self.retain_attr(attr) {
+                    ranked.push(attr);
+                }
             });
         }
-        let mut ranked: Vec<(AttrId, u64)> = counts.into_iter().collect();
+        self.stack = stack;
         if ranked.len() > MAX_TRACKED {
-            ranked.sort_unstable_by_key(|&(attr, count)| (std::cmp::Reverse(count), attr.raw()));
+            ranked.sort_unstable_by_key(|attr| {
+                (std::cmp::Reverse(self.attr_refs[attr.index()]), attr.raw())
+            });
             ranked.truncate(MAX_TRACKED);
         }
-        self.tracked.extend(ranked.iter().map(|&(attr, _)| attr));
-        // Deterministic bit assignment regardless of hash-map iteration.
-        self.tracked.sort_unstable_by_key(|attr| attr.raw());
-        let max_index = self.tracked.iter().map(|a| a.index()).max();
-        if let Some(max_index) = max_index {
-            if self.attr_bit.len() <= max_index {
-                self.attr_bit.resize(max_index + 1, NO_BIT);
-            }
-        }
-        for (bit, attr) in self.tracked.iter().enumerate() {
-            self.attr_bit[attr.index()] = bit as u8;
+        // Deterministic bit assignment regardless of arrival order.
+        ranked.sort_unstable_by_key(|attr| attr.raw());
+        for attr in ranked {
+            self.assign_bit(attr);
         }
 
-        // Pass B: compile each subscription's presence mask and pick its two
-        // most discriminating required equalities as the kill keys.
+        // Pass B: compile each subscription against those bits.
         self.slot_filters.resize(slot_count, SlotFilter::default());
-        let mut constrained = 0usize;
         for (slot, sub) in subs {
-            let mut mask = 0u64;
-            // Best two candidates: (score, attr raw id) minimal wins; score
-            // is "probability a random event survives this key", so lower is
-            // more discriminating. Candidates on the *same attribute bit* are
-            // never kept twice — the second slot must add information.
-            let mut best: Option<(f64, u32, u8, EqKey)> = None;
-            let mut second: Option<(f64, u32, u8, EqKey)> = None;
-            // Best disjunctive group: fewest allowed constants wins.
-            let mut best_group: Option<(usize, u32, u8, u64)> = None;
-            let attr_bit = &self.attr_bit;
-            let constants = &mut self.constants;
-            for_each_required_item(sub.tree(), &mut self.stack, |item| {
-                let p = match item {
-                    RequiredItem::Leaf(p) => p,
-                    RequiredItem::AnyEq(attr, children) => {
-                        let bit = attr_bit.get(attr.index()).copied().unwrap_or(NO_BIT);
-                        if bit == NO_BIT {
-                            return;
-                        }
-                        mask |= 1 << bit;
-                        // Fold the allowed constants into a signature. A
-                        // child whose constant cannot be interned (NaN) can
-                        // never be true, so it contributes no bit.
-                        let mut sig = 0u64;
-                        let mut allowed = 0usize;
-                        for &id in children {
-                            let node = sub.tree().node(id).expect("checked by the walker");
-                            let NodeKind::Predicate(child) = node.kind() else {
-                                unreachable!("checked by the walker");
-                            };
-                            if let Some(eq_key) = EqKey::from_value(child.constant()) {
-                                let next = constants.len() as u32;
-                                let key = *constants.entry(eq_key).or_insert(next);
-                                sig |= 1 << (key & 63);
-                                allowed += 1;
-                            }
-                        }
-                        let better = match &best_group {
-                            Some((n, raw, _, _)) => (allowed, attr.raw()) < (*n, *raw),
-                            None => true,
-                        };
-                        if better {
-                            best_group = Some((allowed, attr.raw(), bit, sig));
-                        }
-                        return;
-                    }
-                };
-                let attr = p.attr_id();
-                let bit = attr_bit.get(attr.index()).copied().unwrap_or(NO_BIT);
-                if bit == NO_BIT {
-                    return;
-                }
-                mask |= 1 << bit;
-                if p.operator() != pubsub_core::Operator::Eq {
-                    return;
-                }
-                let Some(eq_key) = EqKey::from_value(p.constant()) else {
-                    return;
-                };
-                let score = hint
-                    .and_then(|h| h.score(attr))
-                    .unwrap_or_else(|| 1.0 / (index.equality_cardinality(attr) as f64 + 1.0));
-                let cand = (score, attr.raw(), bit, eq_key);
-                let beats = |held: &Option<(f64, u32, u8, EqKey)>| match held {
-                    Some((s, raw, _, _)) => (cand.0, cand.1) < (*s, *raw),
-                    None => true,
-                };
-                if beats(&best) {
-                    // Only demote the old best if it sits on a different bit;
-                    // two keys on one attribute are either redundant or (with
-                    // different constants) an unsatisfiable tree the counting
-                    // stage rejects anyway.
-                    if !matches!(&best, Some((_, _, b, _)) if *b == cand.2) {
-                        second = best.take();
-                    }
-                    best = Some(cand);
-                } else if !matches!(&best, Some((_, _, b, _)) if *b == cand.2) && beats(&second) {
-                    second = Some(cand);
-                }
-            });
-            let filter = &mut self.slot_filters[slot as usize];
-            filter.required_mask = mask;
-            if let Some((_, _, bit, eq_key)) = best {
-                let next = self.constants.len() as u32;
-                filter.disc_bit = bit;
-                filter.disc_key = *self.constants.entry(eq_key).or_insert(next);
-            }
-            if let Some((_, _, bit, eq_key)) = second {
-                let next = self.constants.len() as u32;
-                filter.disc2_bit = bit;
-                filter.disc2_key = *self.constants.entry(eq_key).or_insert(next);
-            }
-            if let Some((_, _, bit, sig)) = best_group {
-                filter.sig_bit = bit;
-                filter.sig = sig;
-            }
-            if mask != 0 {
-                constrained += 1;
-            }
+            self.compile(slot, sub, index, hint);
         }
+        self.update_enabled();
+    }
 
-        self.enabled = match mode {
+    /// Compiles one subscription that entered slot `slot` (already registered
+    /// in `index`). An attribute nobody required so far takes a presence bit
+    /// if one is left; an attribute that has requirers but no bit stays
+    /// untracked until the next rebuild, which keeps every compiled mask
+    /// valid.
+    pub(crate) fn insert(
+        &mut self,
+        slot: u32,
+        sub: &Subscription,
+        index: &AttributeIndex,
+        hint: Option<&DiscriminationHint>,
+    ) {
+        if !self.built || self.mode == PrefilterMode::Off {
+            return;
+        }
+        let mut stack = std::mem::take(&mut self.stack);
+        for_each_required_item(sub.tree(), &mut stack, |item| {
+            let attr = item.attr();
+            if self.retain_attr(attr) {
+                self.assign_bit(attr);
+            }
+        });
+        self.stack = stack;
+        if self.slot_filters.len() <= slot as usize {
+            self.slot_filters
+                .resize(slot as usize + 1, SlotFilter::default());
+        }
+        self.compile(slot, sub, index, hint);
+        self.absorb_mutation();
+    }
+
+    /// Gives back what compiling `sub` into slot `slot` took. `sub` must be
+    /// the subscription that was compiled there.
+    pub(crate) fn remove(&mut self, slot: u32, sub: &Subscription) {
+        if !self.built || self.mode == PrefilterMode::Off {
+            return;
+        }
+        let tree = sub.tree();
+        let mut stack = std::mem::take(&mut self.stack);
+        for_each_required_item(tree, &mut stack, |item| {
+            let attr = item.attr();
+            if let RequiredItem::AnyEq(_, children) = item {
+                if self.attr_bit[attr.index()] != NO_BIT {
+                    for key in group_keys(tree, children) {
+                        if let Some(&id) = self.constants.get(&key) {
+                            self.release_constant(id);
+                        }
+                    }
+                }
+            }
+            self.release_attr(attr);
+        });
+        self.stack = stack;
+        let filter = std::mem::take(&mut self.slot_filters[slot as usize]);
+        if filter.disc_bit != NO_BIT {
+            self.release_constant(filter.disc_key);
+        }
+        if filter.disc2_bit != NO_BIT {
+            self.release_constant(filter.disc2_key);
+        }
+        self.occupied -= 1;
+        if filter.required_mask != 0 {
+            self.constrained -= 1;
+        }
+        self.absorb_mutation();
+    }
+
+    /// Counts one incrementally applied mutation; once as many were absorbed
+    /// as there are subscriptions, the next match re-ranks from scratch.
+    fn absorb_mutation(&mut self) {
+        self.absorbed += 1;
+        if self.absorbed >= self.occupied {
+            self.built = false;
+        }
+        self.update_enabled();
+    }
+
+    fn update_enabled(&mut self) {
+        self.enabled = match self.mode {
             PrefilterMode::On => true,
             PrefilterMode::Off => false,
-            PrefilterMode::Auto => occupied >= 32 && constrained * 2 >= occupied,
+            PrefilterMode::Auto => self.occupied >= 32 && self.constrained * 2 >= self.occupied,
         };
     }
 
-    /// Fingerprints one event: fills `keys` (one interned key per tracked
-    /// attribute, [`NO_KEY`] when absent or unknown) and returns the
-    /// presence bitmask. `keys` is caller-owned scratch, grow-only.
+    /// Counts one more required clause on `attr`; `true` if it is the first.
+    fn retain_attr(&mut self, attr: AttrId) -> bool {
+        let i = attr.index();
+        if self.attr_refs.len() <= i {
+            self.attr_refs.resize(i + 1, 0);
+            self.attr_bit.resize(i + 1, NO_BIT);
+        }
+        self.attr_refs[i] += 1;
+        self.attr_refs[i] == 1
+    }
+
+    /// Counts one required clause on `attr` less; the last one frees the
+    /// attribute's presence bit.
+    fn release_attr(&mut self, attr: AttrId) {
+        let i = attr.index();
+        self.attr_refs[i] -= 1;
+        let bit = self.attr_bit[i];
+        if self.attr_refs[i] == 0 && bit != NO_BIT {
+            self.attr_bit[i] = NO_BIT;
+            self.free_bits.push(bit);
+        }
+    }
+
+    /// Gives `attr` a presence bit if fewer than [`MAX_TRACKED`] are taken.
+    fn assign_bit(&mut self, attr: AttrId) {
+        let bit = match self.free_bits.pop() {
+            Some(bit) => bit,
+            None if (self.bits as usize) < MAX_TRACKED => {
+                self.bits += 1;
+                self.bits - 1
+            }
+            None => return,
+        };
+        self.attr_bit[attr.index()] = bit;
+    }
+
+    /// Interns `key`, taking one reference on its id.
+    fn intern(&mut self, key: EqKey) -> u32 {
+        if let Some(&id) = self.constants.get(&key) {
+            self.constant_slab[id as usize].refs += 1;
+            return id;
+        }
+        let constant = InternedConstant {
+            key: Some(key.clone()),
+            refs: 1,
+        };
+        let id = match self.free_constants.pop() {
+            Some(id) => {
+                self.constant_slab[id as usize] = constant;
+                id
+            }
+            None => {
+                self.constant_slab.push(constant);
+                (self.constant_slab.len() - 1) as u32
+            }
+        };
+        self.constants.insert(key, id);
+        id
+    }
+
+    /// Drops one reference on an interned id; the last one frees the id.
+    fn release_constant(&mut self, id: u32) {
+        let constant = &mut self.constant_slab[id as usize];
+        constant.refs -= 1;
+        if constant.refs == 0 {
+            if let Some(key) = constant.key.take() {
+                self.constants.remove(&key);
+            }
+            self.free_constants.push(id);
+        }
+    }
+
+    /// Compiles one subscription's presence mask and picks its two most
+    /// discriminating required equalities as the kill keys, against the
+    /// current presence bits.
+    fn compile(
+        &mut self,
+        slot: u32,
+        sub: &Subscription,
+        index: &AttributeIndex,
+        hint: Option<&DiscriminationHint>,
+    ) {
+        let tree = sub.tree();
+        let mut mask = 0u64;
+        // Best two candidates: (score, attr raw id) minimal wins; score is
+        // "probability a random event survives this key", so lower is more
+        // discriminating. Candidates on the *same attribute bit* are never
+        // kept twice — the second slot must add information.
+        let mut best: Option<(f64, u32, u8, EqKey)> = None;
+        let mut second: Option<(f64, u32, u8, EqKey)> = None;
+        // Best disjunctive group: fewest allowed constants wins.
+        let mut best_group: Option<(usize, u32, u8, u64)> = None;
+        let mut stack = std::mem::take(&mut self.stack);
+        for_each_required_item(tree, &mut stack, |item| {
+            let attr = item.attr();
+            let bit = self.attr_bit[attr.index()];
+            if bit == NO_BIT {
+                return;
+            }
+            mask |= 1 << bit;
+            let p = match item {
+                RequiredItem::Leaf(p) => p,
+                RequiredItem::AnyEq(_, children) => {
+                    // Fold the allowed constants into a signature.
+                    let mut sig = 0u64;
+                    let mut allowed = 0usize;
+                    for key in group_keys(tree, children) {
+                        sig |= 1 << (self.intern(key) & 63);
+                        allowed += 1;
+                    }
+                    let better = match &best_group {
+                        Some((n, raw, _, _)) => (allowed, attr.raw()) < (*n, *raw),
+                        None => true,
+                    };
+                    if better {
+                        best_group = Some((allowed, attr.raw(), bit, sig));
+                    }
+                    return;
+                }
+            };
+            if p.operator() != pubsub_core::Operator::Eq {
+                return;
+            }
+            let Some(eq_key) = EqKey::from_value(p.constant()) else {
+                return;
+            };
+            let score = hint
+                .and_then(|h| h.score(attr))
+                .unwrap_or_else(|| 1.0 / (index.equality_cardinality(attr) as f64 + 1.0));
+            let cand = (score, attr.raw(), bit, eq_key);
+            let beats = |held: &Option<(f64, u32, u8, EqKey)>| match held {
+                Some((s, raw, _, _)) => (cand.0, cand.1) < (*s, *raw),
+                None => true,
+            };
+            if beats(&best) {
+                // Only demote the old best if it sits on a different bit;
+                // two keys on one attribute are either redundant or (with
+                // different constants) an unsatisfiable tree the counting
+                // stage rejects anyway.
+                if !matches!(&best, Some((_, _, b, _)) if *b == cand.2) {
+                    second = best.take();
+                }
+                best = Some(cand);
+            } else if !matches!(&best, Some((_, _, b, _)) if *b == cand.2) && beats(&second) {
+                second = Some(cand);
+            }
+        });
+        self.stack = stack;
+        let mut filter = SlotFilter {
+            required_mask: mask,
+            ..SlotFilter::default()
+        };
+        if let Some((_, _, bit, eq_key)) = best {
+            filter.disc_bit = bit;
+            filter.disc_key = self.intern(eq_key);
+        }
+        if let Some((_, _, bit, eq_key)) = second {
+            filter.disc2_bit = bit;
+            filter.disc2_key = self.intern(eq_key);
+        }
+        if let Some((_, _, bit, sig)) = best_group {
+            filter.sig_bit = bit;
+            filter.sig = sig;
+        }
+        self.slot_filters[slot as usize] = filter;
+        self.occupied += 1;
+        if mask != 0 {
+            self.constrained += 1;
+        }
+    }
+
+    /// Fingerprints one event: fills `keys` (one interned key per presence
+    /// bit, [`NO_KEY`] when absent or unknown) and returns the presence
+    /// bitmask. `keys` is caller-owned scratch, grow-only.
     pub(crate) fn fingerprint<'a>(
         &self,
         pairs: impl Iterator<Item = (AttrId, &'a Value)>,
         keys: &mut Vec<u32>,
     ) -> u64 {
         keys.clear();
-        keys.resize(self.tracked.len(), NO_KEY);
+        keys.resize(self.bits as usize, NO_KEY);
         let mut mask = 0u64;
         for (attr, value) in pairs {
             let bit = self.attr_bit.get(attr.index()).copied().unwrap_or(NO_BIT);
@@ -346,6 +567,70 @@ impl PreFilter {
     }
 }
 
+/// Everything about a [`PreFilter`] that does not depend on the order its
+/// subscriptions arrived in, for comparing an incrementally maintained one
+/// with one rebuilt from the same population.
+#[cfg(test)]
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Snapshot {
+    pub(crate) enabled: bool,
+    pub(crate) occupied: usize,
+    pub(crate) constrained: usize,
+    /// `(attribute, required clauses)` of every attribute with any.
+    pub(crate) attr_refs: Vec<(u32, u32)>,
+    /// The attributes holding a presence bit, ascending.
+    pub(crate) tracked: Vec<u32>,
+    /// Live interned constants, and the references on them.
+    pub(crate) constants: usize,
+    pub(crate) constant_refs: u64,
+}
+
+#[cfg(test)]
+impl PreFilter {
+    /// The order-independent state, after checking the invariants that tie
+    /// the redundant structures together.
+    pub(crate) fn snapshot(&self) -> Snapshot {
+        // Every bit handed out is held by exactly one attribute that has a
+        // requirer, or is free.
+        let mut held = self.free_bits.clone();
+        let mut tracked = Vec::new();
+        for (attr, (&bit, &refs)) in (0u32..).zip(self.attr_bit.iter().zip(&self.attr_refs)) {
+            if bit != NO_BIT {
+                assert!(refs > 0, "bit held by nobody");
+                held.push(bit);
+                tracked.push(attr);
+            }
+        }
+        held.sort_unstable();
+        assert_eq!(held, (0..self.bits).collect::<Vec<u8>>());
+        assert_eq!(tracked.len(), self.tracked_attributes());
+        let live = self.constant_slab.iter().filter(|c| c.refs > 0);
+        assert_eq!(live.clone().count(), self.constants.len());
+        assert_eq!(
+            self.constant_slab.len(),
+            self.constants.len() + self.free_constants.len()
+        );
+        Snapshot {
+            enabled: self.enabled,
+            occupied: self.occupied,
+            constrained: self.constrained,
+            attr_refs: (0u32..)
+                .zip(&self.attr_refs)
+                .filter(|(_, &refs)| refs > 0)
+                .map(|(attr, &refs)| (attr, refs))
+                .collect(),
+            tracked,
+            constants: self.constants.len(),
+            constant_refs: live.map(|c| u64::from(c.refs)).sum(),
+        }
+    }
+
+    /// Mutations absorbed since the last full rebuild.
+    pub(crate) fn absorbed(&self) -> usize {
+        self.absorbed
+    }
+}
+
 /// A required clause surfaced by [`for_each_required_item`].
 enum RequiredItem<'a> {
     /// A predicate leaf that must itself be true.
@@ -354,6 +639,30 @@ enum RequiredItem<'a> {
     /// attribute: the attribute must be present and its value must equal one
     /// of the children's constants.
     AnyEq(AttrId, &'a [NodeId]),
+}
+
+impl RequiredItem<'_> {
+    /// The attribute the clause needs the event to carry.
+    fn attr(&self) -> AttrId {
+        match self {
+            RequiredItem::Leaf(p) => p.attr_id(),
+            RequiredItem::AnyEq(attr, _) => *attr,
+        }
+    }
+}
+
+/// The internable constants of an equality group's children. A child whose
+/// constant cannot be interned (NaN) can never be true, so it yields none.
+fn group_keys<'a>(
+    tree: &'a SubscriptionTree,
+    children: &'a [NodeId],
+) -> impl Iterator<Item = EqKey> + 'a {
+    children
+        .iter()
+        .filter_map(move |&id| match tree.node(id)?.kind() {
+            NodeKind::Predicate(p) => EqKey::from_value(p.constant()),
+            _ => None,
+        })
 }
 
 /// Walks the *required* clauses of a tree: root required, `And` propagates

@@ -67,9 +67,10 @@ impl ProbePlan {
     }
 
     /// Probes the whole batch, leaving each event's fulfilled predicate keys
-    /// readable via [`emitted`](Self::emitted). Requires the index's interval
-    /// mirrors to be built (`AttributeIndex::ensure_built`). Every emission
-    /// suppressed by the pre-filter increments `killed`.
+    /// readable via [`emitted`](Self::emitted). Requires the index's pending
+    /// interval insertions to be merged (`AttributeIndex::ensure_built`): the
+    /// plan slices the sorted arrays and never looks at a pending tail. Every
+    /// emission suppressed by the pre-filter increments `killed`.
     pub(crate) fn run(
         &mut self,
         batch: &EventBatch,
@@ -88,9 +89,10 @@ impl ProbePlan {
             sorted,
             offsets,
         } = self;
+        debug_assert!(index.is_built(), "probe plan run over a pending tail");
         let n = batch.len();
         let pf_on = prefilter.enabled();
-        let tracked = prefilter.tracked_attributes();
+        let tracked = prefilter.key_width();
 
         groups.group(batch);
 

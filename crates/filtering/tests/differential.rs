@@ -5,7 +5,8 @@
 //!   generators the benchmarks and experiments use), across seeds and under
 //!   churn.
 //! * `match_batch` must agree with per-event `match_event` on both engines,
-//!   including when subscriptions churn between batches.
+//!   including when subscriptions churn between batches, and single-event
+//!   matching must agree with the baseline after every single mutation.
 //! * After warmup, repeated matching — per event or per batch — must not
 //!   allocate any new scratch: the generation-stamped counters, leaf masks,
 //!   touched lists, and the batch match buffer are reused.
@@ -397,6 +398,63 @@ proptest! {
                     engine.insert(s.clone());
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    // Every seed is one 1,800-step script; a few of them is plenty.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The churn shape: one mutation, one single-event match, repeat — so
+    /// stage 0 and the interval index absorb every insert / replace / remove
+    /// on their own instead of rebuilding once per batch of mutations. The
+    /// population grows from nothing past `Auto`'s floor of 32 and drains
+    /// back below it; matches equal the naive engine's after every step.
+    #[test]
+    fn counting_follows_single_mutation_churn(seed in 0u64..1024) {
+        let mut generator = WorkloadGenerator::new(WorkloadConfig::small().with_seed(seed));
+        let pool = generator.subscriptions(140);
+        let events = generator.events(64);
+        let hint = DiscriminationHint::from_events(&events);
+        let mut rng = proptest::TestRng::deterministic(seed);
+
+        for mode in [PrefilterMode::On, PrefilterMode::Auto] {
+            let mut counting = CountingEngine::with_config(EngineConfig::with_prefilter(mode));
+            counting.set_discrimination_hint(Some(hint.clone()));
+            let mut naive = NaiveEngine::new();
+            let mut single = Vec::new();
+            let mut seen_enabled = false;
+            for step in 0..900usize {
+                // Grow at random for 600 steps, then drain id by id.
+                let (target, insert) = if step < 600 {
+                    (&pool[rng.index(pool.len())], rng.index(10) < 8)
+                } else {
+                    (&pool[step % pool.len()], rng.index(10) < 1)
+                };
+                if insert {
+                    // A live id is replaced — by another subscription's tree
+                    // as often as by its own.
+                    let body = &pool[rng.index(pool.len())];
+                    let subscription = target.with_tree(body.tree().clone());
+                    counting.insert(subscription.clone());
+                    naive.insert(subscription);
+                } else {
+                    prop_assert_eq!(
+                        counting.remove(target.id()).is_some(),
+                        naive.remove(target.id()).is_some()
+                    );
+                }
+                let event = &events[rng.index(events.len())];
+                counting.match_event_into(event, &mut single);
+                let mut expected = naive.match_event(event);
+                expected.sort();
+                prop_assert_eq!(&single, &expected, "{:?} seed {} step {}", mode, seed, step);
+                seen_enabled |= counting.prefilter_enabled();
+            }
+            prop_assert!(seen_enabled, "{:?} never ran stage 0", mode);
+            prop_assert!(counting.len() < 32, "the drain left {}", counting.len());
+            prop_assert_eq!(counting.prefilter_enabled(), mode == PrefilterMode::On);
         }
     }
 }

@@ -21,7 +21,9 @@ HOT_PATH_FILES = [
     "crates/filtering/src/counting.rs",
     "crates/filtering/src/naive.rs",
     "crates/filtering/src/atree.rs",
+    "crates/filtering/src/index.rs",
     "crates/filtering/src/prefilter.rs",
+    "crates/filtering/src/probe.rs",
     "crates/filtering/src/sharded.rs",
     "crates/broker/src/broker_node.rs",
     "crates/broker/src/routing_table.rs",
