@@ -24,13 +24,16 @@
 //! to the engine itself. Forwarding decisions are those of the engines
 //! alone, pruned trees included.
 //!
-//! **Break-even.** Measured at 1,000 entries towards one neighbor: an engine
-//! pass costs ~5.0 µs per event, a decision a witness answers ~0.5 µs (6
-//! evaluations on average), and an event that misses a full list pays all
-//! [`MAX_WITNESSES`] evaluations, ~1.8 µs, on top of its engine pass. The
-//! cache therefore pays off once more than ~28 % of the events reaching a
-//! link are forwarded over it; on the paper's 5-broker line 95 % are, and
-//! 98.8 % of those hit a witness after 8.4 evaluations on average. The list
+//! **Break-even.** Measured at 1,000 of the paper's entries towards one
+//! neighbor, in batches of 64 on a 2-core x86-64 host: an engine pass over
+//! events no entry matches costs ~1.2 µs per event, a decision a witness
+//! answers ~0.3 µs (6.2 evaluations on average), and an event that misses a
+//! full list pays all [`MAX_WITNESSES`] evaluations, ~1.2 µs, on top of its
+//! engine pass. The cache therefore pays off once more than ~59 % of the
+//! events reaching a link are forwarded over it (~22 % while the engine
+//! registered every leaf of every entry and a pass cost ~3.7 µs); on the
+//! paper's 5-broker line 95 % are, and 98.8 % of those hit a witness after
+//! 8.4 evaluations on average. The list
 //! only ever holds entries that did match, so a table whose entries never
 //! match pays nothing — its batches go to the engine as they are. The
 //! witnesses (at most 32 cloned trees per link) are not part of
@@ -60,7 +63,9 @@ use std::time::Instant;
 /// Upper bound on the witnesses kept per neighbor. A constant rather than a
 /// setting: on the paper's workload 4 / 8 / 16 / 32 witnesses answered
 /// 40 / 61 / 86 / 99 % of the forwardable link-events, and a longer list only
-/// raises the price of a miss.
+/// raises the price of a miss. The rates depend only on which entry an
+/// engine reports first for an event (the lowest id), not on how it finds
+/// it, so gating the engines' index left them unchanged.
 const MAX_WITNESSES: usize = 32;
 
 /// A [`MatchSink`] that only remembers the *first* entry each batch event
@@ -225,8 +230,8 @@ impl RoutingTable {
     }
 
     /// Installs (or clears) the selectivity hint steering each engine's
-    /// stage-0 discrimination choice. Every destination engine — current and
-    /// future — receives its own copy.
+    /// choice of access clauses and stage-0 keys. Every destination engine —
+    /// current and future — receives its own copy.
     pub fn set_discrimination_hint(&mut self, hint: Option<DiscriminationHint>) {
         self.local.set_discrimination_hint(hint.clone());
         for link in self.per_neighbor.values_mut() {
@@ -1090,7 +1095,8 @@ mod tests {
         assert_eq!(stats.killed_by_prefilter, 2);
         assert_eq!(stats.stage2_candidates, 0);
         // Switching the mode off propagates to existing engines: the same
-        // event now reaches stage 2 (and is rejected there by pmin counting).
+        // event now reaches stage 2 (and is rejected there by evaluating the
+        // tree).
         table.set_engine_config(EngineConfig::with_prefilter(PrefilterMode::Off));
         assert_eq!(table.engine_config().prefilter, PrefilterMode::Off);
         assert!(table.match_local(&no_price).is_empty());

@@ -2,18 +2,24 @@
 
 /// When the stage-0 pre-filter is active.
 ///
-/// The pre-filter (see [`PreFilter`](crate::PreFilter)) kills candidate
-/// subscriptions before any counting, using an attribute-presence bitmask
-/// and one discrimination-equality test per subscription. It pays off when
-/// the subscription population is large and equality-constrained; on tiny
-/// or constraint-free populations the fingerprinting overhead buys nothing,
-/// which is what the `Auto` heuristic accounts for.
+/// The pre-filter (see [`PreFilter`](crate::PreFilter)) kills candidates
+/// stage 1 emitted before stage 2 looks at them, using an attribute-presence
+/// bitmask, one secondary equality key and one exact numeric bound per
+/// subscription. It pays off when the subscription population is large and
+/// constrained; on tiny or constraint-free populations the fingerprinting
+/// overhead buys nothing, which is what the `Auto` heuristic accounts for.
+///
+/// The mode governs that test alone. Registering a subscription under its
+/// access clause — one required equality, see
+/// [`CountingEngine`](crate::CountingEngine) — is how the index is laid out,
+/// and happens in every mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PrefilterMode {
     /// Always pre-filter, regardless of engine size.
     On,
-    /// Never pre-filter (stage 0 is a no-op; stages 1–2 run unchanged).
+    /// No stage-0 test (stages 1–2, access clauses included, run
+    /// unchanged).
     Off,
     /// Pre-filter when it is likely to pay: at least 32 registered
     /// subscriptions of which at least half carry a stage-0 constraint.

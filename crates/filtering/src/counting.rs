@@ -1,26 +1,51 @@
 //! The counting matcher with per-attribute predicate indexes and the `pmin`
 //! shortcut, organised as a staged pipeline:
 //!
-//! * **Stage 0 — pre-filter** ([`PreFilter`]): candidate subscriptions that
-//!   provably cannot match (required attribute absent, or discrimination
-//!   equality key mismatched) are killed before any counting.
 //! * **Stage 1 — index probing**: fulfilled predicates are resolved through
 //!   the [`AttributeIndex`] — per event on the single-event path, per
-//!   *attribute group* across a whole batch via [`ProbePlan`].
-//! * **Stage 2 — counting/evaluation**: surviving fulfilled predicates are
-//!   counted per slot, and only subscriptions reaching their tree's `pmin`
-//!   are evaluated against the leaf mask.
+//!   *attribute group* across a whole batch via [`ProbePlan`]. A subscription
+//!   with an access clause (see below) is registered under that clause alone,
+//!   so it is emitted only for events that fulfil it; every other
+//!   subscription has all its leaves registered.
+//! * **Stage 0 — pre-filter** ([`PreFilter`]), applied to each emission:
+//!   candidates that provably cannot match (a required attribute absent, the
+//!   secondary equality key mismatched, the numeric bound failed) are killed
+//!   before stage 2.
+//! * **Stage 2 — evaluation**: a gated candidate's tree is evaluated against
+//!   the event itself, through a dense per-event `AttrId → value` view. An
+//!   ungated candidate's fulfilled leaves are counted, and only trees reaching
+//!   their `pmin` are evaluated against the leaf mask.
 //!
 //! Every stage is semantics-preserving: match output is byte-identical with
 //! any [`EngineConfig`], stages only change how much work it takes.
+//!
+//! ## Access clauses
+//!
+//! A subscription with a required equality is only worth looking at for
+//! events that fulfil it. Following the *access predicates* of Fabret et al.
+//! (SIGMOD 2001), the engine indexes such a subscription under **one**
+//! required clause alone. That clause is a required equality leaf with an
+//! equality bucket (`title = T`), or else a required `Or` of equalities on
+//! one attribute (`category ∈ {a, b}`) every child of which has a bucket or
+//! can never be true (a `NaN` constant). Among them the engine picks the one
+//! with the lowest [`DiscriminationHint`] score, or without a hint the one
+//! whose equality buckets currently hold the fewest entries. A subscription
+//! without such a clause (pure ranges, `Not`-only trees, a `NaN` constant,
+//! an equality on an int beyond ±2^53) is *ungated*: all its leaves stay
+//! registered and stage 2 counts them against `pmin`.
+//!
+//! The rule that makes gating exact is that the index holds exactly the
+//! leaves whose firing makes the access clause true: stage 2 takes an
+//! emission of a gated slot as proof that its clause holds.
 
 use crate::config::EngineConfig;
-use crate::index::{AttributeIndex, PredicateKey, SubSlot};
-use crate::prefilter::PreFilter;
+use crate::index::{equality_key, AttributeIndex, EqKey, PredicateKey, SubSlot};
+use crate::prefilter::{for_each_required_item, PreFilter, RequiredItem};
 use crate::probe::ProbePlan;
 use crate::{EngineReport, FilterStats, MatchSink, MatchingEngine};
 use pubsub_core::{
-    AttrId, EventBatch, EventMessage, LeafMask, Subscription, SubscriptionId, Value,
+    AttrId, EventBatch, EventMessage, LeafMask, NodeId, NodeKind, Predicate, Subscription,
+    SubscriptionId, SubscriptionTree, Value,
 };
 use selectivity::DiscriminationHint;
 use std::collections::HashMap;
@@ -33,11 +58,132 @@ const NOT_IN_ZERO: u32 = u32::MAX;
 #[derive(Debug)]
 struct SlotEntry {
     subscription: Subscription,
+    /// The clause the subscription is indexed under; `None` when every leaf
+    /// is (an ungated subscription).
+    access: Option<AccessClause>,
     /// `pmin` of the current tree, cached at insertion time.
     pmin: u32,
     /// Reusable truth mask over the tree's nodes, allocated at insertion
-    /// time and generation-cleared between events.
+    /// time and generation-cleared between events; empty for a gated
+    /// subscription, whose leaves are not counted.
     mask: LeafMask,
+}
+
+/// The one required clause a gated subscription is indexed under.
+#[derive(Debug, PartialEq, Eq)]
+struct AccessClause {
+    /// The attribute the clause constrains.
+    attr: AttrId,
+    /// The clause's equality leaves: one for a leaf, the children that can
+    /// be true for an equality group. Exactly these are registered in the
+    /// index, and any one of them firing makes the clause true.
+    nodes: Box<[NodeId]>,
+}
+
+/// Picks the access clause of `tree` (see the [module docs](self)), or
+/// `None` when it has none: lowest hint score first (an equality group
+/// scores its attribute's score once per constant), then fewest entries in
+/// the clause's equality buckets of `index`, then lowest attribute id and
+/// node.
+fn access_clause(
+    tree: &SubscriptionTree,
+    index: &AttributeIndex,
+    hint: Option<&DiscriminationHint>,
+) -> Option<AccessClause> {
+    // (score, (bucket entries, attribute, first node)) of the best clause so
+    // far, and the clause itself.
+    let mut best: Option<(f64, (usize, u32, NodeId), AccessClause)> = None;
+    for_each_required_item(tree, &mut Vec::new(), |item| {
+        let Some(leaves) = (match item {
+            RequiredItem::Leaf(node, p) => equality_key(p).map(|key| vec![(node, key)]),
+            RequiredItem::AnyEq(_, children) => group_leaves(tree, children),
+        }) else {
+            return;
+        };
+        let Some(&(first, _)) = leaves.first() else {
+            return;
+        };
+        let attr = item.attr();
+        let entries = leaves
+            .iter()
+            .map(|(_, key)| index.equality_entries(attr, key))
+            .sum();
+        let score = hint
+            .and_then(|h| h.score(attr))
+            .map_or(f64::INFINITY, |s| s * leaves.len() as f64);
+        let rank = (entries, attr.raw(), first);
+        let better = best.as_ref().map_or(true, |(s, r, _)| {
+            score.total_cmp(s).then(rank.cmp(r)).is_lt()
+        });
+        if better {
+            let nodes = leaves.into_iter().map(|(node, _)| node).collect();
+            best = Some((score, rank, AccessClause { attr, nodes }));
+        }
+    });
+    best.map(|(_, _, clause)| clause)
+}
+
+/// The leaves of a required equality group, with their bucket keys, or
+/// `None` when the group cannot be an access clause. A child with a `NaN`
+/// constant can never be true, so it is left out. A child without a bucket
+/// for any other reason (an int beyond ±2^53, kept in the scan list) can be
+/// true while no bucketed sibling fires, so the group cannot gate.
+fn group_leaves(tree: &SubscriptionTree, children: &[NodeId]) -> Option<Vec<(NodeId, EqKey)>> {
+    let mut leaves = Vec::with_capacity(children.len());
+    for &node in children {
+        let Some(NodeKind::Predicate(p)) = tree.node(node).map(|n| n.kind()) else {
+            return None;
+        };
+        match equality_key(p) {
+            Some(key) => leaves.push((node, key)),
+            None if matches!(p.constant(), Value::Float(f) if f.is_nan()) => {}
+            None => return None,
+        }
+    }
+    Some(leaves)
+}
+
+/// The predicate leaves stage 1 reaches `subscription` through: those of its
+/// access clause, or all of them without one.
+fn indexed_leaves<'a>(
+    subscription: &'a Subscription,
+    access: Option<&'a AccessClause>,
+) -> impl Iterator<Item = (NodeId, &'a Predicate)> {
+    subscription
+        .tree()
+        .predicates()
+        .filter(move |(node, _)| access.map_or(true, |a| a.nodes.contains(node)))
+}
+
+/// Dense view of one event: `AttrId::index()` → position of the attribute's
+/// pair in the event's resolved pairs. Entries left over from earlier events
+/// are told apart by the attribute stored at the position, so loading an
+/// event writes its own attributes and nothing else.
+#[derive(Debug, Default)]
+struct EventView {
+    positions: Vec<u32>,
+}
+
+impl EventView {
+    fn load(&mut self, pairs: &[(AttrId, Value)]) {
+        for (pos, (attr, _)) in pairs.iter().enumerate() {
+            let i = attr.index();
+            if self.positions.len() <= i {
+                self.positions.resize(i + 1, u32::MAX);
+            }
+            self.positions[i] = pos as u32;
+        }
+    }
+
+    /// The event's value of `attr`; valid for the `pairs` last loaded.
+    #[inline]
+    fn get<'a>(&self, pairs: &'a [(AttrId, Value)], attr: AttrId) -> Option<&'a Value> {
+        let &pos = self.positions.get(attr.index())?;
+        match pairs.get(pos as usize) {
+            Some((a, value)) if *a == attr => Some(value),
+            _ => None,
+        }
+    }
 }
 
 /// Reusable per-event scratch. All buffers are indexed by [`SubSlot`] and
@@ -62,9 +208,11 @@ struct MatchScratch {
     /// for the current event", so the kill test runs once per touched slot on
     /// the single-event path and later emissions take one branch.
     dead_gen: Vec<u32>,
-    /// Stage-0 fingerprint keys of the event being matched (single-event
-    /// path; the batch path keeps per-event fingerprints in the probe plan).
-    fp_keys: Vec<u32>,
+    /// Stage-0 fingerprint of the event being matched (single-event path;
+    /// the batch path keeps per-event fingerprints in the probe plan).
+    fingerprint: Vec<(u32, f64)>,
+    /// The event gated candidates are evaluated against.
+    view: EventView,
     /// Number of times any scratch buffer had to grow (reallocate). Stable
     /// across calls in steady state; tests assert on it.
     grows: u64,
@@ -100,22 +248,57 @@ impl MatchScratch {
             + self.touched.capacity()
             + self.match_buf.capacity()
             + self.dead_gen.capacity()
-            + self.fp_keys.capacity()
+            + self.fingerprint.capacity()
+            + self.view.positions.capacity()
     }
+}
+
+/// Hands one surviving stage-1 emission to stage 2: stamps the slot as a
+/// candidate on first touch and, for an ungated slot, counts the leaf once.
+/// Returns whether the emission fulfilled a leaf not yet seen this event.
+#[inline]
+fn record(
+    entry: &mut SlotEntry,
+    key: PredicateKey,
+    current_gen: u32,
+    gen: &mut [u32],
+    counts: &mut [u32],
+    touched: &mut Vec<u32>,
+) -> bool {
+    let s = key.slot.index();
+    if gen[s] != current_gen {
+        gen[s] = current_gen;
+        counts[s] = 0;
+        entry.mask.clear();
+        touched.push(key.slot.0);
+    }
+    if entry.access.is_some() {
+        // Gated: the access clause holds; stage 2 evaluates the tree itself.
+        return true;
+    }
+    if entry.mask.contains(key.node) {
+        return false;
+    }
+    entry.mask.set(key.node);
+    counts[s] += 1;
+    true
 }
 
 /// The production matching engine.
 ///
-/// All predicate leaves are registered in an [`AttributeIndex`]. Matching an
-/// event proceeds in two phases:
+/// Subscriptions are registered in an [`AttributeIndex`]: a subscription
+/// with an access clause under that clause alone, any other one under every
+/// predicate leaf. Matching an event proceeds in two phases:
 ///
-/// 1. **Predicate phase** — the index reports every fulfilled predicate as a
-///    `(subscription slot, leaf node)` pair; the engine bumps a flat per-slot
-///    counter and marks the leaf in the subscription's reusable [`LeafMask`].
-/// 2. **Subscription phase** — only subscriptions whose number of fulfilled
-///    leaves reaches the tree's `pmin` are evaluated; the tree is evaluated
-///    directly against the leaf mask discovered in phase 1, so no predicate
-///    is evaluated twice.
+/// 1. **Predicate phase** — the index reports every fulfilled registered
+///    predicate as a `(subscription slot, leaf node)` pair. A gated slot
+///    becomes a candidate; for an ungated slot the engine bumps a flat
+///    per-slot counter and marks the leaf in the subscription's reusable
+///    [`LeafMask`].
+/// 2. **Subscription phase** — a gated candidate's tree is evaluated against
+///    the event. An ungated candidate is evaluated only if its number of
+///    fulfilled leaves reaches the tree's `pmin`, directly against the leaf
+///    mask discovered in phase 1, so no predicate is evaluated twice.
 ///
 /// Subscriptions are stored in a slab: each [`SubscriptionId`] maps to a dense
 /// [`SubSlot`] so that all per-event state lives in flat arrays. Counters and
@@ -151,11 +334,16 @@ pub struct CountingEngine {
     /// O(1) membership updates instead of an O(n) scan.
     zero_pmin_pos: Vec<u32>,
     index: AttributeIndex,
+    /// Predicate leaves over all registered trees — the paper's
+    /// predicate/subscription associations, whichever of them the index
+    /// holds.
+    associations: usize,
     scratch: MatchScratch,
     stats: FilterStats,
     /// Staged-pipeline configuration (stage-0 mode).
     config: EngineConfig,
-    /// Sampled discrimination hint guiding stage-0 key selection, if any.
+    /// Sampled discrimination hint guiding the choice of access clauses and
+    /// stage-0 keys, if any.
     hint: Option<DiscriminationHint>,
     /// Compiled stage-0 pre-filter. Follows `insert`/`remove` one
     /// subscription at a time once built;
@@ -207,9 +395,10 @@ impl CountingEngine {
         }
     }
 
-    /// Installs (or clears) the sampled discrimination hint that guides the
-    /// stage-0 pre-filter's choice of equality kill keys. Without a hint the
-    /// pre-filter falls back to local equality-index cardinalities.
+    /// Installs (or clears) the sampled discrimination hint that ranks the
+    /// access clauses of subscriptions inserted from now on and the stage-0
+    /// equality keys. Without a hint, access clauses go to the emptiest
+    /// equality buckets and keys to the lowest attribute id.
     pub fn set_discrimination_hint(&mut self, hint: Option<DiscriminationHint>) {
         self.hint = hint;
         self.prefilter.invalidate();
@@ -232,7 +421,6 @@ impl CountingEngine {
         }
         let Self {
             slots,
-            index,
             prefilter,
             hint,
             config,
@@ -241,7 +429,6 @@ impl CountingEngine {
         prefilter.rebuild(
             slots.len(),
             occupied_slots(slots),
-            index,
             hint.as_ref(),
             config.prefilter,
         );
@@ -285,16 +472,16 @@ impl CountingEngine {
         slot
     }
 
-    fn register_predicates(index: &mut AttributeIndex, slot: u32, subscription: &Subscription) {
-        for (node, predicate) in subscription.tree().predicates() {
-            index.insert(predicate, PredicateKey::new(SubSlot(slot), node));
+    /// Undoes everything registering `entry` in `slot` did, except freeing
+    /// the slot itself.
+    fn unregister(&mut self, slot: u32, entry: &SlotEntry) {
+        for (node, predicate) in indexed_leaves(&entry.subscription, entry.access.as_ref()) {
+            self.index
+                .remove(predicate, PredicateKey::new(SubSlot(slot), node));
         }
-    }
-
-    fn unregister_predicates(index: &mut AttributeIndex, slot: u32, subscription: &Subscription) {
-        for (node, predicate) in subscription.tree().predicates() {
-            index.remove(predicate, PredicateKey::new(SubSlot(slot), node));
-        }
+        self.associations -= entry.subscription.tree().predicate_count();
+        self.prefilter.remove(slot, &entry.subscription);
+        self.zero_pmin_remove(slot);
     }
 
     fn zero_pmin_insert(&mut self, slot: u32) {
@@ -306,27 +493,28 @@ impl CountingEngine {
         self.zero_pmin.push(slot);
     }
 
-    /// Matches one event — given as a stream of resolved `(AttrId, &Value)`
-    /// pairs — into `matches` (replacing its contents, id-sorted).
+    /// Matches one event — given as its resolved `(AttrId, Value)` pairs —
+    /// into `matches` (replacing its contents, id-sorted).
     ///
     /// This is the per-event core of the single-event path (and of
     /// single-event batches); it takes the engine's fields piecewise so a
     /// caller loop can hold the borrows across events. The stage-0 kill is
-    /// applied inline: the event is fingerprinted once up front (hence the
-    /// `Clone` pairs), and each slot's kill verdict is memoised in a
-    /// generation-stamped array so it costs one branch after first touch.
+    /// applied inline: the event is fingerprinted once up front, and each
+    /// slot's kill verdict is memoised in a generation-stamped array so it
+    /// costs one branch after first touch.
     #[allow(clippy::too_many_arguments)] // engine fields passed piecewise, see above
-    fn match_one<'a>(
+    fn match_one(
         slots: &mut [Option<SlotEntry>],
         zero_pmin: &[u32],
         index: &AttributeIndex,
         scratch: &mut MatchScratch,
         stats: &mut FilterStats,
         prefilter: &PreFilter,
-        pairs: impl Iterator<Item = (AttrId, &'a Value)> + Clone,
+        pairs: &[(AttrId, Value)],
         matches: &mut Vec<SubscriptionId>,
     ) {
         matches.clear();
+        let resolved = || pairs.iter().map(|(attr, value)| (*attr, value));
 
         // Stage 0: fingerprint the event once; the kill test itself runs
         // lazily per touched slot inside the probe callback below.
@@ -337,30 +525,29 @@ impl CountingEngine {
             current_gen,
             touched,
             dead_gen,
-            fp_keys,
+            fingerprint,
             ..
         } = scratch;
         let current_gen = *current_gen;
         let pf_on = prefilter.enabled();
         let ev_mask = if pf_on {
-            prefilter.fingerprint(pairs.clone(), fp_keys)
+            prefilter.fingerprint(resolved(), fingerprint)
         } else {
             0
         };
 
-        // Stage 1: resolve fulfilled predicates through the index, counting
-        // surviving fulfilled leaves per slot in flat generation-stamped
-        // arrays and marking them in the subscription's reusable leaf mask.
+        // Stage 1: resolve fulfilled predicates through the index and hand
+        // the survivors to stage 2's flat generation-stamped arrays.
         let mut fulfilled_count = 0u64;
         let mut killed_count = 0u64;
-        index.fulfilled_pairs(pairs, |key: PredicateKey| {
+        index.fulfilled_pairs(resolved(), |key: PredicateKey| {
             let s = key.slot.index();
             if pf_on {
                 if dead_gen[s] == current_gen {
                     killed_count += 1;
                     return;
                 }
-                if gen[s] != current_gen && prefilter.kills(s, ev_mask, fp_keys) {
+                if gen[s] != current_gen && prefilter.kills(s, ev_mask, fingerprint) {
                     dead_gen[s] = current_gen;
                     killed_count += 1;
                     return;
@@ -369,22 +556,14 @@ impl CountingEngine {
             let Some(entry) = slots.get_mut(s).and_then(|e| e.as_mut()) else {
                 return;
             };
-            if gen[s] != current_gen {
-                gen[s] = current_gen;
-                counts[s] = 0;
-                entry.mask.clear();
-                touched.push(key.slot.0);
-            }
-            if !entry.mask.contains(key.node) {
-                entry.mask.set(key.node);
-                counts[s] += 1;
+            if record(entry, key, current_gen, gen, counts, touched) {
                 fulfilled_count += 1;
             }
         });
         stats.predicates_fulfilled += fulfilled_count;
         stats.killed_by_prefilter += killed_count;
 
-        Self::finish_event(slots, zero_pmin, scratch, stats, matches);
+        Self::finish_event(slots, zero_pmin, scratch, stats, pairs, matches);
     }
 
     /// Matches one event whose fulfilled predicate keys were already probed
@@ -395,56 +574,78 @@ impl CountingEngine {
         scratch: &mut MatchScratch,
         stats: &mut FilterStats,
         keys: &[PredicateKey],
+        pairs: &[(AttrId, Value)],
         matches: &mut Vec<SubscriptionId>,
     ) {
         matches.clear();
         scratch.advance(slots.len());
-        let current_gen = scratch.current_gen;
+        let MatchScratch {
+            counts,
+            gen,
+            current_gen,
+            touched,
+            ..
+        } = scratch;
         let mut fulfilled_count = 0u64;
         for &key in keys {
-            let s = key.slot.index();
-            let Some(entry) = slots.get_mut(s).and_then(|e| e.as_mut()) else {
+            let Some(entry) = slots.get_mut(key.slot.index()).and_then(|e| e.as_mut()) else {
                 continue;
             };
-            if scratch.gen[s] != current_gen {
-                scratch.gen[s] = current_gen;
-                scratch.counts[s] = 0;
-                entry.mask.clear();
-                scratch.touched.push(key.slot.0);
-            }
-            if !entry.mask.contains(key.node) {
-                entry.mask.set(key.node);
-                scratch.counts[s] += 1;
+            if record(entry, key, *current_gen, gen, counts, touched) {
                 fulfilled_count += 1;
             }
         }
         stats.predicates_fulfilled += fulfilled_count;
 
-        Self::finish_event(slots, zero_pmin, scratch, stats, matches);
+        Self::finish_event(slots, zero_pmin, scratch, stats, pairs, matches);
     }
 
     /// Stage 2, shared by every probe front-end: evaluate the candidate
-    /// subscriptions (touched slots reaching their `pmin`), always-evaluated
+    /// subscriptions (gated ones against the event `pairs`, ungated ones
+    /// reaching their `pmin` against their leaf mask), always-evaluated
     /// zero-`pmin` subscriptions, and emit id-sorted matches.
     fn finish_event(
         slots: &[Option<SlotEntry>],
         zero_pmin: &[u32],
         scratch: &mut MatchScratch,
         stats: &mut FilterStats,
+        pairs: &[(AttrId, Value)],
         matches: &mut Vec<SubscriptionId>,
     ) {
         let current_gen = scratch.current_gen;
         stats.stage2_candidates += scratch.touched.len() as u64;
+        // The event view is loaded for the first gated candidate, at most
+        // once per event.
+        let mut view_loaded = false;
         for &slot in &scratch.touched {
             let entry = slots[slot as usize]
                 .as_ref()
                 .expect("touched slots are occupied");
-            if scratch.counts[slot as usize] < entry.pmin {
+            let tree = entry.subscription.tree();
+            let matched = if let Some(access) = &entry.access {
+                if !view_loaded {
+                    scratch.view.load(pairs);
+                    view_loaded = true;
+                }
+                let view = &scratch.view;
+                stats.trees_evaluated += 1;
+                // The slot was emitted, so its access clause holds: a fired
+                // leaf is true, and so is the group when one child fired
+                // (taking every child as true changes no other node).
+                tree.evaluate_leaves(&mut |node, p| {
+                    access.nodes.contains(&node)
+                        || view
+                            .get(pairs, p.attr_id())
+                            .is_some_and(|value| p.evaluate_value(value))
+                })
+            } else if scratch.counts[slot as usize] < entry.pmin {
                 stats.skipped_by_pmin += 1;
                 continue;
-            }
-            stats.trees_evaluated += 1;
-            if entry.subscription.tree().evaluate_with_mask(&entry.mask) {
+            } else {
+                stats.trees_evaluated += 1;
+                tree.evaluate_with_mask(&entry.mask)
+            };
+            if matched {
                 matches.push(entry.subscription.id());
             }
         }
@@ -452,8 +653,8 @@ impl CountingEngine {
         // evaluated for every event, because they can match an event that
         // fulfils none of their predicates. Slots already touched above were
         // evaluated with their real mask (pmin 0 always passes the count
-        // check); the rest see the all-false mask. (They are also never
-        // killed by stage 0: a required leaf implies pmin ≥ 1.)
+        // check); the rest see the all-false mask. (They are never gated,
+        // nor killed by stage 0: a required leaf implies pmin ≥ 1.)
         for &slot in zero_pmin.iter() {
             if scratch.gen[slot as usize] == current_gen {
                 continue;
@@ -493,14 +694,20 @@ impl CountingEngine {
     }
 }
 
-/// Every occupied `(slot, subscription)` of the slab, in slot order.
+/// Every occupied `(slot, subscription, access attribute)` of the slab, in
+/// slot order.
 fn occupied_slots(
     slots: &[Option<SlotEntry>],
-) -> impl Iterator<Item = (u32, &Subscription)> + Clone {
-    slots
-        .iter()
-        .enumerate()
-        .filter_map(|(slot, entry)| entry.as_ref().map(|e| (slot as u32, &e.subscription)))
+) -> impl Iterator<Item = (u32, &Subscription, Option<AttrId>)> + Clone {
+    slots.iter().enumerate().filter_map(|(slot, entry)| {
+        entry.as_ref().map(|e| {
+            (
+                slot as u32,
+                &e.subscription,
+                e.access.as_ref().map(|a| a.attr),
+            )
+        })
+    })
 }
 
 impl MatchingEngine for CountingEngine {
@@ -523,13 +730,12 @@ impl MatchingEngine for CountingEngine {
         };
         let slot = match self.id_to_slot.get(&id) {
             Some(&slot) => {
-                // Replacement: unregister the old tree first.
+                // Replacement: unregister the old tree first, so the new
+                // access clause is chosen against the buckets without it.
                 let old = self.slots[slot as usize]
                     .take()
                     .expect("mapped slot is occupied");
-                Self::unregister_predicates(&mut self.index, slot, &old.subscription);
-                self.prefilter.remove(slot, &old.subscription);
-                self.zero_pmin_remove(slot);
+                self.unregister(slot, &old);
                 slot
             }
             None => {
@@ -538,16 +744,30 @@ impl MatchingEngine for CountingEngine {
                 slot
             }
         };
-        Self::register_predicates(&mut self.index, slot, &subscription);
-        let pmin = u32::try_from(subscription.tree().pmin()).expect("pmin exceeds u32 range");
+        let tree = subscription.tree();
+        let access = access_clause(tree, &self.index, self.hint.as_ref());
+        for (node, predicate) in indexed_leaves(&subscription, access.as_ref()) {
+            self.index
+                .insert(predicate, PredicateKey::new(SubSlot(slot), node));
+        }
+        self.associations += tree.predicate_count();
+        let pmin = u32::try_from(tree.pmin()).expect("pmin exceeds u32 range");
         if pmin == 0 {
             self.zero_pmin_insert(slot);
         }
-        self.prefilter
-            .insert(slot, &subscription, &self.index, self.hint.as_ref());
-        let mask = LeafMask::new(subscription.tree().node_count());
+        self.prefilter.insert(
+            slot,
+            &subscription,
+            access.as_ref().map(|a| a.attr),
+            self.hint.as_ref(),
+        );
+        let mask = match access {
+            Some(_) => LeafMask::default(),
+            None => LeafMask::new(tree.node_count()),
+        };
         self.slots[slot as usize] = Some(SlotEntry {
             subscription,
+            access,
             pmin,
             mask,
         });
@@ -558,9 +778,7 @@ impl MatchingEngine for CountingEngine {
         let entry = self.slots[slot as usize]
             .take()
             .expect("mapped slot is occupied");
-        Self::unregister_predicates(&mut self.index, slot, &entry.subscription);
-        self.prefilter.remove(slot, &entry.subscription);
-        self.zero_pmin_remove(slot);
+        self.unregister(slot, &entry);
         self.free_slots.push(slot);
         Some(entry.subscription)
     }
@@ -612,6 +830,7 @@ impl MatchingEngine for CountingEngine {
                         scratch,
                         stats,
                         probe.emitted(index_in_batch),
+                        batch.resolved_pairs(index_in_batch),
                         &mut buf,
                     );
                     for &id in buf.iter() {
@@ -631,7 +850,7 @@ impl MatchingEngine for CountingEngine {
                         scratch,
                         stats,
                         prefilter,
-                        batch.resolved(index_in_batch),
+                        batch.resolved_pairs(index_in_batch),
                         &mut buf,
                     );
                     for &id in buf.iter() {
@@ -672,7 +891,7 @@ impl MatchingEngine for CountingEngine {
             scratch,
             stats,
             prefilter,
-            event.iter_resolved(),
+            event.resolved_pairs(),
             matches,
         );
 
@@ -699,7 +918,7 @@ impl MatchingEngine for CountingEngine {
     fn report(&self) -> EngineReport {
         EngineReport {
             subscription_count: self.id_to_slot.len(),
-            association_count: self.index.len(),
+            association_count: self.associations,
             tree_bytes: self.subscriptions().map(|s| s.tree().size_bytes()).sum(),
             equality_constants: self.index.equality_constants(),
         }
@@ -726,6 +945,120 @@ mod tests {
             .attr("price", price)
             .attr("bids", bids)
             .build()
+    }
+
+    fn attr(name: &str) -> AttrId {
+        pubsub_core::attr::intern(name)
+    }
+
+    #[test]
+    fn equality_groups_are_access_clauses() {
+        // `category ∈ {books, cds}` as a required Or is an access clause
+        // made of both equalities: stage 1 reaches the subscription only
+        // through one of them.
+        let mut index = AttributeIndex::new();
+        let group = sub(
+            1,
+            &Expr::and(vec![
+                Expr::or(vec![
+                    Expr::eq("ac_cat", "books"),
+                    Expr::eq("ac_cat", "cds"),
+                    Expr::eq("ac_cat", f64::NAN),
+                ]),
+                Expr::le("ac_price", 10i64),
+            ]),
+        );
+        let access = access_clause(group.tree(), &index, None).expect("the group gates");
+        assert_eq!(access.attr, attr("ac_cat"));
+        // The `NaN` child can never be true, so it is not an access leaf.
+        assert_eq!(access.nodes.len(), 2);
+        for (node, p) in indexed_leaves(&group, Some(&access)) {
+            index.insert(p, PredicateKey::new(SubSlot(0), node));
+        }
+        let cds = EqKey::from_value(&"cds".into()).expect("strings have keys");
+        assert_eq!(index.equality_entries(attr("ac_cat"), &cds), 1);
+
+        // Mixed-attribute and mixed-operator Ors are not groups (they are
+        // satisfiable without the attribute), and a child kept in the scan
+        // list (an int beyond ±2^53) can be true while no bucket fires: none
+        // of these gates.
+        let big = 1i64 << 53;
+        for ungated in [
+            Expr::or(vec![
+                Expr::eq("ac_cat", "books"),
+                Expr::le("ac_price", 1i64),
+            ]),
+            Expr::or(vec![Expr::eq("ac_cat", "books"), Expr::ne("ac_cat", "cds")]),
+            Expr::or(vec![Expr::eq("ac_x", 5i64), Expr::eq("ac_x", big + 1)]),
+            Expr::or(vec![Expr::eq("ac_x", -big - 1), Expr::eq("ac_x", 3.5f64)]),
+            Expr::eq("ac_price", f64::NAN),
+            Expr::eq("ac_x", big),
+            Expr::not(Expr::eq("ac_cat", "books")),
+        ] {
+            let s = sub(
+                2,
+                &Expr::and(vec![ungated.clone(), Expr::ge("ac_price", 0i64)]),
+            );
+            assert_eq!(access_clause(s.tree(), &index, None), None, "{ungated:?}");
+        }
+        // Beside such a group, another required equality still gates.
+        let s = sub(
+            3,
+            &Expr::and(vec![
+                Expr::or(vec![Expr::eq("ac_x", 5i64), Expr::eq("ac_x", big + 1)]),
+                Expr::eq("ac_cat", "cds"),
+            ]),
+        );
+        let access = access_clause(s.tree(), &index, None).map(|a| a.attr);
+        assert_eq!(access, Some(attr("ac_cat")));
+    }
+
+    #[test]
+    fn access_clause_prefers_the_hint_then_the_emptiest_bucket() {
+        let title = attr("ac_title");
+        let cond = attr("ac_cond");
+        let watcher = |t: &str, c: &str| {
+            sub(
+                1,
+                &Expr::and(vec![
+                    Expr::eq("ac_title", t),
+                    Expr::eq("ac_cond", c),
+                    Expr::le("ac_price", 10i64),
+                ]),
+            )
+        };
+        let file = |index: &mut AttributeIndex, s: &Subscription, slot: u32| {
+            let access = access_clause(s.tree(), index, None).expect("gated");
+            for (node, p) in indexed_leaves(s, Some(&access)) {
+                index.insert(p, PredicateKey::new(SubSlot(slot), node));
+            }
+            access.attr
+        };
+        // Empty index: a tie on zero entries goes to the lower attribute id.
+        let mut index = AttributeIndex::new();
+        let first = file(&mut index, &watcher("a", "new"), 0);
+        assert_eq!(first, title.min(cond));
+        // Afterwards the other attribute's bucket is the emptier one, and a
+        // different title is emptier than a shared condition.
+        let second = file(&mut index, &watcher("a", "new"), 1);
+        assert_eq!(second, title.max(cond));
+        assert_eq!(file(&mut index, &watcher("b", "new"), 2), title);
+
+        // A hint overrides the bucket sizes: the lower score wins.
+        let events: Vec<EventMessage> = (0..40)
+            .map(|i| {
+                EventMessage::builder()
+                    .attr("ac_title", format!("t{i}").as_str())
+                    .attr("ac_cond", ["new", "used"][i % 2])
+                    .build()
+            })
+            .collect();
+        let hint = DiscriminationHint::from_events(&events);
+        let s = watcher("a", "new");
+        assert_eq!(
+            access_clause(s.tree(), &index, Some(&hint)).map(|a| a.attr),
+            Some(title)
+        );
     }
 
     #[test]
@@ -1046,11 +1379,25 @@ mod tests {
         fresh.rebuild(
             e.slots.len(),
             occupied_slots(&e.slots),
-            &e.index,
             e.hint.as_ref(),
             e.config.prefilter,
         );
         fresh
+    }
+
+    /// The keys an index rebuilt from the slab holds: the access leaves of
+    /// every gated subscription and every leaf of every ungated one.
+    fn fresh_index_keys(e: &CountingEngine) -> Vec<PredicateKey> {
+        let mut keys: Vec<PredicateKey> = (0u32..)
+            .zip(&e.slots)
+            .filter_map(|(slot, entry)| Some((slot, entry.as_ref()?)))
+            .flat_map(|(slot, entry)| {
+                indexed_leaves(&entry.subscription, entry.access.as_ref())
+                    .map(move |(node, _)| PredicateKey::new(SubSlot(slot), node))
+            })
+            .collect();
+        keys.sort_unstable();
+        keys
     }
 
     /// Drives one engine through ~1,300 unsubscribe / subscribe / replace
@@ -1061,13 +1408,16 @@ mod tests {
     /// bodies replace them (below 50 %: off), constrained ones come back
     /// (on), everything leaves (below 32: off).
     ///
-    /// After every step the matches equal `NaiveEngine`'s, and whatever the
-    /// incrementally maintained pre-filter holds that cannot depend on
-    /// arrival order equals a pre-filter built fresh from the survivors:
-    /// always the per-attribute reference counts and the population, and —
-    /// while every required attribute fits a presence bit, `exact` — the
-    /// tracked set, the interned constants with their references, the
-    /// constrained count and `enabled`.
+    /// After every step the matches equal `NaiveEngine`'s, the association
+    /// count equals the trees' leaves (and the naive engine's report), the
+    /// index holds exactly the keys one rebuilt from the slab would — the
+    /// access leaves of gated slots, every leaf of ungated ones, nothing of
+    /// freed slots — and whatever the incrementally maintained pre-filter
+    /// holds that cannot depend on arrival order equals a pre-filter built
+    /// fresh from the survivors: always the per-attribute reference counts and
+    /// the population, and — while every required attribute fits a presence
+    /// bit, `exact` — the tracked set, the interned constants with their
+    /// references, the compiled bounds, the constrained count and `enabled`.
     fn churn_against_fresh_prefilter(mode: PrefilterMode, attrs: usize, exact: bool) {
         let mut rng = proptest::TestRng::deterministic(attrs as u64 ^ 0x5EED);
         let names: Vec<String> = (0..attrs).map(|i| format!("s0c{attrs}_{i}")).collect();
@@ -1080,9 +1430,11 @@ mod tests {
                 rng.index(4) as i64,
                 rng.index(10) as i64,
             );
-            // At most two required equalities per body, so which ones become
-            // kill keys cannot depend on when the body was compiled.
-            match (constrained, rng.index(4)) {
+            // At most two required equalities per body: one is the access
+            // clause (recorded in the slot, which a fresh pre-filter reads
+            // too), the other the key — whichever bucket was emptier on
+            // arrival, the key cannot depend on when the body was compiled.
+            match (constrained, rng.index(5)) {
                 (true, 0) => Expr::and(vec![Expr::eq(a, c), Expr::le(price.as_str(), n)]),
                 (true, 1) if a != b => Expr::and(vec![
                     Expr::eq(a, c),
@@ -1093,8 +1445,16 @@ mod tests {
                     Expr::or(vec![Expr::eq(a, c), Expr::eq(a, c + 1)]),
                     Expr::lt(price.as_str(), n),
                 ]),
+                (true, 3) => Expr::and(vec![
+                    Expr::eq(a, c),
+                    Expr::ge(price.as_str(), n),
+                    Expr::le(price.as_str(), n + 3),
+                ]),
                 (true, _) => Expr::eq(a, c),
                 (false, 0) => Expr::or(vec![Expr::eq(a, c), Expr::le(price.as_str(), n)]),
+                (false, 1) => {
+                    Expr::and(vec![Expr::ge(price.as_str(), n), Expr::not(Expr::eq(a, c))])
+                }
                 (false, _) => Expr::not(Expr::eq(a, c)),
             }
         };
@@ -1134,6 +1494,27 @@ mod tests {
             let mut expected = naive.match_event(&event);
             expected.sort();
             assert_eq!(e.match_event(&event), expected, "step {step}");
+            let leaves: usize = e.subscriptions().map(|s| s.tree().predicate_count()).sum();
+            assert_eq!(e.report().association_count, leaves, "step {step}");
+            let (got, want) = (e.report(), naive.report());
+            assert_eq!(
+                (
+                    got.subscription_count,
+                    got.association_count,
+                    got.tree_bytes
+                ),
+                (
+                    want.subscription_count,
+                    want.association_count,
+                    want.tree_bytes
+                ),
+                "step {step}"
+            );
+            assert_eq!(
+                e.index.registered_keys(),
+                fresh_index_keys(&e),
+                "step {step}"
+            );
 
             let got = e.prefilter.snapshot();
             let fresh = fresh_prefilter(&e).snapshot();

@@ -1,7 +1,8 @@
 //! Per-attribute predicate indexes.
 //!
-//! The counting matcher registers every predicate leaf of every subscription
-//! in an [`AttributeIndex`]. For an incoming event the index reports, per
+//! The matching engines register predicate leaves in an [`AttributeIndex`]
+//! (the counting engine only the access clause of a subscription that has
+//! one, every leaf of any other). For an incoming event the index reports, per
 //! attribute–value pair carried by the event, which registered predicates are
 //! fulfilled — without touching subscriptions whose predicates cannot match.
 //!
@@ -19,8 +20,10 @@
 //! * an **interval index** (flat sorted threshold arrays) for `<`, `≤`, `>`,
 //!   `≥` predicates on numeric constants;
 //! * a **scan list** for everything else (string pattern operators, `≠`,
-//!   ordering on strings), which is evaluated predicate-by-predicate but only
-//!   for events that actually carry the attribute.
+//!   ordering on strings, and int constants beyond ±2^53, whose rounded
+//!   `f64` image would key or order them wrongly), which is evaluated
+//!   predicate-by-predicate but only for events that actually carry the
+//!   attribute.
 //!
 //! ## Interval micro-layout
 //!
@@ -115,6 +118,27 @@ impl EqKey {
             Value::Str(s) => Some(EqKey::Str(Arc::clone(s))),
         }
     }
+}
+
+/// The equality-bucket key of an `=` predicate, or `None` when it belongs in
+/// the scan list: another operator, a `NaN` constant, or an int beyond ±2^53
+/// ([`Value::is_f64_exact`]), whose bucket would also hold its rounded
+/// neighbours (`Int(2^53 + 1)` would share one with `Int(2^53)`).
+pub(crate) fn equality_key(predicate: &Predicate) -> Option<EqKey> {
+    if predicate.operator() != Operator::Eq || !predicate.constant().is_f64_exact() {
+        return None;
+    }
+    EqKey::from_value(predicate.constant())
+}
+
+/// The interval threshold of a `<`/`≤`/`>`/`≥` predicate whose `f64`
+/// comparison is exact, or `None` when it belongs in the scan list (string
+/// or `NaN` constants, an inexact int).
+pub(crate) fn exact_threshold(predicate: &Predicate) -> Option<f64> {
+    if !predicate.operator().is_ordering_operator() || !predicate.constant().is_f64_exact() {
+        return None;
+    }
+    predicate.constant().as_f64().filter(|t| !t.is_nan())
 }
 
 /// One interval predicate class of one attribute (all `< t` predicates, all
@@ -343,14 +367,13 @@ impl AttributeIndex {
         self.attributes.get(id.index())?.as_deref()
     }
 
-    /// Number of distinct equality constants registered for the attribute.
-    ///
-    /// Used by the stage-0 pre-filter as a local discrimination proxy when no
-    /// sampled [`DiscriminationHint`](selectivity::DiscriminationHint) covers
-    /// the attribute: more distinct constants means a random event key kills
-    /// a larger fraction of candidates.
-    pub(crate) fn equality_cardinality(&self, id: AttrId) -> usize {
-        self.buckets(id).map_or(0, |b| b.equality.len())
+    /// Number of predicate keys in the `attribute = constant` bucket of
+    /// `key`: what an event carrying that value would emit from it. The
+    /// counting engine files an access clause under its emptiest buckets.
+    pub(crate) fn equality_entries(&self, id: AttrId, key: &EqKey) -> usize {
+        self.buckets(id)
+            .and_then(|b| b.equality.get(key))
+            .map_or(0, Vec::len)
     }
 
     /// Number of distinct `attribute = constant` pairs with a bucket in the
@@ -367,29 +390,16 @@ impl AttributeIndex {
     pub fn insert(&mut self, predicate: &Predicate, key: PredicateKey) {
         let attr = predicate.attr_id();
         let buckets = self.buckets_mut(attr);
-        let mut interval_inserted = false;
-        match predicate.operator() {
-            Operator::Eq => {
-                if let Some(eq_key) = EqKey::from_value(predicate.constant()) {
-                    buckets.equality.entry(eq_key).or_default().push(key);
-                } else {
-                    buckets.scan.push((predicate.clone(), key));
-                }
+        if let Some(eq_key) = equality_key(predicate) {
+            buckets.equality.entry(eq_key).or_default().push(key);
+        } else if let Some(t) = exact_threshold(predicate) {
+            interval_class_mut(buckets, predicate.operator()).insert(t, key);
+            if !buckets.interval_pending {
+                buckets.interval_pending = true;
+                self.pending_attributes.push(attr);
             }
-            op @ (Operator::Lt | Operator::Le | Operator::Gt | Operator::Ge) => {
-                match predicate.constant().as_f64() {
-                    Some(t) if !t.is_nan() => {
-                        interval_class_mut(buckets, op).insert(t, key);
-                        interval_inserted = true;
-                    }
-                    _ => buckets.scan.push((predicate.clone(), key)),
-                }
-            }
-            _ => buckets.scan.push((predicate.clone(), key)),
-        }
-        if interval_inserted && !buckets.interval_pending {
-            buckets.interval_pending = true;
-            self.pending_attributes.push(attr);
+        } else {
+            buckets.scan.push((predicate.clone(), key));
         }
         self.registered += 1;
     }
@@ -403,29 +413,23 @@ impl AttributeIndex {
         let Some(Some(buckets)) = self.attributes.get_mut(idx) else {
             return false;
         };
-        let removed = match predicate.operator() {
-            Operator::Eq => match EqKey::from_value(predicate.constant()) {
-                Some(eq_key) => match buckets.equality.get_mut(&eq_key) {
-                    Some(keys) => {
-                        let removed = remove_key(keys, key);
-                        // A constant nobody subscribes to any more must not
-                        // stay allocated, nor count as a distinct constant.
-                        if keys.is_empty() {
-                            buckets.equality.remove(&eq_key);
-                        }
-                        removed
+        let removed = if let Some(eq_key) = equality_key(predicate) {
+            match buckets.equality.get_mut(&eq_key) {
+                Some(keys) => {
+                    let removed = remove_key(keys, key);
+                    // A constant nobody subscribes to any more must not stay
+                    // allocated, nor count as a distinct constant.
+                    if keys.is_empty() {
+                        buckets.equality.remove(&eq_key);
                     }
-                    None => false,
-                },
-                None => remove_scan(&mut buckets.scan, key),
-            },
-            op @ (Operator::Lt | Operator::Le | Operator::Gt | Operator::Ge) => {
-                match predicate.constant().as_f64() {
-                    Some(t) if !t.is_nan() => interval_class_mut(buckets, op).remove(t, key),
-                    _ => remove_scan(&mut buckets.scan, key),
+                    removed
                 }
+                None => false,
             }
-            _ => remove_scan(&mut buckets.scan, key),
+        } else if let Some(t) = exact_threshold(predicate) {
+            interval_class_mut(buckets, predicate.operator()).remove(t, key)
+        } else {
+            remove_scan(&mut buckets.scan, key)
         };
         if removed {
             self.registered -= 1;
@@ -561,6 +565,24 @@ fn remove_scan(scan: &mut Vec<(Predicate, PredicateKey)>, key: PredicateKey) -> 
 }
 
 #[cfg(test)]
+impl AttributeIndex {
+    /// Every registered key, sorted — merged, pending and scanned alike.
+    pub(crate) fn registered_keys(&self) -> Vec<PredicateKey> {
+        let mut keys = Vec::new();
+        for buckets in self.attributes.iter().flatten() {
+            keys.extend(buckets.equality.values().flatten());
+            for class in [&buckets.lt, &buckets.le, &buckets.gt, &buckets.ge] {
+                keys.extend(&class.keys);
+                keys.extend(class.pending.iter().map(|&(_, k)| k));
+            }
+            keys.extend(buckets.scan.iter().map(|&(_, k)| k));
+        }
+        keys.sort_unstable();
+        keys
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use pubsub_core::EventMessage;
@@ -609,6 +631,51 @@ mod tests {
         let ev = EventMessage::builder().attr("price", 0i64).build();
         assert_eq!(idx.fulfilled_keys(&ev), vec![key(2, 0)]);
         assert!(idx.remove(&Predicate::new("price", Operator::Eq, 0.0f64), key(2, 0)));
+    }
+
+    #[test]
+    fn ints_beyond_two_to_the_fifty_third_are_compared_exactly() {
+        // `2^53 + 1` rounds to `2^53` in `f64`: bucketed or thresholded, the
+        // predicate would fire for `Int(2^53)`, which `Operator::evaluate`
+        // (an `i64` comparison) rejects. Such constants are scanned.
+        let big = (1i64 << 53) + 1;
+        let mut idx = AttributeIndex::new();
+        let predicates = [
+            Predicate::new("price", Operator::Eq, big),
+            Predicate::new("price", Operator::Ge, big),
+            Predicate::new("price", Operator::Lt, -big),
+            Predicate::new("price", Operator::Le, 1i64 << 53),
+        ];
+        for (i, p) in predicates.iter().enumerate() {
+            assert_eq!(equality_key(p), None);
+            assert_eq!(exact_threshold(p), None);
+            idx.insert(p, key(i as u32, 0));
+        }
+        idx.ensure_built();
+        for value in [
+            Value::Int(1 << 53),
+            Value::Int(big),
+            Value::Float((1i64 << 53) as f64),
+            Value::Int(-big),
+            Value::Int(-(1 << 53)),
+        ] {
+            let ev = EventMessage::builder().attr("price", value.clone()).build();
+            let mut expected: Vec<PredicateKey> = (0..predicates.len())
+                .filter(|&i| predicates[i].evaluate(&ev))
+                .map(|i| key(i as u32, 0))
+                .collect();
+            expected.sort();
+            let mut got = idx.fulfilled_keys(&ev);
+            got.sort();
+            assert_eq!(got, expected, "{value:?}");
+        }
+        for (i, p) in predicates.iter().enumerate() {
+            assert!(idx.remove(p, key(i as u32, 0)));
+        }
+        assert!(idx.is_empty());
+        // Inside the range the `f64` comparison is the engine's.
+        let inside = Predicate::new("price", Operator::Le, (1i64 << 53) - 1);
+        assert_eq!(exact_threshold(&inside), Some(((1i64 << 53) - 1) as f64));
     }
 
     #[test]
@@ -715,16 +782,19 @@ mod tests {
             idx.insert(p, key(i as u32, 0));
             idx.insert(p, key(i as u32, 1));
         }
-        assert_eq!(idx.equality_cardinality(title), predicates.len());
+        assert_eq!(idx.equality_constants(), predicates.len());
         for (i, p) in predicates.iter().enumerate() {
             assert!(idx.remove(p, key(i as u32, 0)));
         }
         // Every constant still has one subscriber.
-        assert_eq!(idx.equality_cardinality(title), predicates.len());
+        assert_eq!(idx.equality_constants(), predicates.len());
+        let t0 = EqKey::from_value(predicates[0].constant()).unwrap();
+        assert_eq!(idx.equality_entries(title, &t0), 1);
         for (i, p) in predicates.iter().enumerate() {
             assert!(idx.remove(p, key(i as u32, 1)));
         }
-        assert_eq!(idx.equality_cardinality(title), 0);
+        assert_eq!(idx.equality_constants(), 0);
+        assert_eq!(idx.equality_entries(title, &t0), 0);
         assert!(idx.is_empty());
     }
 

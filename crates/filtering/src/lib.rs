@@ -4,14 +4,16 @@
 //!
 //! Four engines are provided behind the common [`MatchingEngine`] trait:
 //!
-//! * [`CountingEngine`] — the production engine. Predicate leaves of all
-//!   registered subscriptions are indexed per attribute (hash index for
-//!   equalities, interval index for ordering predicates, a scan list for the
-//!   rest). An incoming event first resolves which predicates it fulfils
-//!   through the index, then only evaluates subscription trees whose number
-//!   of fulfilled predicates reaches the tree's `pmin` — the minimum number of
-//!   fulfilled predicates that can possibly fulfil the subscription. This is
-//!   the non-canonical counting algorithm of Bittner & Hinze \[2\] that the
+//! * [`CountingEngine`] — the production engine. Predicate leaves are
+//!   indexed per attribute (hash index for equalities, interval index for
+//!   ordering predicates, a scan list for the rest). A subscription with a
+//!   required equality is indexed under that one *access clause* and
+//!   evaluated only for events that fulfil it; for every other one, an
+//!   incoming event first resolves which predicates it fulfils through the
+//!   index, then only evaluates subscription trees whose number of fulfilled
+//!   predicates reaches the tree's `pmin` — the minimum number of fulfilled
+//!   predicates that can possibly fulfil the subscription. This is the
+//!   non-canonical counting algorithm of Bittner & Hinze \[2\] that the
 //!   paper's throughput heuristic (`Δ≈eff`) reasons about.
 //! * [`ATreeEngine`] — the shared-subexpression engine for very large
 //!   (100k–1M) redundant subscription populations: every registered tree is

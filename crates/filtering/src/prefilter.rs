@@ -1,8 +1,14 @@
-//! Stage 0 of the staged matching pipeline: per-event pre-filtering.
+//! Stage 0 of the staged matching pipeline, and the walk over a tree's
+//! required clauses that it shares with the choice of access clauses.
 //!
-//! Before any predicate counting happens, the pre-filter kills candidate
-//! subscriptions that *provably cannot match* an event, using two cheap
-//! per-subscription tests:
+//! The counting engine indexes a subscription that has a required equality
+//! under that one *access clause* (see [`CountingEngine`](crate::CountingEngine)),
+//! so stage 1 emits it only for events that fulfil the clause. Stage 0 is
+//! told the clause's attribute alone, and leaves it out of its key test.
+//!
+//! Before a candidate reaches stage 2, the pre-filter kills subscriptions
+//! that *provably cannot match* an event, using three cheap per-subscription
+//! tests:
 //!
 //! 1. **Attribute presence.** Every *required* predicate leaf of a
 //!    subscription (a leaf that must be true for the whole tree to be true)
@@ -11,43 +17,43 @@
 //!    attributes of up to 64 tracked attributes are folded into one `u64`
 //!    bitmask per subscription, and an event is fingerprinted once into the
 //!    same bit space — the presence test is `required & !present != 0`.
-//! 2. **Discrimination keys.** Among a subscription's required *equality*
-//!    leaves, the two most selective ones (per the sampled
-//!    [`DiscriminationHint`](selectivity::DiscriminationHint), falling back
-//!    to the local equality-index cardinality) are compiled to interned
-//!    constant ids. The event's values for those attributes are interned
-//!    through the same table during fingerprinting; a mismatch on either
-//!    means a required equality cannot hold, so the subscription is dead for
-//!    this event. The second key is what separates subscriptions that agree
-//!    on a hot primary key (e.g. a Zipf-popular title) but disagree on a
-//!    secondary equality (condition, buy-now flag, ...).
-//! 3. **Disjunctive signature.** A required `Or` whose children are all
-//!    equalities on *one* attribute (`category = a ∨ category = b ∨ ...`)
-//!    requires that attribute present with a value from the allowed set. The
-//!    allowed constants are folded into a 64-bit signature over their
-//!    interned ids; an event key whose bit is absent provably satisfies no
-//!    child, so the subscription dies. Hash collisions only let candidates
-//!    *survive* (one-sided error), never kill a real match.
+//! 2. **Secondary equality key.** The most selective required equality leaf
+//!    *other than the access clause* (per the sampled
+//!    [`DiscriminationHint`], else the lowest attribute id) is compiled to an
+//!    interned constant id. The event's value at that attribute is interned
+//!    through the same table during fingerprinting; a mismatch means the
+//!    equality cannot hold. This is what separates subscriptions that share
+//!    an access bucket (a Zipf-popular title) but disagree on a secondary
+//!    equality (condition, buy-now flag, ...).
+//! 3. **Exact numeric bound.** One required `<`, `≤`, `>` or `≥` leaf whose
+//!    threshold compares through `f64` exactly as
+//!    [`Operator::evaluate`](pubsub_core::Operator::evaluate) does — a float
+//!    constant, or an int strictly inside ±2^53 — is compiled with its
+//!    threshold. The event's numeric value is fingerprinted beside its key
+//!    (`NaN` when it is not a number, which fails every bound exactly as it
+//!    fails every comparison in the engine). An int constant beyond ±2^53
+//!    rounds in `f64`, so it is never compiled and never kills.
 //!
 //! *Required* leaves are found by a conservative tree walk: the root is
 //! required; every child of a required `And` is required; the only child of a
 //! required single-child `Or` is required; nothing under a `Not` (or a
 //! multi-child `Or`) is claimed. This under-approximates — it never marks a
 //! leaf required unless its falsehood forces the tree false — which is what
-//! makes the kill sound for *any* Boolean structure.
+//! makes both the gating and the kill sound for *any* Boolean structure.
 //!
 //! A subscription is compiled when it arrives and releases what it took when
 //! it leaves (see [`PreFilter`]); the whole population is recompiled only
 //! when the ranking behind the 64 presence bits is due for a refresh.
 //!
-//! Both tests reject without touching the attribute index, the counting
-//! arrays, or the subscription tree; surviving candidates flow into stage 1
-//! (index probing) and stage 2 (counting) unchanged, so match output is
+//! The tests reject without touching the counting arrays or the subscription
+//! tree; surviving candidates flow into stage 2 unchanged, so match output is
 //! byte-identical with the pre-filter on or off.
 
 use crate::config::PrefilterMode;
-use crate::index::{AttributeIndex, EqKey};
-use pubsub_core::{AttrId, NodeId, NodeKind, Predicate, Subscription, SubscriptionTree, Value};
+use crate::index::{equality_key, exact_threshold, EqKey};
+use pubsub_core::{
+    AttrId, NodeId, NodeKind, Operator, Predicate, Subscription, SubscriptionTree, Value,
+};
 use selectivity::DiscriminationHint;
 use std::collections::HashMap;
 
@@ -64,23 +70,20 @@ const MAX_TRACKED: usize = 64;
 struct SlotFilter {
     /// Bits of tracked attributes this subscription requires present.
     required_mask: u64,
-    /// Bit of the primary discrimination attribute, or [`NO_BIT`] when the
+    /// Threshold of the numeric bound (meaningless while `bound_bit` is
+    /// [`NO_BIT`]).
+    bound: f64,
+    /// Interned constant the secondary key attribute must carry.
+    key: u32,
+    /// Bit of the secondary key attribute, or [`NO_BIT`] when the
     /// subscription has no required internable equality on a tracked
-    /// attribute.
-    disc_bit: u8,
-    /// Interned constant the primary discrimination attribute must carry.
-    disc_key: u32,
-    /// Bit of the secondary discrimination attribute ([`NO_BIT`] when the
-    /// subscription has fewer than two required internable equalities).
-    disc2_bit: u8,
-    /// Interned constant the secondary discrimination attribute must carry.
-    disc2_key: u32,
-    /// Bit of the disjunctive-signature attribute ([`NO_BIT`] when the
-    /// subscription has no required single-attribute equality `Or`).
-    sig_bit: u8,
-    /// Signature of the interned constants the signature attribute may
-    /// carry: bit `id & 63` is set for each allowed constant id.
-    sig: u64,
+    /// attribute besides its access clause.
+    key_bit: u8,
+    /// Bit of the numeric bound's attribute, or [`NO_BIT`] when the
+    /// subscription has no exact required bound on a tracked attribute.
+    bound_bit: u8,
+    /// `event value <op> bound` must hold.
+    bound_op: Operator,
 }
 
 impl Default for SlotFilter {
@@ -88,23 +91,21 @@ impl Default for SlotFilter {
         // The default filter kills nothing.
         Self {
             required_mask: 0,
-            disc_bit: NO_BIT,
-            disc_key: NO_KEY,
-            disc2_bit: NO_BIT,
-            disc2_key: NO_KEY,
-            sig_bit: NO_BIT,
-            sig: 0,
+            bound: 0.0,
+            key: NO_KEY,
+            key_bit: NO_BIT,
+            bound_bit: NO_BIT,
+            bound_op: Operator::Lt,
         }
     }
 }
 
-/// One interned discrimination constant.
+/// One interned secondary-key constant.
 #[derive(Debug)]
 struct InternedConstant {
     /// The constant; `None` while the id sits in the free list.
     key: Option<EqKey>,
-    /// Compiled filters referring to the id (a kill key, or one child of an
-    /// equality group folded into a signature).
+    /// Compiled filters using the id as their key.
     refs: u32,
 }
 
@@ -120,9 +121,8 @@ struct InternedConstant {
 /// presence bit) runs for a configuration or hint change, for a population
 /// loaded before the first match, and once the mutations absorbed since the
 /// last one reach the population — amortised O(1) per mutation, and what
-/// keeps kill-key scores and the tracked attributes honest. Queried once per
-/// `(event, candidate)` emission on the hot path. See the
-/// [module docs](self) for the semantics.
+/// keeps the tracked attributes honest. Queried once per `(event, candidate)`
+/// emission on the hot path. See the [module docs](self) for the semantics.
 #[derive(Debug, Default)]
 pub struct PreFilter {
     /// Whether the compiled state reflects the engine's population. `false`
@@ -147,7 +147,7 @@ pub struct PreFilter {
     /// `AttrId::index()` → required clauses naming the attribute, over all
     /// compiled subscriptions (tracked or not). Same length as `attr_bit`.
     attr_refs: Vec<u32>,
-    /// Interning table over the discrimination constants of all
+    /// Interning table over the secondary-key constants of all
     /// subscriptions. Event values are looked up through the same table, so
     /// key equality is exactly engine equality ([`EqKey`] semantics,
     /// including the `Int -> Float` widening).
@@ -185,8 +185,8 @@ impl PreFilter {
         self.bits as usize - self.free_bits.len()
     }
 
-    /// Length of the key array [`fingerprint`](Self::fingerprint) fills: one
-    /// entry per presence bit handed out, free or not.
+    /// Length of the fingerprint [`fingerprint`](Self::fingerprint) fills:
+    /// one entry per presence bit handed out, free or not.
     pub(crate) fn key_width(&self) -> usize {
         self.bits as usize
     }
@@ -205,16 +205,15 @@ impl PreFilter {
 
     /// Recompiles everything from the current subscription set.
     ///
-    /// `subs` yields every occupied `(slot, subscription)`; `slot_count` is
-    /// the slab length (filters of free slots stay at the never-kill
-    /// default). The iterator is walked twice — once to rank attributes for
-    /// the 64 tracked bits, once to compile each subscription — hence
-    /// `Clone`.
+    /// `subs` yields every occupied `(slot, subscription, access attribute)`;
+    /// `slot_count` is the slab length (filters of free slots stay at the
+    /// never-kill default). The iterator is walked twice — once to rank
+    /// attributes for the 64 tracked bits, once to compile each subscription
+    /// — hence `Clone`.
     pub(crate) fn rebuild<'a>(
         &mut self,
         slot_count: usize,
-        subs: impl Iterator<Item = (u32, &'a Subscription)> + Clone,
-        index: &AttributeIndex,
+        subs: impl Iterator<Item = (u32, &'a Subscription, Option<AttrId>)> + Clone,
         hint: Option<&DiscriminationHint>,
         mode: PrefilterMode,
     ) {
@@ -240,7 +239,7 @@ impl PreFilter {
         // the (at most 64) presence bits go to the most load-bearing ones.
         let mut stack = std::mem::take(&mut self.stack);
         let mut ranked: Vec<AttrId> = Vec::new();
-        for (_, sub) in subs.clone() {
+        for (_, sub, _) in subs.clone() {
             for_each_required_item(sub.tree(), &mut stack, |item| {
                 let attr = item.attr();
                 if self.retain_attr(attr) {
@@ -263,22 +262,22 @@ impl PreFilter {
 
         // Pass B: compile each subscription against those bits.
         self.slot_filters.resize(slot_count, SlotFilter::default());
-        for (slot, sub) in subs {
-            self.compile(slot, sub, index, hint);
+        for (slot, sub, access) in subs {
+            self.compile(slot, sub, access, hint);
         }
         self.update_enabled();
     }
 
-    /// Compiles one subscription that entered slot `slot` (already registered
-    /// in `index`). An attribute nobody required so far takes a presence bit
-    /// if one is left; an attribute that has requirers but no bit stays
-    /// untracked until the next rebuild, which keeps every compiled mask
-    /// valid.
+    /// Compiles one subscription that entered slot `slot`, indexed under an
+    /// access clause on `access` (if gated). An attribute nobody required so
+    /// far takes a presence bit if one is left; an attribute that has
+    /// requirers but no bit stays untracked until the next rebuild, which
+    /// keeps every compiled mask valid.
     pub(crate) fn insert(
         &mut self,
         slot: u32,
         sub: &Subscription,
-        index: &AttributeIndex,
+        access: Option<AttrId>,
         hint: Option<&DiscriminationHint>,
     ) {
         if !self.built || self.mode == PrefilterMode::Off {
@@ -296,7 +295,7 @@ impl PreFilter {
             self.slot_filters
                 .resize(slot as usize + 1, SlotFilter::default());
         }
-        self.compile(slot, sub, index, hint);
+        self.compile(slot, sub, access, hint);
         self.absorb_mutation();
     }
 
@@ -306,28 +305,14 @@ impl PreFilter {
         if !self.built || self.mode == PrefilterMode::Off {
             return;
         }
-        let tree = sub.tree();
         let mut stack = std::mem::take(&mut self.stack);
-        for_each_required_item(tree, &mut stack, |item| {
-            let attr = item.attr();
-            if let RequiredItem::AnyEq(_, children) = item {
-                if self.attr_bit[attr.index()] != NO_BIT {
-                    for key in group_keys(tree, children) {
-                        if let Some(&id) = self.constants.get(&key) {
-                            self.release_constant(id);
-                        }
-                    }
-                }
-            }
-            self.release_attr(attr);
+        for_each_required_item(sub.tree(), &mut stack, |item| {
+            self.release_attr(item.attr())
         });
         self.stack = stack;
         let filter = std::mem::take(&mut self.slot_filters[slot as usize]);
-        if filter.disc_bit != NO_BIT {
-            self.release_constant(filter.disc_key);
-        }
-        if filter.disc2_bit != NO_BIT {
-            self.release_constant(filter.disc2_key);
+        if filter.key_bit != NO_BIT {
+            self.release_constant(filter.key);
         }
         self.occupied -= 1;
         if filter.required_mask != 0 {
@@ -426,115 +411,80 @@ impl PreFilter {
         }
     }
 
-    /// Compiles one subscription's presence mask and picks its two most
-    /// discriminating required equalities as the kill keys, against the
-    /// current presence bits.
+    /// Compiles one subscription's presence mask, its secondary key (the
+    /// best required equality off the `access` attribute) and its numeric
+    /// bound (the exact required bound of lowest `(attribute, operator,
+    /// threshold)`), against the current presence bits.
     fn compile(
         &mut self,
         slot: u32,
         sub: &Subscription,
-        index: &AttributeIndex,
+        access: Option<AttrId>,
         hint: Option<&DiscriminationHint>,
     ) {
-        let tree = sub.tree();
-        let mut mask = 0u64;
-        // Best two candidates: (score, attr raw id) minimal wins; score is
-        // "probability a random event survives this key", so lower is more
-        // discriminating. Candidates on the *same attribute bit* are never
-        // kept twice — the second slot must add information.
-        let mut best: Option<(f64, u32, u8, EqKey)> = None;
-        let mut second: Option<(f64, u32, u8, EqKey)> = None;
-        // Best disjunctive group: fewest allowed constants wins.
-        let mut best_group: Option<(usize, u32, u8, u64)> = None;
+        let mut filter = SlotFilter::default();
+        // (score, attribute, bit, constant): lowest wins; the score is "the
+        // probability a random event survives this key".
+        let mut key: Option<(f64, u32, u8, EqKey)> = None;
+        // ((attribute, operator), threshold, bit): lowest wins.
+        let mut bound: Option<((u32, Operator), f64, u8)> = None;
         let mut stack = std::mem::take(&mut self.stack);
-        for_each_required_item(tree, &mut stack, |item| {
+        for_each_required_item(sub.tree(), &mut stack, |item| {
             let attr = item.attr();
             let bit = self.attr_bit[attr.index()];
             if bit == NO_BIT {
                 return;
             }
-            mask |= 1 << bit;
-            let p = match item {
-                RequiredItem::Leaf(p) => p,
-                RequiredItem::AnyEq(_, children) => {
-                    // Fold the allowed constants into a signature.
-                    let mut sig = 0u64;
-                    let mut allowed = 0usize;
-                    for key in group_keys(tree, children) {
-                        sig |= 1 << (self.intern(key) & 63);
-                        allowed += 1;
-                    }
-                    let better = match &best_group {
-                        Some((n, raw, _, _)) => (allowed, attr.raw()) < (*n, *raw),
-                        None => true,
-                    };
-                    if better {
-                        best_group = Some((allowed, attr.raw(), bit, sig));
-                    }
-                    return;
-                }
-            };
-            if p.operator() != pubsub_core::Operator::Eq {
-                return;
-            }
-            let Some(eq_key) = EqKey::from_value(p.constant()) else {
+            filter.required_mask |= 1 << bit;
+            let RequiredItem::Leaf(_, p) = item else {
                 return;
             };
-            let score = hint
-                .and_then(|h| h.score(attr))
-                .unwrap_or_else(|| 1.0 / (index.equality_cardinality(attr) as f64 + 1.0));
-            let cand = (score, attr.raw(), bit, eq_key);
-            let beats = |held: &Option<(f64, u32, u8, EqKey)>| match held {
-                Some((s, raw, _, _)) => (cand.0, cand.1) < (*s, *raw),
-                None => true,
-            };
-            if beats(&best) {
-                // Only demote the old best if it sits on a different bit;
-                // two keys on one attribute are either redundant or (with
-                // different constants) an unsatisfiable tree the counting
-                // stage rejects anyway.
-                if !matches!(&best, Some((_, _, b, _)) if *b == cand.2) {
-                    second = best.take();
+            if let Some(threshold) = exact_threshold(p) {
+                let rank = (attr.raw(), p.operator());
+                let better = bound.map_or(true, |(r, t, _)| {
+                    rank.cmp(&r).then(threshold.total_cmp(&t)).is_lt()
+                });
+                if better {
+                    bound = Some((rank, threshold, bit));
                 }
-                best = Some(cand);
-            } else if !matches!(&best, Some((_, _, b, _)) if *b == cand.2) && beats(&second) {
-                second = Some(cand);
+            } else if let Some(eq_key) = equality_key(p).filter(|_| Some(attr) != access) {
+                let score = hint.and_then(|h| h.score(attr)).unwrap_or(f64::INFINITY);
+                let better = key.as_ref().map_or(true, |(s, raw, _, _)| {
+                    score.total_cmp(s).then(attr.raw().cmp(raw)).is_lt()
+                });
+                if better {
+                    key = Some((score, attr.raw(), bit, eq_key));
+                }
             }
         });
         self.stack = stack;
-        let mut filter = SlotFilter {
-            required_mask: mask,
-            ..SlotFilter::default()
-        };
-        if let Some((_, _, bit, eq_key)) = best {
-            filter.disc_bit = bit;
-            filter.disc_key = self.intern(eq_key);
+        if let Some(((_, op), threshold, bit)) = bound {
+            filter.bound_bit = bit;
+            filter.bound_op = op;
+            filter.bound = threshold;
         }
-        if let Some((_, _, bit, eq_key)) = second {
-            filter.disc2_bit = bit;
-            filter.disc2_key = self.intern(eq_key);
-        }
-        if let Some((_, _, bit, sig)) = best_group {
-            filter.sig_bit = bit;
-            filter.sig = sig;
+        if let Some((_, _, bit, eq_key)) = key {
+            filter.key_bit = bit;
+            filter.key = self.intern(eq_key);
         }
         self.slot_filters[slot as usize] = filter;
         self.occupied += 1;
-        if mask != 0 {
+        if filter.required_mask != 0 {
             self.constrained += 1;
         }
     }
 
-    /// Fingerprints one event: fills `keys` (one interned key per presence
-    /// bit, [`NO_KEY`] when absent or unknown) and returns the presence
-    /// bitmask. `keys` is caller-owned scratch, grow-only.
+    /// Fingerprints one event: fills `fp` (per presence bit, the interned
+    /// key of the event's value — [`NO_KEY`] when absent or unknown — and
+    /// its numeric value, `NaN` when absent or not a number) and returns the
+    /// presence bitmask. `fp` is caller-owned scratch, grow-only.
     pub(crate) fn fingerprint<'a>(
         &self,
         pairs: impl Iterator<Item = (AttrId, &'a Value)>,
-        keys: &mut Vec<u32>,
+        fp: &mut Vec<(u32, f64)>,
     ) -> u64 {
-        keys.clear();
-        keys.resize(self.bits as usize, NO_KEY);
+        fp.clear();
+        fp.resize(self.bits as usize, (NO_KEY, f64::NAN));
         let mut mask = 0u64;
         for (attr, value) in pairs {
             let bit = self.attr_bit.get(attr.index()).copied().unwrap_or(NO_BIT);
@@ -542,9 +492,10 @@ impl PreFilter {
                 continue;
             }
             mask |= 1 << bit;
-            keys[bit as usize] = EqKey::from_value(value)
+            let key = EqKey::from_value(value)
                 .and_then(|k| self.constants.get(&k).copied())
                 .unwrap_or(NO_KEY);
+            fp[bit as usize] = (key, value.as_f64().unwrap_or(f64::NAN));
         }
         mask
     }
@@ -553,17 +504,25 @@ impl PreFilter {
     /// produced by [`fingerprint`](Self::fingerprint). `true` means the slot
     /// provably cannot match the event.
     #[inline]
-    pub(crate) fn kills(&self, slot: usize, mask: u64, keys: &[u32]) -> bool {
+    pub(crate) fn kills(&self, slot: usize, mask: u64, fp: &[(u32, f64)]) -> bool {
         let f = &self.slot_filters[slot];
         f.required_mask & !mask != 0
-            || (f.disc_bit != NO_BIT && keys[f.disc_bit as usize] != f.disc_key)
-            || (f.disc2_bit != NO_BIT && keys[f.disc2_bit as usize] != f.disc2_key)
-            || (f.sig_bit != NO_BIT && {
-                // An unregistered event value ([`NO_KEY`]) equals none of the
-                // allowed constants; a registered one must have its bit set.
-                let key = keys[f.sig_bit as usize];
-                key == NO_KEY || f.sig & (1 << (key & 63)) == 0
-            })
+            || (f.key_bit != NO_BIT && fp[f.key_bit as usize].0 != f.key)
+            || (f.bound_bit != NO_BIT
+                && !bound_holds(f.bound_op, fp[f.bound_bit as usize].1, f.bound))
+    }
+}
+
+/// `value <op> bound` in `f64`; `false` for a `NaN` value, as for every
+/// comparison the engine makes with a non-number.
+#[inline]
+fn bound_holds(op: Operator, value: f64, bound: f64) -> bool {
+    match op {
+        Operator::Lt => value < bound,
+        Operator::Le => value <= bound,
+        Operator::Gt => value > bound,
+        Operator::Ge => value >= bound,
+        _ => true,
     }
 }
 
@@ -583,6 +542,8 @@ pub(crate) struct Snapshot {
     /// Live interned constants, and the references on them.
     pub(crate) constants: usize,
     pub(crate) constant_refs: u64,
+    /// `(slot, attribute, operator, threshold bits)` of every compiled bound.
+    pub(crate) bounds: Vec<(u32, u32, Operator, u64)>,
 }
 
 #[cfg(test)]
@@ -622,6 +583,15 @@ impl PreFilter {
             tracked,
             constants: self.constants.len(),
             constant_refs: live.map(|c| u64::from(c.refs)).sum(),
+            bounds: (0u32..)
+                .zip(&self.slot_filters)
+                .filter(|(_, f)| f.bound_bit != NO_BIT)
+                .map(|(slot, f)| {
+                    let attr = self.attr_bit.iter().position(|&b| b == f.bound_bit);
+                    let attr = attr.expect("a bound sits on a tracked attribute") as u32;
+                    (slot, attr, f.bound_op, f.bound.to_bits())
+                })
+                .collect(),
         }
     }
 
@@ -632,9 +602,10 @@ impl PreFilter {
 }
 
 /// A required clause surfaced by [`for_each_required_item`].
-enum RequiredItem<'a> {
+#[derive(Clone, Copy)]
+pub(crate) enum RequiredItem<'a> {
     /// A predicate leaf that must itself be true.
-    Leaf(&'a Predicate),
+    Leaf(NodeId, &'a Predicate),
     /// A required `Or` whose children are all equality predicates on one
     /// attribute: the attribute must be present and its value must equal one
     /// of the children's constants.
@@ -643,26 +614,12 @@ enum RequiredItem<'a> {
 
 impl RequiredItem<'_> {
     /// The attribute the clause needs the event to carry.
-    fn attr(&self) -> AttrId {
+    pub(crate) fn attr(&self) -> AttrId {
         match self {
-            RequiredItem::Leaf(p) => p.attr_id(),
+            RequiredItem::Leaf(_, p) => p.attr_id(),
             RequiredItem::AnyEq(attr, _) => *attr,
         }
     }
-}
-
-/// The internable constants of an equality group's children. A child whose
-/// constant cannot be interned (NaN) can never be true, so it yields none.
-fn group_keys<'a>(
-    tree: &'a SubscriptionTree,
-    children: &'a [NodeId],
-) -> impl Iterator<Item = EqKey> + 'a {
-    children
-        .iter()
-        .filter_map(move |&id| match tree.node(id)?.kind() {
-            NodeKind::Predicate(p) => EqKey::from_value(p.constant()),
-            _ => None,
-        })
 }
 
 /// Walks the *required* clauses of a tree: root required, `And` propagates
@@ -670,7 +627,7 @@ fn group_keys<'a>(
 /// required multi-child `Or` is surfaced as [`RequiredItem::AnyEq`] when all
 /// its children are equalities on one attribute, and dropped otherwise. See
 /// the [module docs](self) for why this under-approximation is sound.
-fn for_each_required_item<'a>(
+pub(crate) fn for_each_required_item<'a>(
     tree: &'a SubscriptionTree,
     stack: &mut Vec<NodeId>,
     mut f: impl FnMut(RequiredItem<'a>),
@@ -680,7 +637,7 @@ fn for_each_required_item<'a>(
     while let Some(id) = stack.pop() {
         let node = tree.node(id).expect("tree nodes are internally consistent");
         match node.kind() {
-            NodeKind::Predicate(p) => f(RequiredItem::Leaf(p)),
+            NodeKind::Predicate(p) => f(RequiredItem::Leaf(id, p)),
             NodeKind::And => stack.extend_from_slice(node.children()),
             NodeKind::Or => match node.children() {
                 [only] => stack.push(*only),
@@ -704,7 +661,7 @@ fn single_attr_equality_group(tree: &SubscriptionTree, children: &[NodeId]) -> O
         let NodeKind::Predicate(p) = node.kind() else {
             return None;
         };
-        if p.operator() != pubsub_core::Operator::Eq {
+        if p.operator() != Operator::Eq {
             return None;
         }
         match attr {
@@ -719,7 +676,7 @@ fn single_attr_equality_group(tree: &SubscriptionTree, children: &[NodeId]) -> O
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pubsub_core::{Expr, SubscriberId, SubscriptionId};
+    use pubsub_core::{EventMessage, Expr, SubscriberId, SubscriptionId};
 
     fn sub(id: u64, expr: &Expr) -> Subscription {
         Subscription::from_expr(
@@ -729,21 +686,34 @@ mod tests {
         )
     }
 
-    fn rebuild(pf: &mut PreFilter, subs: &[Subscription], mode: PrefilterMode) {
-        let index = AttributeIndex::new();
+    fn attr(name: &str) -> AttrId {
+        pubsub_core::attr::intern(name)
+    }
+
+    /// Rebuilds over `subs`, each gated on the given access attribute.
+    fn rebuild_gated(
+        pf: &mut PreFilter,
+        subs: &[(Subscription, Option<AttrId>)],
+        mode: PrefilterMode,
+    ) {
         pf.rebuild(
             subs.len(),
-            subs.iter().enumerate().map(|(i, s)| (i as u32, s)),
-            &index,
+            subs.iter().enumerate().map(|(i, (s, a))| (i as u32, s, *a)),
             None,
             mode,
         );
     }
 
-    fn fingerprint_event(pf: &PreFilter, ev: &pubsub_core::EventMessage) -> (u64, Vec<u32>) {
-        let mut keys = Vec::new();
-        let mask = pf.fingerprint(ev.iter_resolved(), &mut keys);
-        (mask, keys)
+    /// Rebuilds over ungated `subs`.
+    fn rebuild(pf: &mut PreFilter, subs: &[Subscription], mode: PrefilterMode) {
+        let subs: Vec<_> = subs.iter().map(|s| (s.clone(), None)).collect();
+        rebuild_gated(pf, &subs, mode);
+    }
+
+    fn fingerprint_event(pf: &PreFilter, ev: &EventMessage) -> (u64, Vec<(u32, f64)>) {
+        let mut fp = Vec::new();
+        let mask = pf.fingerprint(ev.iter_resolved(), &mut fp);
+        (mask, fp)
     }
 
     #[test]
@@ -758,7 +728,7 @@ mod tests {
         let mut attrs = Vec::new();
         let mut stack = Vec::new();
         for_each_required_item(s.tree(), &mut stack, |item| match item {
-            RequiredItem::Leaf(p) => {
+            RequiredItem::Leaf(_, p) => {
                 attrs.push(pubsub_core::attr::name(p.attr_id()).to_string());
             }
             RequiredItem::AnyEq(attr, children) => {
@@ -789,139 +759,129 @@ mod tests {
         assert!(pf.enabled());
         assert_eq!(pf.tracked_attributes(), 2);
 
-        let matching = pubsub_core::EventMessage::builder()
+        let matching = EventMessage::builder()
             .attr("pf_title", "moby dick")
             .attr("pf_price", 5i64)
             .build();
-        let (mask, keys) = fingerprint_event(&pf, &matching);
-        assert!(!pf.kills(0, mask, &keys));
+        let (mask, fp) = fingerprint_event(&pf, &matching);
+        assert!(!pf.kills(0, mask, &fp));
 
         // Wrong title: the discrimination key mismatches.
-        let wrong_key = pubsub_core::EventMessage::builder()
+        let wrong_key = EventMessage::builder()
             .attr("pf_title", "ulysses")
             .attr("pf_price", 5i64)
             .build();
-        let (mask, keys) = fingerprint_event(&pf, &wrong_key);
-        assert!(pf.kills(0, mask, &keys));
+        let (mask, fp) = fingerprint_event(&pf, &wrong_key);
+        assert!(pf.kills(0, mask, &fp));
 
         // Missing price: the presence mask mismatches even though the price
         // bound itself is not an equality.
-        let missing_attr = pubsub_core::EventMessage::builder()
+        let missing_attr = EventMessage::builder()
             .attr("pf_title", "moby dick")
             .build();
-        let (mask, keys) = fingerprint_event(&pf, &missing_attr);
-        assert!(pf.kills(0, mask, &keys));
+        let (mask, fp) = fingerprint_event(&pf, &missing_attr);
+        assert!(pf.kills(0, mask, &fp));
 
-        // A killed event may still carry *more* attributes than required.
-        let extra = pubsub_core::EventMessage::builder()
+        // A surviving event may still carry *more* attributes than required.
+        let extra = EventMessage::builder()
             .attr("pf_title", "moby dick")
-            .attr("pf_price", 500i64)
+            .attr("pf_price", 10i64)
             .attr("pf_other", true)
             .build();
-        let (mask, keys) = fingerprint_event(&pf, &extra);
-        assert!(!pf.kills(0, mask, &keys));
+        let (mask, fp) = fingerprint_event(&pf, &extra);
+        assert!(!pf.kills(0, mask, &fp));
     }
 
     #[test]
     fn second_discrimination_key_kills_hot_key_survivors() {
-        // Two subscriptions agree on the hot primary key (title) but differ
-        // on a secondary equality; the second key must separate them.
+        // Two subscriptions gated on the hot title disagree on a secondary
+        // equality; the key (the equality off the access attribute) must
+        // separate them.
+        let title = attr("pf2_title");
         let subs = vec![
-            sub(
-                1,
-                &Expr::and(vec![
-                    Expr::eq("pf2_title", "moby dick"),
-                    Expr::eq("pf2_cond", "new"),
-                    Expr::le("pf2_price", 10i64),
-                ]),
+            (
+                sub(
+                    1,
+                    &Expr::and(vec![
+                        Expr::eq("pf2_title", "moby dick"),
+                        Expr::eq("pf2_cond", "new"),
+                        Expr::le("pf2_price", 10i64),
+                    ]),
+                ),
+                Some(title),
             ),
-            sub(
-                2,
-                &Expr::and(vec![
-                    Expr::eq("pf2_title", "moby dick"),
-                    Expr::eq("pf2_cond", "worn"),
-                    Expr::le("pf2_price", 10i64),
-                ]),
+            (
+                sub(
+                    2,
+                    &Expr::and(vec![
+                        Expr::eq("pf2_title", "moby dick"),
+                        Expr::eq("pf2_cond", "worn"),
+                        Expr::le("pf2_price", 10i64),
+                    ]),
+                ),
+                Some(title),
             ),
         ];
         let mut pf = PreFilter::new();
-        rebuild(&mut pf, &subs, PrefilterMode::On);
-        let ev = pubsub_core::EventMessage::builder()
+        rebuild_gated(&mut pf, &subs, PrefilterMode::On);
+        let ev = EventMessage::builder()
             .attr("pf2_title", "moby dick")
             .attr("pf2_cond", "new")
             .attr("pf2_price", 5i64)
             .build();
-        let (mask, keys) = fingerprint_event(&pf, &ev);
-        assert!(!pf.kills(0, mask, &keys));
-        assert!(pf.kills(1, mask, &keys), "condition disagrees on sub 2");
+        let (mask, fp) = fingerprint_event(&pf, &ev);
+        assert!(!pf.kills(0, mask, &fp));
+        assert!(pf.kills(1, mask, &fp), "condition disagrees on sub 2");
+        // Only the secondary constants were interned: the access clause is
+        // stage 1's business.
+        assert_eq!(pf.snapshot().constants, 2);
 
-        // A single required equality must leave the second slot inert.
-        let one = vec![sub(3, &Expr::eq("pf2_title", "moby dick"))];
-        rebuild(&mut pf, &one, PrefilterMode::On);
-        let ev = pubsub_core::EventMessage::builder()
-            .attr("pf2_title", "moby dick")
-            .build();
-        let (mask, keys) = fingerprint_event(&pf, &ev);
-        assert!(!pf.kills(0, mask, &keys));
+        // A gated subscription with no other equality has no key at all.
+        let one = vec![(sub(3, &Expr::eq("pf2_title", "moby dick")), Some(title))];
+        rebuild_gated(&mut pf, &one, PrefilterMode::On);
+        let ev = EventMessage::builder().attr("pf2_title", "ulysses").build();
+        let (mask, fp) = fingerprint_event(&pf, &ev);
+        assert!(!pf.kills(0, mask, &fp));
+        assert_eq!(pf.snapshot().constants, 0);
     }
 
     #[test]
-    fn disjunctive_signature_kills_values_outside_the_allowed_set() {
-        // `category ∈ {books, cds}` as a required Or: an event in a third
-        // category (or missing the attribute) provably cannot match, even
-        // though no single equality is required.
-        let subs = vec![sub(
-            1,
-            &Expr::and(vec![
-                Expr::or(vec![
-                    Expr::eq("pf3_cat", "books"),
-                    Expr::eq("pf3_cat", "cds"),
-                ]),
-                Expr::le("pf3_price", 10i64),
-            ]),
-        )];
+    fn exact_bound_kills_only_where_f64_is_exact() {
+        let big = (1i64 << 53) + 1;
+        let subs = vec![
+            sub(1, &Expr::le("pf5_x", 10i64)),
+            sub(2, &Expr::gt("pf5_x", 2.5f64)),
+            // Beyond ±2^53 an int threshold rounds in `f64`: never compiled.
+            sub(3, &Expr::lt("pf5_x", big)),
+            sub(4, &Expr::ge("pf5_x", -big)),
+        ];
         let mut pf = PreFilter::new();
         rebuild(&mut pf, &subs, PrefilterMode::On);
-        assert_eq!(pf.tracked_attributes(), 2, "the Or attribute earns a bit");
-
-        let allowed = pubsub_core::EventMessage::builder()
-            .attr("pf3_cat", "cds")
-            .attr("pf3_price", 5i64)
-            .build();
-        let (mask, keys) = fingerprint_event(&pf, &allowed);
-        assert!(!pf.kills(0, mask, &keys));
-
-        let outside = pubsub_core::EventMessage::builder()
-            .attr("pf3_cat", "stamps")
-            .attr("pf3_price", 5i64)
-            .build();
-        let (mask, keys) = fingerprint_event(&pf, &outside);
-        assert!(pf.kills(0, mask, &keys), "category outside the allowed set");
-
-        let absent = pubsub_core::EventMessage::builder()
-            .attr("pf3_price", 5i64)
-            .build();
-        let (mask, keys) = fingerprint_event(&pf, &absent);
-        assert!(pf.kills(0, mask, &keys), "the Or attribute is required");
-
-        // Mixed-attribute and mixed-operator Ors must NOT compile a
-        // signature (they are satisfiable without the attribute).
-        let mixed = vec![sub(
-            2,
-            &Expr::and(vec![
-                Expr::or(vec![
-                    Expr::eq("pf3_cat", "books"),
-                    Expr::le("pf3_price", 1i64),
-                ]),
-                Expr::ge("pf3_price", 0i64),
-            ]),
-        )];
-        rebuild(&mut pf, &mixed, PrefilterMode::On);
-        let no_cat = pubsub_core::EventMessage::builder()
-            .attr("pf3_price", 0i64)
-            .build();
-        let (mask, keys) = fingerprint_event(&pf, &no_cat);
-        assert!(!pf.kills(0, mask, &keys), "mixed Or is not a group");
+        assert_eq!(pf.snapshot().bounds.len(), 2);
+        let kills = |value: Value| {
+            let ev = EventMessage::builder().attr("pf5_x", value.clone()).build();
+            let (mask, fp) = fingerprint_event(&pf, &ev);
+            let verdicts: Vec<bool> = (0..subs.len()).map(|s| pf.kills(s, mask, &fp)).collect();
+            // Never a kill where the engine's own comparison holds.
+            for (s, killed) in verdicts.iter().enumerate() {
+                if *killed {
+                    assert!(!subs[s].matches(&ev), "sub {s} killed on {value:?}");
+                }
+            }
+            verdicts
+        };
+        assert_eq!(kills(Value::Int(10)), [false, false, false, false]);
+        assert_eq!(kills(Value::Float(10.0)), [false, false, false, false]);
+        assert_eq!(kills(Value::Int(11)), [true, false, false, false]);
+        assert_eq!(kills(Value::Float(2.5)), [false, true, false, false]);
+        assert_eq!(kills(Value::Float(-0.0)), [false, true, false, false]);
+        // Not a number: no bound holds, exactly as no comparison does.
+        assert_eq!(kills(Value::Float(f64::NAN)), [true, true, false, false]);
+        assert_eq!(kills(Value::from("10")), [true, true, false, false]);
+        // `Int(2^53)` is below `2^53 + 1` although their `f64` images are
+        // equal; the uncompiled bound lets it through.
+        assert_eq!(kills(Value::Int(1 << 53)), [true, false, false, false]);
+        assert!(subs[2].matches(&EventMessage::builder().attr("pf5_x", 1i64 << 53).build()));
     }
 
     #[test]
@@ -931,16 +891,12 @@ mod tests {
         let subs = vec![sub(1, &Expr::eq("pf_num", 3i64))];
         let mut pf = PreFilter::new();
         rebuild(&mut pf, &subs, PrefilterMode::On);
-        let ev = pubsub_core::EventMessage::builder()
-            .attr("pf_num", 3.0f64)
-            .build();
-        let (mask, keys) = fingerprint_event(&pf, &ev);
-        assert!(!pf.kills(0, mask, &keys));
-        let ev = pubsub_core::EventMessage::builder()
-            .attr("pf_num", f64::NAN)
-            .build();
-        let (mask, keys) = fingerprint_event(&pf, &ev);
-        assert!(pf.kills(0, mask, &keys), "NaN can never fulfil an equality");
+        let ev = EventMessage::builder().attr("pf_num", 3.0f64).build();
+        let (mask, fp) = fingerprint_event(&pf, &ev);
+        assert!(!pf.kills(0, mask, &fp));
+        let ev = EventMessage::builder().attr("pf_num", f64::NAN).build();
+        let (mask, fp) = fingerprint_event(&pf, &ev);
+        assert!(pf.kills(0, mask, &fp), "NaN can never fulfil an equality");
     }
 
     #[test]
@@ -983,11 +939,9 @@ mod tests {
         let mut pf = PreFilter::new();
         rebuild(&mut pf, &subs, PrefilterMode::On);
         assert_eq!(pf.tracked_attributes(), 64);
-        let ev = pubsub_core::EventMessage::builder()
-            .attr("pf_cap_0", 1i64)
-            .build();
-        let (mask, keys) = fingerprint_event(&pf, &ev);
-        assert!(!pf.kills(0, mask, &keys));
-        assert!(pf.kills(1, mask, &keys), "pf_cap_1 is required but absent");
+        let ev = EventMessage::builder().attr("pf_cap_0", 1i64).build();
+        let (mask, fp) = fingerprint_event(&pf, &ev);
+        assert!(!pf.kills(0, mask, &fp));
+        assert!(pf.kills(1, mask, &fp), "pf_cap_1 is required but absent");
     }
 }

@@ -43,11 +43,11 @@ pub struct ProbePlan {
     /// Stage-0 presence bitmask per event (only filled when the pre-filter
     /// is enabled).
     masks: Vec<u64>,
-    /// Stage-0 interned keys, event-major: event `i` owns
-    /// `keys[i*tracked .. (i+1)*tracked]`.
-    keys: Vec<u32>,
-    /// Scratch for one event's fingerprint keys.
-    fp_scratch: Vec<u32>,
+    /// Stage-0 fingerprints (interned key, numeric value per presence bit),
+    /// event-major: event `i` owns `fps[i*tracked .. (i+1)*tracked]`.
+    fps: Vec<(u32, f64)>,
+    /// Scratch for one event's fingerprint.
+    fp_scratch: Vec<(u32, f64)>,
     /// Permutation of one attribute group's entries, sorted by value.
     order: Vec<u32>,
     /// Surviving `(event, key)` emissions, in probe order.
@@ -81,7 +81,7 @@ impl ProbePlan {
         let Self {
             groups,
             masks,
-            keys,
+            fps,
             fp_scratch,
             order,
             emissions,
@@ -99,11 +99,11 @@ impl ProbePlan {
         // Fingerprint every event up front: each event is fingerprinted once
         // even though its emissions are scattered across attribute groups.
         masks.clear();
-        keys.clear();
+        fps.clear();
         if pf_on {
             for i in 0..n {
                 masks.push(prefilter.fingerprint(batch.resolved(i), fp_scratch));
-                keys.extend_from_slice(fp_scratch);
+                fps.extend_from_slice(fp_scratch);
             }
         }
 
@@ -141,7 +141,7 @@ impl ProbePlan {
                                 && prefilter.kills(
                                     slot,
                                     masks[ev as usize],
-                                    &keys[ev as usize * tracked..(ev as usize + 1) * tracked],
+                                    &fps[ev as usize * tracked..(ev as usize + 1) * tracked],
                                 )
                             {
                                 *killed += 1;
@@ -224,8 +224,8 @@ impl ProbePlan {
         use std::mem::size_of;
         self.groups.capacity()
             + self.masks.capacity() * size_of::<u64>()
-            + (self.keys.capacity() + self.fp_scratch.capacity() + self.order.capacity())
-                * size_of::<u32>()
+            + (self.fps.capacity() + self.fp_scratch.capacity()) * size_of::<(u32, f64)>()
+            + self.order.capacity() * size_of::<u32>()
             + self.emissions.capacity() * size_of::<(u32, PredicateKey)>()
             + (self.counts.capacity() + self.offsets.capacity()) * size_of::<u32>()
             + self.sorted.capacity() * size_of::<PredicateKey>()

@@ -180,8 +180,8 @@ impl AnyEngine {
         delegate!(self, e => e.set_config(config))
     }
 
-    /// Installs (or clears) the selectivity hint that steers stage-0
-    /// discrimination-attribute choice.
+    /// Installs (or clears) the selectivity hint that steers the choice of
+    /// access clauses and stage-0 keys.
     pub fn set_discrimination_hint(&mut self, hint: Option<DiscriminationHint>) {
         delegate!(self, e => e.set_discrimination_hint(hint))
     }
@@ -256,8 +256,8 @@ pub trait ShardEngine: MatchingEngine + Send {
     /// Replaces the pipeline configuration.
     fn set_config(&mut self, config: EngineConfig);
 
-    /// Installs (or clears) the selectivity hint that steers stage-0
-    /// discrimination-attribute choice.
+    /// Installs (or clears) the selectivity hint that steers the choice of
+    /// access clauses and stage-0 keys.
     fn set_discrimination_hint(&mut self, hint: Option<DiscriminationHint>);
 
     /// Whether the stage-0 pre-filter is active for the current

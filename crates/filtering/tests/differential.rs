@@ -7,6 +7,9 @@
 //! * `match_batch` must agree with per-event `match_event` on both engines,
 //!   including when subscriptions churn between batches, and single-event
 //!   matching must agree with the baseline after every single mutation.
+//! * Populations that mix subscriptions indexed under an access clause with
+//!   ungated ones agree with the baseline through churn that adds, moves and
+//!   removes access clauses, on every engine, path and pre-filter mode.
 //! * After warmup, repeated matching — per event or per batch — must not
 //!   allocate any new scratch: the generation-stamped counters, leaf masks,
 //!   touched lists, and the batch match buffer are reused.
@@ -16,7 +19,9 @@ use filtering::{
     NaiveEngine, PerEventSink, PrefilterMode, ShardedEngine,
 };
 use proptest::prelude::*;
-use pubsub_core::{EventBatch, EventMessage};
+use pubsub_core::{
+    EventBatch, EventMessage, Expr, Operator, SubscriberId, Subscription, SubscriptionId, Value,
+};
 use workload::{WorkloadConfig, WorkloadGenerator};
 
 proptest! {
@@ -456,6 +461,283 @@ proptest! {
             prop_assert!(counting.len() < 32, "the drain left {}", counting.len());
             prop_assert_eq!(counting.prefilter_enabled(), mode == PrefilterMode::On);
         }
+    }
+}
+
+/// Attribute names of the gating population, private to this suite.
+const G_TITLE: &str = "gate_title";
+const G_COND: &str = "gate_cond";
+const G_BUY: &str = "gate_buy_now";
+const G_CAT: &str = "gate_category";
+const G_X: &str = "gate_x";
+const G_Y: &str = "gate_y";
+const G_NAME: &str = "gate_name";
+
+/// Numbers for thresholds, equality constants and event values: `Int`/
+/// `Float` twins, both zeros, and ints on both sides of ±2^53, where an
+/// `i64` comparison and an `f64` one part ways.
+fn gate_numbers() -> Vec<Value> {
+    let big = 1i64 << 53;
+    vec![
+        Value::Int(-1),
+        Value::Int(0),
+        Value::Float(0.0),
+        Value::Float(-0.0),
+        Value::Float(2.5),
+        Value::Int(3),
+        Value::Float(3.0),
+        Value::Int(7),
+        Value::Int(big - 1),
+        Value::Int(big),
+        Value::Int(big + 1),
+        Value::Int(big + 2),
+        Value::Float(big as f64),
+        Value::Int(-big),
+        Value::Int(-big - 1),
+    ]
+}
+
+/// One random body of the gating population. Shapes, by `kind`:
+/// several required equalities (access + key + bound); an equality group
+/// only; no equality; `Not`-only (`pmin` 0); a `NaN` equality constant
+/// (alone: no access clause; in a group: left out of it); a numeric access
+/// clause over twins; a title clause with a bound beyond 2^53; `Prefix` /
+/// `Contains` leaves, gated and not; a disjunction with nothing required;
+/// an equality group with a child on an int beyond or at ±2^53 (the group
+/// is then no access clause, a title beside it may be); an equality on an
+/// int beyond 2^53 (never an access clause).
+fn gate_body(rng: &mut proptest::TestRng) -> Expr {
+    let numbers = gate_numbers();
+    let mut num = || numbers[rng.index(numbers.len())].clone();
+    let (n, m, k) = (num(), num(), num());
+    let title = format!("t{}", rng.index(5));
+    let cond = ["new", "used", "worn"][rng.index(3)];
+    let cat = |i: usize| format!("c{i}");
+    let bound = |rng: &mut proptest::TestRng, attr: &str, v: Value| match rng.index(4) {
+        0 => Expr::lt(attr, v),
+        1 => Expr::le(attr, v),
+        2 => Expr::gt(attr, v),
+        _ => Expr::ge(attr, v),
+    };
+    let big = 1i64 << 53;
+    match rng.index(12) {
+        0 => {
+            let mut clauses = vec![Expr::eq(G_TITLE, title.as_str()), bound(rng, G_X, n)];
+            if rng.index(2) == 0 {
+                clauses.push(Expr::eq(G_COND, cond));
+            }
+            if rng.index(2) == 0 {
+                clauses.push(Expr::eq(G_BUY, true));
+            }
+            Expr::and(clauses)
+        }
+        1 => {
+            let first = rng.index(5);
+            let mut group = vec![Expr::eq(G_CAT, cat(first).as_str())];
+            for _ in 0..rng.index(3) {
+                group.push(Expr::eq(G_CAT, cat(rng.index(5)).as_str()));
+            }
+            Expr::and(vec![Expr::or(group), bound(rng, G_X, n)])
+        }
+        2 => Expr::and(vec![bound(rng, G_X, n), bound(rng, G_Y, m)]),
+        3 => Expr::not(Expr::eq(G_TITLE, title.as_str())),
+        4 => match rng.index(2) {
+            0 => Expr::and(vec![Expr::eq(G_X, f64::NAN), bound(rng, G_Y, m)]),
+            _ => Expr::and(vec![
+                Expr::or(vec![
+                    Expr::eq(G_CAT, cat(rng.index(5)).as_str()),
+                    Expr::eq(G_CAT, f64::NAN),
+                ]),
+                bound(rng, G_Y, m),
+            ]),
+        },
+        5 => Expr::and(vec![
+            Expr::eq(G_X, n),
+            bound(rng, G_Y, m),
+            bound(rng, G_X, k),
+        ]),
+        6 => {
+            let edge = [big - 1, big, big + 1, -big - 1][rng.index(4)];
+            Expr::and(vec![
+                Expr::eq(G_TITLE, title.as_str()),
+                bound(rng, G_X, Value::Int(edge)),
+            ])
+        }
+        7 => match rng.index(2) {
+            0 => Expr::and(vec![
+                Expr::eq(G_TITLE, title.as_str()),
+                Expr::prefix(G_NAME, ["ab", "b", "x"][rng.index(3)]),
+            ]),
+            _ => Expr::and(vec![
+                Expr::contains(G_NAME, ["b", "c", "yz"][rng.index(3)]),
+                bound(rng, G_X, n),
+            ]),
+        },
+        8 => Expr::or(vec![Expr::eq(G_TITLE, title.as_str()), bound(rng, G_X, n)]),
+        9 => Expr::and(vec![
+            Expr::eq(G_X, Value::Int([big + 1, -big - 1, big][rng.index(3)])),
+            Expr::eq(G_COND, cond),
+        ]),
+        10 => {
+            let edge = Value::Int([big + 1, -big - 1, big, big - 1][rng.index(4)]);
+            let mut clauses = vec![
+                Expr::or(vec![Expr::eq(G_X, n), Expr::eq(G_X, edge)]),
+                bound(rng, G_Y, m),
+            ];
+            if rng.index(2) == 0 {
+                clauses.push(Expr::eq(G_TITLE, title.as_str()));
+            }
+            Expr::and(clauses)
+        }
+        _ => Expr::eq(G_X, Value::Int(big + 1)),
+    }
+}
+
+/// A random event over the gating attributes; any attribute may be absent.
+fn gate_event(rng: &mut proptest::TestRng) -> EventMessage {
+    let numbers = gate_numbers();
+    let mut event = EventMessage::builder();
+    if rng.index(6) != 0 {
+        event = event.attr(G_TITLE, format!("t{}", rng.index(6)).as_str());
+    }
+    if rng.index(4) != 0 {
+        event = event.attr(G_COND, ["new", "used", "worn", "fair"][rng.index(4)]);
+    }
+    if rng.index(3) != 0 {
+        event = event.attr(G_BUY, rng.index(2) == 0);
+    }
+    if rng.index(3) != 0 {
+        event = event.attr(G_CAT, format!("c{}", rng.index(6)).as_str());
+    }
+    if rng.index(8) != 0 {
+        event = event.attr(G_X, numbers[rng.index(numbers.len())].clone());
+    }
+    if rng.index(4) != 0 {
+        let y = match rng.index(6) {
+            0 => Value::from("not a number"),
+            1 => Value::Float(f64::NAN),
+            _ => numbers[rng.index(numbers.len())].clone(),
+        };
+        event = event.attr(G_Y, y);
+    }
+    if rng.index(3) != 0 {
+        event = event.attr(G_NAME, ["abc", "bcd", "xyz"][rng.index(3)]);
+    }
+    event.build()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Gating goes both ways: a population mixing subscriptions indexed
+    /// under an access clause with ungated ones (pure ranges, `Not`-only,
+    /// `NaN` and beyond-2^53 constants, pattern leaves, disjunctions), under
+    /// churn that replaces bodies at random — which adds or removes an access
+    /// clause — and prunes `title = T` away the way network-load pruning
+    /// does, so an entry filed under its title is re-filed under another
+    /// clause or loses gating altogether. Counting and sharded (1/2/4)
+    /// engines in every pre-filter mode, batch and single-event paths, equal
+    /// the naive engine's matches throughout.
+    #[test]
+    fn gated_and_ungated_populations_agree_with_naive(seed in 0u64..4096) {
+        let mut rng = proptest::TestRng::deterministic(seed);
+        let warmup: Vec<EventMessage> = (0..64).map(|_| gate_event(&mut rng)).collect();
+        let hint = DiscriminationHint::from_events(&warmup);
+        let title_attr = pubsub_core::attr::intern(G_TITLE);
+
+        let mut naive = NaiveEngine::new();
+        let mut engines: Vec<(String, Box<dyn MatchingEngine>)> = Vec::new();
+        for mode in [PrefilterMode::On, PrefilterMode::Off, PrefilterMode::Auto] {
+            // Raw trees reach the counting index (`NaN`, duplicates, twins);
+            // the sharded engines see the analyzer's normal form.
+            let raw = EngineConfig::with_prefilter(mode).analyze(AnalyzeMode::Off);
+            let mut counting = CountingEngine::with_config(raw);
+            if mode == PrefilterMode::On {
+                counting.set_discrimination_hint(Some(hint.clone()));
+            }
+            engines.push((format!("counting {mode:?}"), Box::new(counting)));
+            for shards in [1usize, 2, 4] {
+                let mut sharded = ShardedEngine::with_config_shards_and_capacity(
+                    EngineConfig::with_prefilter(mode),
+                    shards,
+                    0,
+                );
+                if mode == PrefilterMode::Auto {
+                    sharded.set_discrimination_hint(Some(hint.clone()));
+                }
+                engines.push((format!("sharded({shards}) {mode:?}"), Box::new(sharded)));
+            }
+        }
+
+        let mut got = PerEventSink::new();
+        let mut expected = PerEventSink::new();
+        let mut single = Vec::new();
+        let (mut pruned, mut steps_since_match) = (0usize, 0usize);
+        for step in 0..240usize {
+            let id = SubscriptionId::from_raw(1 + rng.index(70) as u64);
+            let live = naive.get(id).cloned();
+            let title_leaf = live.as_ref().and_then(|s| {
+                s.tree()
+                    .predicates()
+                    .find(|(_, p)| p.attr_id() == title_attr && p.operator() == Operator::Eq)
+                    .map(|(node, _)| node)
+                    .filter(|&node| s.tree().is_valid_prune(node))
+            });
+            match (rng.index(10), live, title_leaf) {
+                // Prune the title clause away, as network-load pruning would.
+                (0..=2, Some(live), Some(node)) => {
+                    let replacement = live.with_tree(live.tree().prune(node).unwrap());
+                    pruned += 1;
+                    naive.insert(replacement.clone());
+                    for (_, engine) in &mut engines {
+                        engine.insert(replacement.clone());
+                    }
+                }
+                // Unsubscribe a live id.
+                (0..=1, Some(_), None) | (3, Some(_), _) => {
+                    prop_assert!(naive.remove(id).is_some());
+                    for (name, engine) in &mut engines {
+                        prop_assert!(engine.remove(id).is_some(), "{}", name);
+                    }
+                }
+                // Subscribe, or replace a live id's body with a random one.
+                _ => {
+                    let body = gate_body(&mut rng);
+                    let s = Subscription::from_expr(id, SubscriberId::from_raw(1), &body);
+                    naive.insert(s.clone());
+                    for (_, engine) in &mut engines {
+                        engine.insert(s.clone());
+                    }
+                }
+            }
+
+            steps_since_match += 1;
+            if steps_since_match < 6 && step + 1 < 240 {
+                continue;
+            }
+            steps_since_match = 0;
+            let batch: EventBatch = (0..1 + rng.index(24)).map(|_| gate_event(&mut rng)).collect();
+            naive.match_batch(&batch, &mut expected);
+            for (name, engine) in &mut engines {
+                engine.match_batch(&batch, &mut got);
+                for (i, event) in batch.events().iter().enumerate() {
+                    let mut want = expected.for_event(i).to_vec();
+                    want.sort();
+                    prop_assert_eq!(
+                        got.for_event(i), &want[..],
+                        "{} batch path, seed {} step {} event {}", name, seed, step, event
+                    );
+                    engine.match_event_into(event, &mut single);
+                    prop_assert_eq!(
+                        &single[..], &want[..],
+                        "{} single-event path, seed {} step {} event {}", name, seed, step, event
+                    );
+                }
+            }
+        }
+        prop_assert!(pruned > 0, "no title clause was pruned");
+        let (name, counting_on) = &engines[0];
+        prop_assert!(counting_on.stats().killed_by_prefilter > 0, "{} killed nothing", name);
     }
 }
 

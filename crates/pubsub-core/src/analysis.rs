@@ -12,8 +12,8 @@
 //!    true`, `x < false`) fold to constants; nested `And`/`Or` nodes of the
 //!    same kind are flattened; duplicate and implied siblings are dropped.
 //!    Flattening doubles as *equality-set fusion*: `Or(x=1, Or(x=2, x=3))`
-//!    becomes the single-level `Or(x=1, x=2, x=3)` that the stage-0
-//!    pre-filter recognizes as a disjunctive signature group.
+//!    becomes the single-level `Or(x=1, x=2, x=3)` that the counting
+//!    engine recognizes as an equality group (an access clause).
 //! 2. **Per-attribute interval analysis over required conjuncts.**
 //!    Contradictions (`x>5 ∧ x<3`, `x=5 ∧ x="a"`, `x≥5 ∧ x≤5 ∧ x≠5`,
 //!    incompatible prefixes, …) make the conjunction — possibly the whole
@@ -59,12 +59,6 @@ use std::collections::BTreeMap;
 /// Widest `And`/`Or` node that still gets the quadratic sibling-implication
 /// pass; wider nodes only get fingerprint-based duplicate elimination.
 const PAIRWISE_CAP: usize = 48;
-
-/// Largest integer magnitude (exclusive) for which numeric interval
-/// reasoning is sound: every integer strictly below `2^53` (and its
-/// successor) is exactly representable as `f64`, keeping mixed
-/// `Int`/`Float` comparisons transitive.
-const SAFE_INT: i64 = 1 << 53;
 
 /// Diagnostics produced by one [`Analyzer`] run.
 #[derive(Debug, Clone, PartialEq)]
@@ -896,11 +890,7 @@ fn group_contradiction(group: &[&Predicate]) -> Option<Vec<Predicate>> {
         ValueClass::Numeric => {
             // Interval reasoning is only transitive-safe when every integer
             // constant (and its successor) is exact in f64.
-            let safe = group.iter().all(|p| match p.constant() {
-                Value::Int(i) => *i > -SAFE_INT && *i < SAFE_INT,
-                _ => true,
-            });
-            if !safe {
+            if !group.iter().all(|p| p.constant().is_f64_exact()) {
                 return None;
             }
             ordered_contradiction(group)
@@ -1122,7 +1112,7 @@ mod tests {
     #[test]
     fn equality_sets_fuse_into_single_level_or() {
         // Or(x=1, Or(x=2, x=3), x=1) fuses into the single-level equality
-        // group stage 0 recognizes as a disjunctive signature.
+        // group the counting engine recognizes as an access clause.
         let expr = Expr::Or(vec![
             Expr::eq("x", 1i64),
             Expr::Or(vec![Expr::eq("x", 2i64), Expr::eq("x", 3i64)]),

@@ -149,6 +149,14 @@ impl EventMessage {
         self.attributes.iter().map(|(id, v)| (*id, v))
     }
 
+    /// The `(AttrId, Value)` pairs in attribute-name order, one per
+    /// attribute — the borrowed form of [`iter_resolved`](Self::iter_resolved),
+    /// and the same shape as `EventBatch::resolved_pairs`.
+    #[inline]
+    pub fn resolved_pairs(&self) -> &[(AttrId, Value)] {
+        &self.attributes
+    }
+
     /// Inserts (or replaces) an attribute–value pair.
     pub fn insert(&mut self, attribute: impl AsRef<str>, value: impl Into<Value>) {
         let id = attr::intern(attribute.as_ref());

@@ -119,6 +119,11 @@ impl Predicate {
         if self == other {
             return true;
         }
+        // Chaining two comparisons through an inexact int is unsound
+        // (`x = 2^53` does not imply `x < 2^53 + 1` for `Float(2^53)`).
+        if !self.constant.is_f64_exact() || !other.constant.is_f64_exact() {
+            return false;
+        }
         use Operator::*;
         match (self.operator, other.operator) {
             // x <= a covers x <= b when b <= a; same for <
@@ -285,6 +290,23 @@ mod tests {
         let a = Predicate::new("price", Operator::Le, 100i64);
         let b = Predicate::new("bids", Operator::Le, 50i64);
         assert!(!a.covers(&b));
+    }
+
+    #[test]
+    fn covering_never_chains_through_an_inexact_int() {
+        // `Float(2^53)` fulfils `x = 2^53` but not `x < 2^53 + 1`: the `f64`
+        // images of both ints are 2^53.
+        let big = 1i64 << 53;
+        let event = EventMessage::builder().attr("x", big as f64).build();
+        let narrow = Predicate::new("x", Operator::Eq, big);
+        let wide = Predicate::new("x", Operator::Lt, big + 1);
+        assert!(narrow.evaluate(&event) && !wide.evaluate(&event));
+        assert!(!wide.covers(&narrow));
+        // Inside ±2^53 the same shape still covers.
+        let wide = Predicate::new("x", Operator::Lt, big - 1);
+        assert!(wide.covers(&Predicate::new("x", Operator::Eq, big - 2)));
+        assert!(wide.covers(&Predicate::new("x", Operator::Le, 3.5f64)));
+        assert!(!Value::Int(-big).is_f64_exact() && Value::Int(1 - big).is_f64_exact());
     }
 
     #[test]

@@ -59,6 +59,16 @@ impl Value {
         )
     }
 
+    /// Whether comparisons against this value through its `f64` image
+    /// ([`as_f64`](Self::as_f64)) answer exactly as comparisons against the
+    /// value itself: every value but an `Int` beyond ±2^53. There an int and
+    /// its rounded image part ways — `Float(2^53)` equals `Int(2^53)` yet is
+    /// not below `Int(2^53 + 1)` — and reasoning that chains comparisons
+    /// through such a constant stops being transitive.
+    pub fn is_f64_exact(&self) -> bool {
+        !matches!(self, Value::Int(i) if i.unsigned_abs() >= 1 << 53)
+    }
+
     /// Numeric view of the value, if it is numeric.
     pub fn as_f64(&self) -> Option<f64> {
         match self {

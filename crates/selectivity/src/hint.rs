@@ -1,12 +1,12 @@
 //! Discrimination hints: which attributes make good pre-filter keys.
 //!
-//! The staged matching pipeline (stage 0 of `filtering::CountingEngine`)
-//! constrains each candidate subscription by **one** required equality
-//! predicate — the *discrimination attribute* — and kills the candidate
-//! before any counting when the event's value at that attribute differs
-//! from the predicate's constant. Which required equality to pick matters:
-//! `condition` (four distinct values) barely discriminates, while `title`
-//! (tens of thousands of Zipf-distributed values) kills almost everything.
+//! `filtering::CountingEngine` reaches a subscription through **one**
+//! required equality — its *access clause* — and its stage-0 pre-filter
+//! tests one more, killing a candidate when the event's value at that
+//! attribute differs from the predicate's constant. Which required equality
+//! goes where matters: `condition` (four distinct values) barely
+//! discriminates, while `title` (tens of thousands of Zipf-distributed
+//! values) rules out almost everything.
 //!
 //! [`DiscriminationHint`] distils an [`EventStatistics`] sample into one
 //! score per attribute: the probability that a random event *passes* an

@@ -44,7 +44,7 @@ impl WorkloadConfig {
     /// popularity pushed to ~1.6 ([`AuctionSchema::hot_key`]) and a
     /// title-watcher-heavy subscription mix ([`ClassMix::title_heavy`]).
     /// Most events then carry one of a few hot title keys — the cell where
-    /// the stage-0 pre-filter's discrimination key pays off most.
+    /// the stage-0 pre-filter's secondary key pays off most.
     pub fn hot_key() -> Self {
         Self {
             seed: 42,

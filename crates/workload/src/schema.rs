@@ -132,8 +132,8 @@ impl AuctionSchema {
     /// dominate both the event stream and the equality predicates of the
     /// subscriptions drawn from it. This is the adversarially *skewed* cell
     /// of the staged-matching benchmarks: most events carry one of a few hot
-    /// keys, and the stage-0 discrimination key separates the few
-    /// subscriptions watching that key from the long tail watching others.
+    /// keys, and many subscriptions share a hot key's access bucket, which
+    /// the stage-0 secondary key and bound then thin out.
     pub fn hot_key() -> Self {
         Self {
             popularity_skew: 1.6,
