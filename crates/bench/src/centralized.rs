@@ -10,7 +10,6 @@ use workload::{ScenarioConfig, WorkloadGenerator};
 /// One measurement of the centralized setting: a `(heuristic, fraction)`
 /// point carrying the y-values of all three centralized panels.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CentralizedPoint {
     /// The pruning heuristic (`sel`, `eff`, or `mem` in the paper's labels).
     pub dimension: Dimension,

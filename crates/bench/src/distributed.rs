@@ -11,7 +11,6 @@ use workload::{ScenarioConfig, WorkloadGenerator};
 /// One measurement of the distributed setting: a `(heuristic, fraction)`
 /// point carrying the y-values of all three distributed panels.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DistributedPoint {
     /// The pruning heuristic.
     pub dimension: Dimension,

@@ -16,7 +16,6 @@ use std::collections::BTreeMap;
 
 /// Where a routing entry's matches must be sent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Destination {
     /// A subscriber connected directly to this broker.
     LocalClient(SubscriberId),
@@ -201,8 +200,9 @@ impl Broker {
     /// given neighbor.
     ///
     /// This is a bootstrap/snapshot helper (used when rebuilding a broker
-    /// from another broker's state, e.g. for [`ParallelNetwork::from_brokers`]
-    /// (crate::ParallelNetwork::from_brokers)); live registration arrives as
+    /// from another broker's state, e.g. for
+    /// [`ParallelNetwork::from_brokers`](crate::ParallelNetwork::from_brokers));
+    /// live registration arrives as
     /// [`WireMessage::Subscribe`] through
     /// [`handle_message`](Broker::handle_message), which records the arrival
     /// link as the next hop.
@@ -1405,18 +1405,5 @@ mod tests {
         assert_eq!(handling.outgoing.len(), 2);
         assert_eq!(broker.analysis_stats(), AnalysisStats::default());
         assert_eq!(broker.local_subscriptions().len(), 3);
-    }
-
-    #[cfg(feature = "serde-json-tests")]
-    #[test]
-    fn destination_serde_roundtrip() {
-        let d = Destination::Neighbor(b(3));
-        let json = serde_json::to_string(&d).unwrap();
-        let back: Destination = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, d);
-        let d = Destination::LocalClient(SubscriberId::from_raw(4));
-        let json = serde_json::to_string(&d).unwrap();
-        let back: Destination = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, d);
     }
 }

@@ -317,7 +317,6 @@ impl Storage for FileStorage {
 /// Tuning of a broker's [`DurableLog`]. Carried by
 /// [`SimulationConfig::with_durability`](crate::SimulationConfig::with_durability).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DurabilityConfig {
     /// Minimum number of appended records between snapshot compactions; `0`
     /// disables compaction (the log grows unboundedly). A compaction runs

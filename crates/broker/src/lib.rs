@@ -31,7 +31,7 @@
 //! The central type is [`Simulation`]: build it from a [`Topology`] and a set
 //! of subscriptions, publish events, and read the metrics. Pruned routing
 //! entries are installed with [`Simulation::install_remote_tree`] (typically
-//! produced by a [`pruning::Pruner`] per broker).
+//! produced by a `pruning::Pruner` per broker).
 //!
 //! ```
 //! use broker::{Simulation, SimulationConfig, Topology};

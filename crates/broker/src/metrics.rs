@@ -17,7 +17,6 @@ use std::time::Duration;
 /// the paper. Per-link counters are keyed by the undirected link (smaller
 /// broker id first).
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetworkStats {
     /// Total inter-broker event copies (one per event per link crossing).
     pub messages: u64,
@@ -161,7 +160,6 @@ impl NetworkStats {
 /// Memory accounting of one routing table (or of a whole simulation when
 /// aggregated), split into local and remote entries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RoutingMemoryReport {
     /// Number of local-client subscriptions.
     pub local_subscriptions: usize,
@@ -235,7 +233,6 @@ impl RoutingMemoryReport {
 /// outcomes — floods suppressed by subsumption and floods re-issued when a
 /// subsuming subscription was later removed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AnalysisStats {
     /// Subscriptions whose tree the analyzer rewrote at broker ingress.
     pub subs_simplified: u64,
@@ -265,7 +262,6 @@ impl AnalysisStats {
 
 /// The result of publishing a batch of events through the simulation.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunReport {
     /// Number of events published.
     pub events_published: u64,

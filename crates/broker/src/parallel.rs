@@ -7,15 +7,16 @@
 //! top of the same [`Broker`](crate::Broker) type to measure aggregate system
 //! throughput (events per second) on multi-core hosts.
 //!
-//! Design: each broker runs on its own worker thread behind a
-//! `parking_lot::Mutex` and owns a `crossbeam` channel of incoming
-//! [`Envelope`]s. Envelopes carry **encoded wire frames** — exactly the
-//! bytes a socket would carry: publishing injects per-origin
-//! [`WireMessage::PublishBatch`] frames; each worker decodes a frame with
-//! its own [`Codec`], hands the message to the broker's
-//! [`handle_message`](Broker::handle_message) ingress, and re-encodes the
-//! responses for its neighbors. A shared atomic in-flight counter detects
-//! quiescence so [`ParallelNetwork::run`] can return once every event has
+//! Design: [`ParallelNetwork::run`] opens a `std::thread::scope` and spawns
+//! one worker per broker; each worker mutably borrows its own broker and
+//! drains an `mpsc` channel of incoming [`Envelope`]s. Envelopes carry
+//! **encoded wire frames** — exactly the bytes a socket would carry:
+//! publishing injects per-origin [`WireMessage::PublishBatch`] frames; each
+//! worker decodes a frame with its own [`Codec`], hands the message to the
+//! broker's [`handle_message`](Broker::handle_message) ingress, and sends the
+//! encoded responses to its neighbors. Each worker returns what it routed
+//! from `join`; the only state the threads share is an atomic in-flight
+//! counter that detects quiescence, so `run` can return once every event has
 //! been fully routed.
 //!
 //! The in-flight counter is this executor's version of the quiescence
@@ -32,12 +33,12 @@ use crate::broker_node::{Broker, MessageHandling};
 use crate::metrics::NetworkStats;
 use crate::topology::Topology;
 use crate::wire::{Codec, WireMessage};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use pubsub_core::{BrokerId, EventBatch, EventMessage};
 use std::collections::BTreeMap;
+use std::ops::AddAssign;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::thread::{self, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 /// One message travelling between brokers (or from a publisher into its
@@ -84,6 +85,24 @@ impl ParallelRunReport {
     }
 }
 
+/// What one worker (or the whole network) has routed.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counts {
+    deliveries: u64,
+    messages: u64,
+    frames: u64,
+    bytes: u64,
+}
+
+impl AddAssign for Counts {
+    fn add_assign(&mut self, other: Self) {
+        self.deliveries += other.deliveries;
+        self.messages += other.messages;
+        self.frames += other.frames;
+        self.bytes += other.bytes;
+    }
+}
+
 /// A thread-per-broker executor over a set of [`Broker`]s.
 ///
 /// The network is built from brokers that have already been populated with
@@ -93,11 +112,8 @@ impl ParallelRunReport {
 #[derive(Debug)]
 pub struct ParallelNetwork {
     topology: Topology,
-    brokers: BTreeMap<BrokerId, Arc<Mutex<Broker>>>,
-    deliveries: Arc<AtomicU64>,
-    messages: Arc<AtomicU64>,
-    frames: Arc<AtomicU64>,
-    bytes: Arc<AtomicU64>,
+    brokers: BTreeMap<BrokerId, Broker>,
+    totals: Counts,
 }
 
 impl ParallelNetwork {
@@ -107,25 +123,20 @@ impl ParallelNetwork {
     /// Panics if the broker set does not cover exactly the topology's broker
     /// ids.
     pub fn from_brokers(topology: Topology, brokers: Vec<Broker>) -> Self {
-        let map: BTreeMap<BrokerId, Arc<Mutex<Broker>>> = brokers
-            .into_iter()
-            .map(|b| (b.id(), Arc::new(Mutex::new(b))))
-            .collect();
+        let brokers: BTreeMap<BrokerId, Broker> =
+            brokers.into_iter().map(|b| (b.id(), b)).collect();
         for id in topology.broker_ids() {
-            assert!(map.contains_key(&id), "missing broker {id}");
+            assert!(brokers.contains_key(&id), "missing broker {id}");
         }
         assert_eq!(
-            map.len(),
+            brokers.len(),
             topology.len(),
             "broker set does not match the topology"
         );
         Self {
             topology,
-            brokers: map,
-            deliveries: Arc::new(AtomicU64::new(0)),
-            messages: Arc::new(AtomicU64::new(0)),
-            frames: Arc::new(AtomicU64::new(0)),
-            bytes: Arc::new(AtomicU64::new(0)),
+            brokers,
+            totals: Counts::default(),
         }
     }
 
@@ -136,151 +147,96 @@ impl ParallelNetwork {
 
     /// Total notifications delivered so far.
     pub fn deliveries(&self) -> u64 {
-        self.deliveries.load(Ordering::Relaxed)
+        self.totals.deliveries
     }
 
     /// Total inter-broker event copies so far.
     pub fn broker_messages(&self) -> u64 {
-        self.messages.load(Ordering::Relaxed)
+        self.totals.messages
     }
 
     /// Total encoded frame bytes so far.
     pub fn wire_bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
+        self.totals.bytes
     }
 
     /// Routes a batch of events through the network using one worker thread
     /// per broker. Events are injected round-robin over the brokers as
     /// encoded `PublishBatch` frames. Returns once every event has been
     /// fully routed.
-    pub fn run(&self, events: &[EventMessage]) -> ParallelRunReport {
+    pub fn run(&mut self, events: &[EventMessage]) -> ParallelRunReport {
         let start = Instant::now();
-        let broker_ids: Vec<BrokerId> = self.topology.broker_ids().collect();
+        let broker_ids: Vec<BrokerId> = self.brokers.keys().copied().collect();
+        let (senders, inboxes): (
+            BTreeMap<BrokerId, Sender<Envelope>>,
+            Vec<Receiver<Envelope>>,
+        ) = broker_ids
+            .iter()
+            .map(|&id| {
+                let (tx, rx) = mpsc::channel();
+                ((id, tx), rx)
+            })
+            .unzip();
+        // Frames handed to a channel but not yet fully handled. `Relaxed`
+        // suffices: the counter publishes no data — each broker's state and
+        // each worker's counts come back through `join`.
+        let in_flight = AtomicU64::new(0);
 
-        // Channels, one per broker.
-        let mut senders: BTreeMap<BrokerId, Sender<Envelope>> = BTreeMap::new();
-        let mut receivers: BTreeMap<BrokerId, Receiver<Envelope>> = BTreeMap::new();
-        for id in &broker_ids {
-            let (tx, rx) = unbounded();
-            senders.insert(*id, tx);
-            receivers.insert(*id, rx);
-        }
-
-        // In-flight envelopes: workers exit when the counter reaches zero and
-        // all events have been injected.
-        let in_flight = Arc::new(AtomicU64::new(0));
-        let deliveries = Arc::new(AtomicU64::new(0));
-        let messages = Arc::new(AtomicU64::new(0));
-        let frames = Arc::new(AtomicU64::new(0));
-        let bytes = Arc::new(AtomicU64::new(0));
-
-        crossbeam::scope(|scope| {
-            // Worker per broker.
-            for id in &broker_ids {
-                let receiver = receivers[id].clone();
-                let senders = senders.clone();
-                let broker = Arc::clone(&self.brokers[id]);
-                let in_flight = Arc::clone(&in_flight);
-                let deliveries = Arc::clone(&deliveries);
-                let messages = Arc::clone(&messages);
-                let frames = Arc::clone(&frames);
-                let bytes = Arc::clone(&bytes);
-                let own_id = *id;
-                scope.spawn(move |_| {
-                    // Workers drain their channel until the injector tells
-                    // them the run is quiescent. Each worker owns its codec
-                    // and reuses one decoded message, one handling buffer,
-                    // and one encode buffer across envelopes.
-                    let mut codec = Codec::new();
-                    let mut message = WireMessage::Ack { broker: own_id };
-                    let mut handling = MessageHandling::new();
-                    let mut frame = Vec::new();
-                    while let Ok(envelope) = receiver.recv() {
-                        let (envelope_bytes, from) = match envelope {
-                            Envelope::Shutdown => break,
-                            Envelope::Frame { bytes, from } => (bytes, from),
-                        };
-                        codec
-                            .decode_into(&envelope_bytes, &mut message)
-                            .expect("workers only receive well-formed frames");
-                        broker
-                            .lock()
-                            .handle_message_into(&message, from, &mut handling);
-                        deliveries.fetch_add(handling.deliveries.len() as u64, Ordering::Relaxed);
-                        // Encode and forward the broker's responses; every
-                        // event copy still counts as one inter-broker
-                        // message, and every frame's exact length is
-                        // accounted.
-                        for (neighbor, response) in &handling.outgoing {
-                            frame.clear();
-                            let len = codec.encode_into(response, &mut frame);
-                            if let WireMessage::PublishBatch { events } = response {
-                                messages.fetch_add(events.len() as u64, Ordering::Relaxed);
-                            }
-                            frames.fetch_add(1, Ordering::Relaxed);
-                            bytes.fetch_add(len as u64, Ordering::Relaxed);
-                            in_flight.fetch_add(1, Ordering::Relaxed);
-                            senders[neighbor]
-                                .send(Envelope::Frame {
-                                    bytes: frame.clone(),
-                                    from: Some(own_id),
-                                })
-                                .expect("receiver outlives forwarding");
-                        }
-                        in_flight.fetch_sub(1, Ordering::Relaxed);
-                    }
-                });
-            }
+        let counts = thread::scope(|scope| {
+            let workers: Vec<ScopedJoinHandle<'_, Counts>> = self
+                .brokers
+                .iter_mut()
+                .zip(inboxes)
+                .map(|((&id, broker), inbox)| {
+                    let senders = senders.clone();
+                    let in_flight = &in_flight;
+                    scope.spawn(move || route(id, broker, &inbox, &senders, in_flight))
+                })
+                .collect();
 
             // Injector: group the events into one batch per round-robin
             // origin broker and inject each group as an encoded frame where
             // it originates.
-            let mut injector_codec = Codec::new();
+            let mut codec = Codec::new();
             let mut per_origin: BTreeMap<BrokerId, EventBatch> = BTreeMap::new();
-            for (i, event) in events.iter().enumerate() {
-                let origin = broker_ids[i % broker_ids.len()];
-                per_origin.entry(origin).or_default().push(event.clone());
+            for (event, origin) in events.iter().zip(broker_ids.iter().cycle()) {
+                per_origin.entry(*origin).or_default().push(event.clone());
             }
             for (origin, batch) in per_origin {
                 let mut frame = Vec::new();
-                injector_codec.encode_publish_batch(&batch, &mut frame);
+                codec.encode_publish_batch(&batch, &mut frame);
                 in_flight.fetch_add(1, Ordering::Relaxed);
-                senders[&origin]
-                    .send(Envelope::Frame {
-                        bytes: frame,
-                        from: None,
-                    })
-                    .expect("workers are running");
+                let _ = senders[&origin].send(Envelope::Frame {
+                    bytes: frame,
+                    from: None,
+                });
             }
 
-            // Wait for quiescence, then tell every worker to exit.
-            while in_flight.load(Ordering::Relaxed) > 0 {
-                std::thread::yield_now();
+            // Wait for quiescence (or a worker that died), then tell every
+            // worker to exit. Sends fail only into a dead worker's channel;
+            // its panic surfaces from `join`, and the other workers must
+            // still get their shutdown or the scope would never end.
+            while in_flight.load(Ordering::Relaxed) > 0 && !workers.iter().any(|w| w.is_finished())
+            {
+                thread::yield_now();
             }
             for sender in senders.values() {
-                sender
-                    .send(Envelope::Shutdown)
-                    .expect("workers are still draining their channels");
+                let _ = sender.send(Envelope::Shutdown);
             }
-            drop(senders);
-        })
-        .expect("broker worker panicked");
+            let mut counts = Counts::default();
+            for worker in workers {
+                counts += worker.join().expect("broker worker panicked");
+            }
+            counts
+        });
 
-        self.deliveries
-            .fetch_add(deliveries.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.messages
-            .fetch_add(messages.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.frames
-            .fetch_add(frames.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.bytes
-            .fetch_add(bytes.load(Ordering::Relaxed), Ordering::Relaxed);
-
+        self.totals += counts;
         ParallelRunReport {
             events_published: events.len() as u64,
-            deliveries: deliveries.load(Ordering::Relaxed),
-            broker_messages: messages.load(Ordering::Relaxed),
-            broker_frames: frames.load(Ordering::Relaxed),
-            bytes: bytes.load(Ordering::Relaxed),
+            deliveries: counts.deliveries,
+            broker_messages: counts.messages,
+            broker_frames: counts.frames,
+            bytes: counts.bytes,
             elapsed: start.elapsed(),
         }
     }
@@ -290,30 +246,63 @@ impl ParallelNetwork {
     /// [`Simulation`](crate::Simulation)).
     pub fn network_stats(&self) -> NetworkStats {
         NetworkStats {
-            messages: self.broker_messages(),
-            frames: self.frames.load(Ordering::Relaxed),
-            bytes: self.wire_bytes(),
-            control_frames: 0,
-            control_bytes: 0,
-            retransmits: 0,
-            dup_suppressed: 0,
-            corrupt_dropped: 0,
-            resyncs: 0,
-            decode_errors: 0,
-            queue_drops: 0,
-            log_records_replayed: 0,
-            snapshot_compactions: 0,
-            log_bytes: 0,
-            log_corrupt_truncations: 0,
-            per_link: BTreeMap::new(),
+            messages: self.totals.messages,
+            frames: self.totals.frames,
+            bytes: self.totals.bytes,
+            ..NetworkStats::default()
         }
     }
+}
+
+/// One broker's worker: drains `inbox` until [`Envelope::Shutdown`], hands
+/// each decoded frame to `broker` and sends the encoded responses to its
+/// neighbors. Each worker owns its codec and reuses one decoded message and
+/// one handling buffer across envelopes.
+fn route(
+    id: BrokerId,
+    broker: &mut Broker,
+    inbox: &Receiver<Envelope>,
+    senders: &BTreeMap<BrokerId, Sender<Envelope>>,
+    in_flight: &AtomicU64,
+) -> Counts {
+    let mut counts = Counts::default();
+    let mut codec = Codec::new();
+    let mut message = WireMessage::Ack { broker: id };
+    let mut handling = MessageHandling::new();
+    while let Ok(Envelope::Frame { bytes, from }) = inbox.recv() {
+        codec
+            .decode_into(&bytes, &mut message)
+            .expect("workers only receive well-formed frames");
+        broker.handle_message_into(&message, from, &mut handling);
+        counts.deliveries += handling.deliveries.len() as u64;
+        // Every event copy counts as one inter-broker message, and every
+        // frame's exact length is accounted.
+        for (neighbor, response) in &handling.outgoing {
+            let mut frame = Vec::new();
+            let len = codec.encode_into(response, &mut frame);
+            if let WireMessage::PublishBatch { events } = response {
+                counts.messages += events.len() as u64;
+            }
+            counts.frames += 1;
+            counts.bytes += len as u64;
+            in_flight.fetch_add(1, Ordering::Relaxed);
+            senders[neighbor]
+                .send(Envelope::Frame {
+                    bytes: frame,
+                    from: Some(id),
+                })
+                .expect("receiver outlives forwarding");
+        }
+        in_flight.fetch_sub(1, Ordering::Relaxed);
+    }
+    counts
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Simulation, SimulationConfig};
+    use filtering::EngineKind;
     use pubsub_core::{Expr, SubscriberId, Subscription, SubscriptionId};
 
     fn sub(id: u64, subscriber: u64, expr: &Expr) -> Subscription {
@@ -327,14 +316,10 @@ mod tests {
     /// Builds brokers with the same routing state the deterministic
     /// simulation would install, by reusing the simulation's forwarding
     /// logic against standalone brokers.
-    fn build_brokers(topology: &Topology, subscriptions: &[Subscription]) -> Vec<Broker> {
-        build_brokers_with_engine(topology, subscriptions, filtering::EngineKind::Counting)
-    }
-
-    fn build_brokers_with_engine(
+    fn build_brokers(
         topology: &Topology,
         subscriptions: &[Subscription],
-        engine: filtering::EngineKind,
+        engine: EngineKind,
     ) -> Vec<Broker> {
         let mut sim = Simulation::new(SimulationConfig::new(topology.clone()));
         sim.register_all(subscriptions.iter().cloned());
@@ -371,9 +356,10 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn parallel_run_matches_the_deterministic_simulation() {
-        let topology = Topology::line(4);
+    /// Runs the same subscriptions and events through the deterministic
+    /// simulation and through thread-per-broker workers, for each engine on
+    /// a line and a star, and checks that deliveries and traffic agree.
+    fn assert_parallel_matches_simulation(engines: &[EngineKind]) {
         let subscriptions = vec![
             sub(1, 0, &Expr::eq("category", "books")),
             sub(
@@ -387,69 +373,60 @@ mod tests {
             sub(3, 3, &Expr::ge("price", 30i64)),
         ];
         let events = events(40);
+        for topology in [Topology::line(4), Topology::star(4)] {
+            for &engine in engines {
+                let mut sim =
+                    Simulation::new(SimulationConfig::new(topology.clone()).with_engine(engine));
+                sim.register_all(subscriptions.iter().cloned());
+                let reference = sim.publish_all(&events);
 
-        // Deterministic reference.
-        let mut sim = Simulation::new(SimulationConfig::new(topology.clone()));
-        sim.register_all(subscriptions.iter().cloned());
-        let reference = sim.publish_all(&events);
+                let mut network = ParallelNetwork::from_brokers(
+                    topology.clone(),
+                    build_brokers(&topology, &subscriptions, engine),
+                );
+                let report = network.run(&events);
 
-        // Parallel run over equivalent brokers.
-        let network = ParallelNetwork::from_brokers(
-            topology.clone(),
-            build_brokers(&topology, &subscriptions),
-        );
-        let report = network.run(&events);
+                let cell = format!("{engine:?} on {} brokers", topology.len());
+                assert_eq!(report.events_published, 40, "{cell}");
+                assert_eq!(report.deliveries, reference.deliveries, "{cell}");
+                assert_eq!(report.broker_messages, reference.network.messages, "{cell}");
+                // The multiset of frames is identical to the simulation's
+                // (same grouping, same codec), so frame and byte totals agree
+                // exactly even though the hop interleaving differs.
+                assert_eq!(report.broker_frames, reference.network.frames, "{cell}");
+                assert_eq!(report.bytes, reference.network.bytes, "{cell}");
+                assert_eq!(network.deliveries(), reference.deliveries, "{cell}");
+                assert_eq!(
+                    network.broker_messages(),
+                    reference.network.messages,
+                    "{cell}"
+                );
+                assert_eq!(network.wire_bytes(), reference.network.bytes, "{cell}");
+                assert!(report.events_per_second() > 0.0, "{cell}");
+            }
+        }
+    }
 
-        assert_eq!(report.events_published, 40);
-        assert_eq!(report.deliveries, reference.deliveries);
-        assert_eq!(report.broker_messages, reference.network.messages);
-        // The multiset of frames is identical to the simulation's (same
-        // grouping, same codec), so frame and byte totals agree exactly even
-        // though the hop interleaving differs.
-        assert_eq!(report.broker_frames, reference.network.frames);
-        assert_eq!(report.bytes, reference.network.bytes);
-        assert_eq!(network.deliveries(), reference.deliveries);
-        assert_eq!(network.broker_messages(), reference.network.messages);
-        assert_eq!(network.wire_bytes(), reference.network.bytes);
-        assert!(report.events_per_second() > 0.0);
+    #[test]
+    fn parallel_run_matches_the_deterministic_simulation() {
+        assert_parallel_matches_simulation(&[EngineKind::Counting, EngineKind::ATree]);
     }
 
     #[test]
     fn parallel_run_with_sharded_brokers_matches_the_simulation() {
         // Thread-per-broker workers whose brokers themselves shard their
         // matching across threads: the composition must still reproduce the
-        // deterministic simulation's deliveries and message counts.
-        let topology = Topology::star(4);
-        let subscriptions = vec![
-            sub(1, 0, &Expr::eq("category", "books")),
-            sub(2, 1, &Expr::le("price", 10i64)),
-            sub(3, 2, &Expr::ge("price", 30i64)),
-        ];
-        let events = events(60);
-
-        let mut sim = Simulation::new(
-            SimulationConfig::new(topology.clone()).with_engine(filtering::EngineKind::Sharded(2)),
-        );
-        sim.register_all(subscriptions.iter().cloned());
-        let reference = sim.publish_all(&events);
-
-        let network = ParallelNetwork::from_brokers(
-            topology.clone(),
-            build_brokers_with_engine(&topology, &subscriptions, filtering::EngineKind::Sharded(2)),
-        );
-        let report = network.run(&events);
-        assert_eq!(report.deliveries, reference.deliveries);
-        assert_eq!(report.broker_messages, reference.network.messages);
-        assert_eq!(report.bytes, reference.network.bytes);
+        // deterministic simulation's deliveries and traffic.
+        assert_parallel_matches_simulation(&[EngineKind::Sharded(2), EngineKind::ShardedATree(2)]);
     }
 
     #[test]
     fn repeated_runs_accumulate_counters() {
         let topology = Topology::star(3);
         let subscriptions = vec![sub(1, 0, &Expr::eq("category", "books"))];
-        let network = ParallelNetwork::from_brokers(
+        let mut network = ParallelNetwork::from_brokers(
             topology.clone(),
-            build_brokers(&topology, &subscriptions),
+            build_brokers(&topology, &subscriptions, EngineKind::Counting),
         );
         let first = network.run(&events(10));
         let second = network.run(&events(10));
@@ -462,7 +439,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_noop() {
         let topology = Topology::single();
-        let network = ParallelNetwork::from_brokers(
+        let mut network = ParallelNetwork::from_brokers(
             topology.clone(),
             vec![Broker::new(BrokerId::from_raw(0), vec![])],
         );
@@ -471,6 +448,21 @@ mod tests {
         assert_eq!(report.deliveries, 0);
         assert_eq!(report.bytes, 0);
         assert_eq!(report.events_per_second(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "broker worker panicked")]
+    fn a_worker_panic_surfaces_from_run_instead_of_hanging() {
+        // Broker 0 routes towards a neighbor the network has no worker for,
+        // so its worker panics holding an in-flight frame: the counter never
+        // drains, and `run` must still return by propagating the panic.
+        let mut broker = Broker::new(BrokerId::from_raw(0), vec![BrokerId::from_raw(9)]);
+        broker.register_remote(
+            sub(1, 9, &Expr::eq("category", "books")),
+            BrokerId::from_raw(9),
+        );
+        let mut network = ParallelNetwork::from_brokers(Topology::single(), vec![broker]);
+        let _ = network.run(&events(2));
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! * the receiver delivers frames strictly in sequence order, buffers
 //!   out-of-order arrivals (bounded), suppresses duplicates (`seq` below
 //!   the next expected), and answers every data frame with a cumulative
-//!   [`Ack`](Parsed::Ack) confirming everything up to the highest
+//!   `Ack` confirming everything up to the highest
 //!   in-sequence frame received;
 //! * acks themselves are unreliable — a lost ack just means the sender
 //!   retransmits and the receiver suppresses the duplicate and re-acks;
@@ -151,7 +151,7 @@ impl Default for LinkState {
 }
 
 /// The reliable-link protocol state of a whole broker network: one
-/// [`LinkState`] per directed link, plus the virtual clock driving
+/// `LinkState` per directed link, plus the virtual clock driving
 /// retransmission deadlines.
 #[derive(Debug)]
 pub struct ReliableSession {

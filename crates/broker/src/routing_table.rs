@@ -135,7 +135,7 @@ impl Link {
 /// event against the routing table answers both "which local subscribers get
 /// a notification" and "which neighbors need a copy of this event" — the
 /// latter mostly from the per-neighbor witness cache described in the
-/// [module documentation](self).
+/// `routing_table` module documentation.
 #[derive(Debug, Default)]
 pub struct RoutingTable {
     /// The engine kind new per-destination engines are built as.
@@ -500,9 +500,8 @@ impl RoutingTable {
     /// remote entry, in ascending broker-id order.
     ///
     /// Per neighbor, the witnesses answer what they can and the engine is
-    /// driven once over the remaining events (see the
-    /// [module documentation](self)); the nested buffers of `out` are reused
-    /// across calls.
+    /// driven once over the remaining events (see the `routing_table` module
+    /// documentation); the nested buffers of `out` are reused across calls.
     pub fn forward_batch(
         &mut self,
         batch: &EventBatch,

@@ -15,7 +15,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration of a [`Simulation`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimulationConfig {
     /// The broker topology.
     pub topology: Topology,

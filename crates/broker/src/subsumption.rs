@@ -23,8 +23,9 @@ use pubsub_core::analysis::{EqBound, ImplicationProfile, ImplicationSummary};
 use pubsub_core::{AttrId, Expr, Subscription, SubscriptionId};
 use std::collections::HashMap;
 
-/// A subscription prepared for [`RoutingTable::subsumer`]
-/// (crate::RoutingTable::subsumer) lookups: build once, ask per neighbor.
+/// A subscription prepared for
+/// [`RoutingTable::subsumer`](crate::RoutingTable::subsumer) lookups: build
+/// once, ask per neighbor.
 #[derive(Debug)]
 pub struct SubsumptionQuery {
     pub(crate) id: SubscriptionId,

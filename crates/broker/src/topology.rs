@@ -10,7 +10,6 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// for lines, stars, and balanced trees, plus arbitrary edge lists which are
 /// validated to be connected and acyclic.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Topology {
     /// Adjacency lists, keyed by broker id (sorted for determinism).
     adjacency: BTreeMap<BrokerId, BTreeSet<BrokerId>>,
@@ -333,14 +332,5 @@ mod tests {
         );
         // A single broker: removing it leaves nothing.
         assert!(Topology::single().components_without(b(0)).is_empty());
-    }
-
-    #[cfg(feature = "serde-json-tests")]
-    #[test]
-    fn serde_roundtrip() {
-        let t = Topology::balanced_tree(5, 2);
-        let json = serde_json::to_string(&t).unwrap();
-        let back: Topology = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, t);
     }
 }

@@ -178,7 +178,6 @@ impl AtreeScratch {
 /// deliberately excludes the engine-API `Subscription` storage, which is
 /// identical across engines and never touched while matching.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AtreeMemory {
     /// Live DAG nodes.
     pub node_count: usize,

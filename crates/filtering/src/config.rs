@@ -14,7 +14,6 @@
 /// [`CountingEngine`](crate::CountingEngine) — is how the index is laid out,
 /// and happens in every mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PrefilterMode {
     /// Always pre-filter, regardless of engine size.
     On,
@@ -39,7 +38,6 @@ pub enum PrefilterMode {
 /// indexed at all. Match output is unaffected either way — normalization is
 /// semantics-preserving and unsatisfiable trees can never match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AnalyzeMode {
     /// Analyze and normalize every subscription at insertion.
     #[default]
@@ -62,7 +60,6 @@ impl AnalyzeMode {
 /// setting is semantics-preserving — match output is byte-identical across
 /// all configurations, only the work done to produce it changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EngineConfig {
     /// When the stage-0 pre-filter is active.
     pub prefilter: PrefilterMode,

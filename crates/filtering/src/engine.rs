@@ -6,7 +6,6 @@ use pubsub_core::{EventBatch, EventMessage, Subscription, SubscriptionId};
 /// A point-in-time summary of an engine's contents, used by the memory
 /// experiments (Figures 1(c) and 1(f) of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EngineReport {
     /// Number of registered subscriptions.
     pub subscription_count: usize,

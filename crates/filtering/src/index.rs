@@ -52,11 +52,11 @@ use std::sync::Arc;
 
 /// Dense slot of a registered subscription inside the matching engine's slab.
 ///
-/// Slots are engine-local: the engine maps each [`SubscriptionId`]
-/// (`pubsub_core::SubscriptionId`) to a small dense integer at registration
-/// time so that per-event state (fulfilled-predicate counters, generation
-/// stamps) lives in flat arrays indexed by slot instead of hash maps keyed by
-/// id. Slots are reused after removal.
+/// Slots are engine-local: the engine maps each
+/// [`SubscriptionId`](pubsub_core::SubscriptionId) to a small dense integer at
+/// registration time so that per-event state (fulfilled-predicate counters,
+/// generation stamps) lives in flat arrays indexed by slot instead of hash
+/// maps keyed by id. Slots are reused after removal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SubSlot(pub u32);
 

@@ -111,9 +111,9 @@ struct InternedConstant {
 
 /// The stage-0 pre-filter of a [`CountingEngine`](crate::CountingEngine).
 ///
-/// Maintained per mutation: once a full [`rebuild`](Self::rebuild) has
-/// compiled the population, [`insert`](Self::insert) compiles the arriving
-/// subscription alone and [`remove`](Self::remove) gives back exactly what
+/// Maintained per mutation: once a full `rebuild` has compiled the
+/// population, `insert` compiles the arriving subscription alone and
+/// `remove` gives back exactly what
 /// that compilation took — presence bits and interned constants are
 /// reference-counted, so neither leaks under churn, and the counts behind
 /// [`PrefilterMode::Auto`] are kept running. A full rebuild (the same
@@ -122,7 +122,8 @@ struct InternedConstant {
 /// loaded before the first match, and once the mutations absorbed since the
 /// last one reach the population — amortised O(1) per mutation, and what
 /// keeps the tracked attributes honest. Queried once per `(event, candidate)`
-/// emission on the hot path. See the [module docs](self) for the semantics.
+/// emission on the hot path. See the `prefilter` module docs for the
+/// semantics.
 #[derive(Debug, Default)]
 pub struct PreFilter {
     /// Whether the compiled state reflects the engine's population. `false`

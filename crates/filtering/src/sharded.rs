@@ -40,7 +40,6 @@ const SEQUENTIAL_BATCH_MAX: usize = 4;
 /// single-threaded counting engine and the sharded parallel engine without
 /// code changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EngineKind {
     /// The single-threaded [`CountingEngine`].
     #[default]

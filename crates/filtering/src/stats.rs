@@ -10,7 +10,6 @@ use std::time::Duration;
 /// evaluations the `pmin` counting shortcut skipped, how many candidate
 /// subscriptions were touched, and so on).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FilterStats {
     /// Number of events filtered.
     pub events_filtered: u64,
@@ -68,30 +67,7 @@ pub struct FilterStats {
     /// spent, hits and misses together.
     pub witness_evals: u64,
     /// Total wall-clock time spent inside `match_event`.
-    ///
-    /// With a plain `serde` feature the real serde's built-in `Duration`
-    /// representation is used; the microsecond encoding (and the module
-    /// implementing it) only exists under `serde-json-tests`, where the
-    /// real serde stack is required anyway.
-    #[cfg_attr(feature = "serde-json-tests", serde(with = "duration_micros"))]
     pub filter_time: Duration,
-}
-
-/// Serializes `filter_time` as integer microseconds. Only meaningful when a
-/// real serde is in the dependency graph; the offline shim's no-op derive
-/// never resolves the `with` path.
-#[cfg(feature = "serde-json-tests")]
-mod duration_micros {
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-    use std::time::Duration;
-
-    pub fn serialize<S: Serializer>(d: &Duration, s: S) -> Result<S::Ok, S::Error> {
-        (d.as_micros() as u64).serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Duration, D::Error> {
-        Ok(Duration::from_micros(u64::deserialize(d)?))
-    }
 }
 
 impl FilterStats {
@@ -286,19 +262,5 @@ mod tests {
             ..before
         };
         assert_eq!(after.since(&before), expected);
-    }
-
-    #[cfg(feature = "serde-json-tests")]
-    #[test]
-    fn serde_roundtrip_preserves_duration() {
-        let s = FilterStats {
-            events_filtered: 3,
-            filter_time: Duration::from_micros(1234),
-            ..Default::default()
-        };
-        let json = serde_json::to_string(&s).unwrap();
-        let back: FilterStats = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.filter_time, Duration::from_micros(1234));
-        assert_eq!(back.events_filtered, 3);
     }
 }

@@ -7,7 +7,6 @@ use selectivity::SelectivityEstimator;
 /// One candidate pruning: remove `node` from the current tree of
 /// `subscription`, with the estimated effect captured in `scores`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PruningCandidate {
     /// The subscription the pruning applies to.
     pub subscription: SubscriptionId,

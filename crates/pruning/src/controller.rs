@@ -22,7 +22,6 @@ use selectivity::SelectivityEstimator;
 /// for choosing one dimension over another. All values are normalized into
 /// `[0, 1]`, where 1 means "fully saturated".
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SystemPressure {
     /// Routing-table memory pressure (e.g. used / available heap).
     pub memory: f64,
@@ -74,7 +73,6 @@ impl SystemPressure {
 
 /// Configuration of the [`PruningController`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ControllerConfig {
     /// Degradation budget per candidate when the system is idle; the budget
     /// scales up linearly with the peak pressure.
@@ -102,7 +100,6 @@ impl Default for ControllerConfig {
 
 /// The outcome of one adaptation round.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ControlDecision {
     /// The dimension that was active during this round.
     pub dimension: Dimension,

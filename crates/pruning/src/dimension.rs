@@ -4,7 +4,6 @@ use std::fmt;
 
 /// One of the three heuristic quantities a pruning is scored by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum HeuristicKind {
     /// `Δ≈sel` — estimated selectivity degradation (smaller is better).
     Selectivity,
@@ -35,7 +34,6 @@ impl fmt::Display for HeuristicKind {
 /// * memory usage: `Δ≈mem`, then `Δ≈sel`, then `Δ≈eff`;
 /// * throughput: `Δ≈eff`, then `Δ≈sel`, then `Δ≈mem`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Dimension {
     /// Minimize the number of additionally routed events.
     NetworkLoad,
@@ -159,15 +157,5 @@ mod tests {
     fn display_names() {
         assert_eq!(Dimension::NetworkLoad.to_string(), "network-load");
         assert_eq!(HeuristicKind::Memory.to_string(), "Δ≈mem");
-    }
-
-    #[cfg(feature = "serde-json-tests")]
-    #[test]
-    fn serde_roundtrip() {
-        for dim in Dimension::ALL {
-            let json = serde_json::to_string(&dim).unwrap();
-            let back: Dimension = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, dim);
-        }
     }
 }

@@ -23,7 +23,6 @@ use std::cmp::Ordering;
 ///   pruning only removes predicates it is never positive, so "best" means
 ///   "loses as little of the counting threshold as possible".
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HeuristicScores {
     /// `Δ≈sel` — estimated selectivity degradation (≥ 0, smaller is better).
     pub delta_sel: f64,

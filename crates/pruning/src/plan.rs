@@ -6,7 +6,6 @@ use std::collections::HashMap;
 
 /// One applied pruning, as recorded by the [`Pruner`](crate::Pruner).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AppliedPruning {
     /// Zero-based position of this pruning in the overall sequence.
     pub step: usize,
@@ -30,7 +29,6 @@ pub struct AppliedPruning {
 /// at arbitrary fractions of the total pruning count without re-running the
 /// heuristics.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PruningPlan {
     dimension: Dimension,
     prunings: Vec<AppliedPruning>,
@@ -238,14 +236,5 @@ mod tests {
         assert!((plan.cumulative_degradation(2) - 0.3).abs() < 1e-12);
         assert!((plan.cumulative_memory_saving(2) - 60.0).abs() < 1e-12);
         assert_eq!(plan.cumulative_degradation(0), 0.0);
-    }
-
-    #[cfg(feature = "serde-json-tests")]
-    #[test]
-    fn serde_roundtrip() {
-        let (plan, _) = sample_plan_and_trees();
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: PruningPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
     }
 }

@@ -12,7 +12,6 @@ use std::collections::HashMap;
 
 /// Configuration of a [`Pruner`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PrunerConfig {
     /// The dimension the pruner optimizes for.
     pub dimension: Dimension,
@@ -56,7 +55,6 @@ struct SubState {
 
 /// A point-in-time summary of the pruner's state.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PrunerSnapshot {
     /// Number of registered subscriptions.
     pub subscriptions: usize,

@@ -30,8 +30,6 @@ use std::sync::{OnceLock, RwLock};
 /// which is what lets the filtering index replace `HashMap<String, _>` with a
 /// plain `Vec` indexed by `AttrId`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct AttrId(u32);
 
 impl AttrId {

@@ -44,7 +44,7 @@ use crate::{AttrId, EventId, EventMessage, Value};
 
 /// A reusable, arena-backed collection of [`EventMessage`]s.
 ///
-/// See the [module documentation](self) for the design rationale. The batch
+/// See the `batch` module documentation for the design rationale. The batch
 /// is the unit the matching engines consume (`MatchingEngine::match_batch` in
 /// the `filtering` crate) and the unit the broker simulation routes between
 /// brokers.

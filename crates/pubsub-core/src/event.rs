@@ -15,63 +15,14 @@ use std::fmt;
 /// [`iter_resolved`](EventMessage::iter_resolved) and index flat per-attribute
 /// tables by id. Entries are kept sorted by attribute *name* so that message
 /// contents, iteration order, and [`Display`](fmt::Display) output stay
-/// deterministic and independent of interning order.
-///
-/// **Serde:** with the real serde stack (the `serde-json-tests` feature, or
-/// swapping the workspace `serde` shim for the real crate and enabling that
-/// feature) the attribute entries serialize **by name** through
-/// [`named_attrs`]: the wire form carries `(attribute name, value)` pairs and
-/// deserialization re-interns the names, so serialized events are portable
-/// across processes regardless of each side's interning order. Under the
-/// plain `serde` feature only the offline no-op shim is bound and nothing
-/// can rely on the derived form.
+/// deterministic and independent of interning order. Because ids are
+/// process-local, the portable encoding is the broker's wire codec, which
+/// carries attribute names.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EventMessage {
     id: EventId,
     /// Attribute entries sorted by interned attribute name.
-    #[cfg_attr(feature = "serde-json-tests", serde(with = "named_attrs"))]
     attributes: Vec<(AttrId, Value)>,
-}
-
-/// Serializes the attribute entries as `(name, value)` pairs — the portable
-/// wire format — and deserializes them by re-interning the names. Only
-/// compiled with a real serde in the dependency graph; the offline shim's
-/// no-op derive never resolves the `with` path.
-#[cfg(feature = "serde-json-tests")]
-mod named_attrs {
-    use crate::{attr, AttrId, Value};
-    use serde::{Deserialize, Deserializer, Serializer};
-
-    pub fn serialize<S: Serializer>(attrs: &[(AttrId, Value)], s: S) -> Result<S::Ok, S::Error> {
-        let resolver = attr::resolver();
-        s.collect_seq(attrs.iter().map(|(id, v)| (resolver.name(*id), v)))
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Vec<(AttrId, Value)>, D::Error> {
-        let named: Vec<(String, Value)> = Vec::deserialize(d)?;
-        let mut entries: Vec<(AttrId, Value)> = named
-            .into_iter()
-            .map(|(name, value)| (attr::intern(&name), value))
-            .collect();
-        // Restore the unique name-sorted invariant regardless of the order
-        // the producer (or a hand-edited document) used. The stable sort
-        // keeps duplicates of one name in document order, so keeping the
-        // last entry of each run gives the same last-wins semantics as
-        // repeated `insert`s.
-        {
-            let resolver = attr::resolver();
-            entries.sort_by(|(a, _), (b, _)| resolver.name(*a).cmp(resolver.name(*b)));
-        }
-        let mut deduped: Vec<(AttrId, Value)> = Vec::with_capacity(entries.len());
-        for entry in entries {
-            match deduped.last_mut() {
-                Some(last) if last.0 == entry.0 => *last = entry,
-                _ => deduped.push(entry),
-            }
-        }
-        Ok(deduped)
-    }
 }
 
 impl EventMessage {
@@ -394,35 +345,5 @@ mod tests {
         assert!(s.contains("event-7"));
         assert!(s.contains("title"));
         assert!(s.contains("\"dune\""));
-    }
-
-    #[cfg(feature = "serde-json-tests")]
-    #[test]
-    fn serde_roundtrip() {
-        let ev = sample();
-        let json = serde_json::to_string(&ev).unwrap();
-        let back: EventMessage = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, ev);
-    }
-
-    #[cfg(feature = "serde-json-tests")]
-    #[test]
-    fn serde_wire_format_carries_attribute_names() {
-        let ev = sample();
-        let json = serde_json::to_string(&ev).unwrap();
-        // The wire form names every attribute — it does not depend on this
-        // process's interning order.
-        for name in ["title", "category", "price", "bids"] {
-            assert!(
-                json.contains(&format!("\"{name}\"")),
-                "missing {name} in {json}"
-            );
-        }
-        // A producer with a different entry order (different interner
-        // history) still deserializes into the canonical name-sorted form.
-        let mut doc: serde_json::Value = serde_json::from_str(&json).unwrap();
-        doc["attributes"].as_array_mut().unwrap().reverse();
-        let back: EventMessage = serde_json::from_str(&doc.to_string()).unwrap();
-        assert_eq!(back, ev);
     }
 }

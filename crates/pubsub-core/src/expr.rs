@@ -14,7 +14,6 @@ use std::fmt;
 /// [`Predicate`]s. `Expr` is a convenience representation: subscriptions are
 /// registered and matched as [`SubscriptionTree`](crate::SubscriptionTree)s.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Expr {
     /// A single predicate leaf.
     Pred(Predicate),
@@ -323,14 +322,5 @@ mod tests {
         assert!(s.contains("AND"));
         assert!(s.contains("OR"));
         assert!(s.contains("category = \"books\""));
-    }
-
-    #[cfg(feature = "serde-json-tests")]
-    #[test]
-    fn serde_roundtrip() {
-        let e = sample_expr();
-        let json = serde_json::to_string(&e).unwrap();
-        let back: Expr = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, e);
     }
 }

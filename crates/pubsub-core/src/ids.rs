@@ -10,8 +10,6 @@ macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $inner:ty, $prefix:literal) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-        #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-        #[cfg_attr(feature = "serde", serde(transparent))]
         pub struct $name(pub $inner);
 
         impl $name {
@@ -87,8 +85,6 @@ id_type!(
 /// are invalidated by [`SubscriptionTree::prune`](crate::SubscriptionTree::prune),
 /// which returns a freshly compacted tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -163,15 +159,5 @@ mod tests {
         assert_eq!(set.len(), 100);
         assert!(set.contains(&SubscriptionId::from_raw(99)));
         assert!(!set.contains(&SubscriptionId::from_raw(100)));
-    }
-
-    #[cfg(feature = "serde-json-tests")]
-    #[test]
-    fn ids_serialize_transparently() {
-        let id = SubscriptionId::from_raw(5);
-        let json = serde_json::to_string(&id).unwrap();
-        assert_eq!(json, "5");
-        let back: SubscriptionId = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, id);
     }
 }

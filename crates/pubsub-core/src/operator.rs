@@ -11,7 +11,6 @@ use std::fmt;
 /// of the paper and by typical content-based publish/subscribe systems:
 /// equality and ordering on all comparable types plus simple string matching.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Operator {
     /// `attribute = value`
     Eq,
@@ -228,15 +227,5 @@ mod tests {
         assert_eq!(Operator::Eq.to_string(), "=");
         assert_eq!(Operator::Ge.to_string(), ">=");
         assert_eq!(Operator::Contains.to_string(), "contains");
-    }
-
-    #[cfg(feature = "serde-json-tests")]
-    #[test]
-    fn serde_roundtrip() {
-        for op in Operator::ALL {
-            let json = serde_json::to_string(&op).unwrap();
-            let back: Operator = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, op);
-        }
     }
 }

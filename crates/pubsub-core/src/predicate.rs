@@ -15,37 +15,11 @@ use std::fmt;
 /// interner at construction time, so evaluating the predicate against an
 /// event — and registering it in the attribute indexes — never hashes or
 /// compares attribute strings.
-///
-/// **Serde:** as with [`EventMessage`], the real serde stack (the
-/// `serde-json-tests` feature) serializes the attribute **by name** through
-/// [`attr_name`] and re-interns it on deserialization, so serialized
-/// predicates are portable across processes. Under the plain `serde` feature
-/// only the offline no-op shim is bound.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Predicate {
-    #[cfg_attr(feature = "serde-json-tests", serde(with = "attr_name"))]
     attribute: AttrId,
     operator: Operator,
     constant: Value,
-}
-
-/// Serializes the predicate's attribute as its interned name — the portable
-/// wire format — and deserializes it by re-interning. Only compiled with a
-/// real serde in the dependency graph.
-#[cfg(feature = "serde-json-tests")]
-mod attr_name {
-    use crate::{attr, AttrId};
-    use serde::{Deserialize, Deserializer, Serializer};
-
-    pub fn serialize<S: Serializer>(id: &AttrId, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_str(attr::name(*id))
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<AttrId, D::Error> {
-        let name = String::deserialize(d)?;
-        Ok(attr::intern(&name))
-    }
 }
 
 impl Predicate {
@@ -321,29 +295,5 @@ mod tests {
     fn display_format() {
         let p = Predicate::new("price", Operator::Le, 20i64);
         assert_eq!(p.to_string(), "price <= 20");
-    }
-
-    #[cfg(feature = "serde-json-tests")]
-    #[test]
-    fn serde_roundtrip() {
-        let p = Predicate::new("title", Operator::Prefix, "har");
-        let json = serde_json::to_string(&p).unwrap();
-        let back: Predicate = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, p);
-    }
-
-    #[cfg(feature = "serde-json-tests")]
-    #[test]
-    fn serde_wire_format_carries_attribute_name() {
-        let p = Predicate::new("title", Operator::Prefix, "har");
-        let json = serde_json::to_string(&p).unwrap();
-        assert!(
-            json.contains("\"title\""),
-            "wire form must name the attribute: {json}"
-        );
-        assert!(
-            !json.contains(&format!("\"attribute\":{}", p.attr_id().raw())),
-            "wire form must not carry the raw process-local id: {json}"
-        );
     }
 }

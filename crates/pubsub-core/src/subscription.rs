@@ -12,7 +12,6 @@ use std::fmt;
 /// what lets brokers route matches of a *pruned* routing entry back to the
 /// original subscriber.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Subscription {
     id: SubscriptionId,
     subscriber: SubscriberId,
@@ -143,14 +142,5 @@ mod tests {
         let text = sub().to_string();
         assert!(text.contains("sub-1"));
         assert!(text.contains("client-9"));
-    }
-
-    #[cfg(feature = "serde-json-tests")]
-    #[test]
-    fn serde_roundtrip() {
-        let s = sub();
-        let json = serde_json::to_string(&s).unwrap();
-        let back: Subscription = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
     }
 }

@@ -12,7 +12,6 @@ use std::fmt;
 
 /// The kind of a tree node.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NodeKind {
     /// Conjunction of the node's children.
     And,
@@ -33,7 +32,6 @@ impl NodeKind {
 
 /// A node of a [`SubscriptionTree`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Node {
     kind: NodeKind,
     parent: Option<NodeId>,
@@ -97,7 +95,6 @@ impl From<PruneError> for CoreError {
 
 /// Summary statistics of a subscription tree, used by heuristics and metrics.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TreeStats {
     /// Total number of nodes (internal and leaves).
     pub node_count: usize,
@@ -121,7 +118,6 @@ pub struct TreeStats {
 ///   collapsed), NOT nodes have exactly one child;
 /// * leaves are predicates and have no children.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SubscriptionTree {
     nodes: Vec<Node>,
     root: NodeId,
@@ -1024,14 +1020,5 @@ mod tests {
         let s = sample_tree().to_string();
         assert!(s.contains("AND"));
         assert!(s.contains("OR"));
-    }
-
-    #[cfg(feature = "serde-json-tests")]
-    #[test]
-    fn serde_roundtrip() {
-        let t = sample_tree();
-        let json = serde_json::to_string(&t).unwrap();
-        let back: SubscriptionTree = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, t);
     }
 }

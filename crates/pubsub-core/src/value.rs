@@ -15,8 +15,6 @@ use std::sync::Arc;
 /// This mirrors the loosely-typed attribute model used by content-based
 /// publish/subscribe systems such as Siena and Rebeca.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(untagged))]
 pub enum Value {
     /// A boolean flag, e.g. `buy_now_available = true`.
     Bool(bool),
@@ -28,8 +26,7 @@ pub enum Value {
     ///
     /// Stored behind `Arc` so that cloning a string value — which happens on
     /// every subscription registration and event copy — is a reference-count
-    /// bump instead of a heap allocation. (With a real `serde`, deriving on
-    /// `Arc<str>` requires serde's `rc` feature.)
+    /// bump instead of a heap allocation.
     Str(Arc<str>),
 }
 
@@ -267,19 +264,5 @@ mod tests {
         assert_eq!(Value::Int(5).to_string(), "5");
         assert_eq!(Value::Bool(false).to_string(), "false");
         assert_eq!(Value::from("a").to_string(), "\"a\"");
-    }
-
-    #[cfg(feature = "serde-json-tests")]
-    #[test]
-    fn serde_untagged_roundtrip() {
-        let vals = vec![
-            Value::Bool(true),
-            Value::Int(3),
-            Value::Float(2.5),
-            Value::from("books"),
-        ];
-        let json = serde_json::to_string(&vals).unwrap();
-        let back: Vec<Value> = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, vals);
     }
 }

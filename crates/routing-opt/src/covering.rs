@@ -18,7 +18,6 @@ pub fn covers(general: &Subscription, specific: &Subscription) -> bool {
 
 /// Summary of a covering analysis over a set of subscriptions.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CoveringReport {
     /// Total subscriptions analysed.
     pub total: usize,

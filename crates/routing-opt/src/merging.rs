@@ -7,7 +7,6 @@ use std::collections::BTreeMap;
 
 /// Configuration of the greedy merger.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MergeConfig {
     /// Minimum number of subscriptions a group must contain before it is
     /// merged (merging tiny groups mostly adds imprecision).
@@ -40,7 +39,6 @@ pub struct MergeOutcome {
 
 /// Summary of a merging pass.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MergeReport {
     /// Total subscriptions considered.
     pub total: usize,

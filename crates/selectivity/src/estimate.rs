@@ -15,7 +15,6 @@
 /// hold regardless of correlations between predicates; `avg` uses the product
 /// rules that hold under independence.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SelectivityEstimate {
     /// Minimal possible selectivity.
     pub min: f64,
@@ -231,14 +230,5 @@ mod tests {
         assert!(or.min <= 1.0 && 1.0 <= or.max);
         // True conjunction selectivity 0.0 also within bounds.
         assert!(and.min <= 0.0 + and.max);
-    }
-
-    #[cfg(feature = "serde-json-tests")]
-    #[test]
-    fn serde_roundtrip() {
-        let e = SelectivityEstimate::new(0.1, 0.2, 0.3);
-        let json = serde_json::to_string(&e).unwrap();
-        let back: SelectivityEstimate = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, e);
     }
 }

@@ -33,7 +33,6 @@ use pubsub_core::{AttrId, EventMessage};
 /// test. Attributes the sample never carried score `None`; consumers fall
 /// back to structural heuristics (e.g. the equality-index cardinality).
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DiscriminationHint {
     /// Indexed by `AttrId::index()`; `NaN`-free: unsampled attributes hold
     /// `f64::INFINITY` as the "no information" sentinel.

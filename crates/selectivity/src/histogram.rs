@@ -14,7 +14,6 @@ pub const DEFAULT_BUCKETS: usize = 64;
 /// or exactly equals a constant. Fractions are relative to the number of
 /// numeric observations recorded in the histogram.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NumericHistogram {
     lo: f64,
     hi: f64,
@@ -205,7 +204,6 @@ impl NumericHistogram {
 
 /// Frequency statistics over categorical (string or boolean) attribute values.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CategoricalStats {
     counts: HashMap<String, u64>,
     total: u64,

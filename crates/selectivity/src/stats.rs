@@ -5,7 +5,6 @@ use pubsub_core::{attr, AttrId, EventMessage, Value};
 
 /// Statistics about one attribute, gathered from an event sample.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AttributeStatistics {
     /// Number of sampled events carrying this attribute.
     pub present: u64,
@@ -61,7 +60,6 @@ impl AttributeStatistics {
 /// **Serde caveat:** as with raw `AttrId`s generally, the serialized form is
 /// keyed by process-local ids and round-trips within one process only.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EventStatistics {
     /// Indexed by `AttrId::index()`; `None` for interned attributes the
     /// sample never carried.
@@ -252,14 +250,5 @@ mod tests {
         assert_eq!(x.present, 3);
         assert_eq!(x.numeric.total(), 2);
         assert_eq!(x.strings.total(), 1);
-    }
-
-    #[cfg(feature = "serde-json-tests")]
-    #[test]
-    fn serde_roundtrip() {
-        let stats = EventStatistics::from_events(&sample_events());
-        let json = serde_json::to_string(&stats).unwrap();
-        let back: EventStatistics = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, stats);
     }
 }

@@ -6,7 +6,6 @@ use pubsub_core::{EventBatch, EventMessage, Subscription};
 
 /// Configuration of a [`WorkloadGenerator`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkloadConfig {
     /// Seed for all random draws (events and subscriptions).
     pub seed: u64,
@@ -253,14 +252,5 @@ mod tests {
         assert!(paper.schema.title_count > small.schema.title_count);
         assert!(paper.subscriber_count > small.subscriber_count);
         assert_eq!(WorkloadConfig::default(), small);
-    }
-
-    #[cfg(feature = "serde-json-tests")]
-    #[test]
-    fn serde_roundtrip() {
-        let c = WorkloadConfig::paper();
-        let json = serde_json::to_string(&c).unwrap();
-        let back: WorkloadConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c);
     }
 }

@@ -11,7 +11,6 @@ use crate::WorkloadConfig;
 /// `small_*` presets keep the same structure at a size suitable for laptops
 /// and CI.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScenarioConfig {
     /// The workload generator configuration.
     pub workload: WorkloadConfig,
@@ -139,14 +138,5 @@ mod tests {
         assert!(tiny.subscription_count >= 1);
         let zero = base.scaled(0.0);
         assert_eq!(zero.subscription_count, 1);
-    }
-
-    #[cfg(feature = "serde-json-tests")]
-    #[test]
-    fn serde_roundtrip() {
-        let c = ScenarioConfig::paper_distributed();
-        let json = serde_json::to_string(&c).unwrap();
-        let back: ScenarioConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c);
     }
 }

@@ -89,7 +89,6 @@ impl Default for AttrIds {
 
 /// The sizes and skews of the auction catalog the generator draws from.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AuctionSchema {
     /// Number of distinct book titles.
     pub title_count: usize,
@@ -209,14 +208,5 @@ mod tests {
         ];
         let set: std::collections::HashSet<&str> = names.iter().copied().collect();
         assert_eq!(set.len(), names.len());
-    }
-
-    #[cfg(feature = "serde-json-tests")]
-    #[test]
-    fn serde_roundtrip() {
-        let s = AuctionSchema::paper();
-        let json = serde_json::to_string(&s).unwrap();
-        let back: AuctionSchema = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
     }
 }

@@ -9,7 +9,6 @@ use rand::{Rng, SeedableRng};
 /// The three subscription classes typical for online book auctions
 /// (Section 4 of the paper, following its reference \[4\]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SubscriptionClass {
     /// *Title watcher*: waits for a specific title below a price limit —
     /// a small conjunctive subscription
@@ -38,7 +37,6 @@ impl SubscriptionClass {
 
 /// The proportions with which the three classes are generated.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClassMix {
     /// Fraction of [`SubscriptionClass::TitleWatcher`] subscriptions.
     pub title_watcher: f64,
@@ -360,17 +358,5 @@ mod tests {
             prunable > 150,
             "most generated subscriptions should be prunable, got {prunable}/200"
         );
-    }
-
-    #[cfg(feature = "serde-json-tests")]
-    #[test]
-    fn serde_of_class_and_mix() {
-        let json = serde_json::to_string(&SubscriptionClass::BargainHunter).unwrap();
-        let back: SubscriptionClass = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, SubscriptionClass::BargainHunter);
-        let mix = ClassMix::default_mix();
-        let json = serde_json::to_string(&mix).unwrap();
-        let back: ClassMix = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, mix);
     }
 }
