@@ -895,8 +895,8 @@ mod tests {
                 panic!("expected a PublishBatch, got {message:?}");
             };
             assert_eq!(events.len(), indexes.len());
-            for (got, &source) in events.events().iter().zip(indexes) {
-                assert_eq!(got, &batch.events()[source]);
+            for (got, &source) in events.iter().zip(indexes) {
+                assert_eq!(got, batch.event(source));
             }
         }
         // The arrival link is excluded from forwarding.

@@ -9,8 +9,9 @@
 //! a neighbor's whole engine to learn that one bit. Per neighbor it keeps a
 //! move-to-front list of at most [`MAX_WITNESSES`] **witnesses**: clones of
 //! remote entries that recently matched. [`RoutingTable::forward_batch`]
-//! evaluates the witnesses directly against each event
-//! ([`Subscription::matches`]); the first hit decides "forward". Only the
+//! evaluates the witnesses directly against each event's pairs in the batch
+//! arena ([`SubscriptionTree::evaluate_pairs`]); the first hit decides
+//! "forward". Only the
 //! events no witness matched are copied into a pooled sub-batch and run
 //! through the neighbor's engine, and the first entry the engine reports for
 //! an event becomes the newest witness.
@@ -527,17 +528,18 @@ impl RoutingTable {
             }
             let start = Instant::now();
             self.undecided.clear();
-            for (index, event) in batch.events().iter().enumerate() {
+            for (index, neighbors) in out.iter_mut().enumerate() {
+                let pairs = batch.resolved_pairs(index);
                 let mut evals = 0;
                 let hit = link.witnesses.iter().position(|witness| {
                     evals += 1;
-                    witness.matches(event)
+                    witness.tree().evaluate_pairs(pairs)
                 });
                 self.witness_stats.witness_evals += evals;
                 match hit {
                     Some(at) => {
                         link.witnesses[..=at].rotate_right(1);
-                        out[index].push(*neighbor);
+                        neighbors.push(*neighbor);
                     }
                     None => self.undecided.push(index),
                 }

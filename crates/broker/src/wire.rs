@@ -11,10 +11,11 @@
 //! * [`Codec`] — a hand-rolled, length-prefixed binary encoding. Attribute
 //!   names travel **by name** on the wire, never as process-local
 //!   [`AttrId`]s, so frames are portable across processes with different
-//!   interning histories. Decoding re-interns the names and rebuilds events
-//!   straight into an [`EventBatch`] arena, reusing recycled event shells
-//!   and an interned string-value cache so the steady-state `PublishBatch`
-//!   path performs no per-event allocation;
+//!   interning histories. Decoding resolves each name through a
+//!   codec-local name table (the process-global interner is consulted only
+//!   on a table miss) and moves each decoded pair straight into the
+//!   [`EventBatch`] arena; with an interned string-value cache, the
+//!   steady-state `PublishBatch` path performs no per-event allocation;
 //! * [`Transport`] — how frames move between brokers, with the in-memory
 //!   [`ChannelTransport`] as the deterministic single-process
 //!   implementation. A TCP transport is the designated extension point for
@@ -218,17 +219,22 @@ impl std::error::Error for CodecError {}
 /// and decodes frames back.
 ///
 /// The codec is a value (not a set of free functions) because decoding keeps
-/// reusable state: a per-event pair buffer and an interned cache of string
-/// *values* (attribute names go through the process-global interner). Both
-/// make the steady-state `PublishBatch` decode path allocation-free per
-/// event; the scratch-reuse regression tests observe them through
+/// reusable state: a table of the attribute names last seen at each pair
+/// position, and an interned cache of string *values*. Both make the
+/// steady-state `PublishBatch` decode path allocation-free per event; the
+/// scratch-reuse regression tests observe them through
 /// [`scratch_capacity`](Codec::scratch_capacity) and
 /// [`string_cache_misses`](Codec::string_cache_misses).
 #[derive(Debug, Default)]
 pub struct Codec {
-    /// Reusable buffer collecting one event's decoded pairs before they are
-    /// pushed into the batch arena.
-    pair_scratch: Vec<(AttrId, Value)>,
+    /// The name bytes last decoded at each pair position of an event, with
+    /// their interned id. A stream of one schema repeats its names at the
+    /// same positions, so a name whose bytes equal its position's entry
+    /// resolves with no UTF-8 check and no global interner lock; any other
+    /// name is validated, interned and replaces the entry. The interner is
+    /// append-only, so a cached id never goes stale. Bounded by the widest
+    /// event decoded (at most `u16::MAX` entries).
+    names: Vec<(Box<[u8]>, AttrId)>,
     /// Interned string values: repeated `Str` payloads (categories, titles)
     /// resolve to the same `Arc<str>` with a refcount bump instead of a
     /// fresh allocation. Sized by the workload's string vocabulary, and
@@ -246,10 +252,10 @@ impl Codec {
         Self::default()
     }
 
-    /// Capacity of the reusable decode scratch, for allocation-regression
-    /// tests.
+    /// Capacity of the reusable decode scratch (the name table), for
+    /// allocation-regression tests.
     pub fn scratch_capacity(&self) -> usize {
-        self.pair_scratch.capacity()
+        self.names.capacity()
     }
 
     /// Number of distinct string values interned so far.
@@ -373,8 +379,9 @@ impl Codec {
         // the batch happens under a single lock acquisition.
         let resolver = attr::resolver();
         let mut encode_event = |index: usize| {
-            out.extend_from_slice(&batch.event(index).id().raw().to_le_bytes());
-            let pairs = batch.resolved_pairs(index);
+            let event = batch.event(index);
+            out.extend_from_slice(&event.id().raw().to_le_bytes());
+            let pairs = event.resolved_pairs();
             let npairs = u16::try_from(pairs.len()).expect("event exceeds u16 pairs");
             out.extend_from_slice(&npairs.to_le_bytes());
             for (id, value) in pairs {
@@ -406,8 +413,21 @@ impl Codec {
     /// Decodes the first frame in `bytes` into `message`, reusing the
     /// existing payload allocations where the variants line up: a
     /// `PublishBatch` decoded over a previous `PublishBatch` reuses the
-    /// batch's arena and recycled event shells. Returns the bytes consumed.
+    /// batch's buffers. Returns the bytes consumed. On error, a
+    /// `PublishBatch` left in `message` is empty, its buffers kept.
     pub fn decode_into(
+        &mut self,
+        bytes: &[u8],
+        message: &mut WireMessage,
+    ) -> Result<usize, CodecError> {
+        let result = self.decode_message(bytes, message);
+        if let (Err(_), WireMessage::PublishBatch { events }) = (&result, message) {
+            events.clear();
+        }
+        result
+    }
+
+    fn decode_message(
         &mut self,
         bytes: &[u8],
         message: &mut WireMessage,
@@ -444,14 +464,15 @@ impl Codec {
                 };
             }
             4 => {
-                // Recover the previous batch (arena + spares) if the caller
-                // reuses one message value across frames.
-                let mut batch = match message {
-                    WireMessage::PublishBatch { events } => std::mem::take(events),
-                    _ => EventBatch::new(),
-                };
-                self.decode_batch_body(&mut r, &mut batch)?;
-                *message = WireMessage::PublishBatch { events: batch };
+                // Decode over the previous batch if the caller reuses one
+                // message value across frames.
+                if let WireMessage::PublishBatch { events } = message {
+                    self.decode_batch_body(&mut r, events)?;
+                } else {
+                    let mut events = EventBatch::new();
+                    self.decode_batch_body(&mut r, &mut events)?;
+                    *message = WireMessage::PublishBatch { events };
+                }
             }
             5 => {
                 *message = WireMessage::SyncRequest {
@@ -481,15 +502,14 @@ impl Codec {
             }
             tag => return Err(CodecError::UnknownTag(tag)),
         }
-        if !r.is_empty() {
-            return Err(CodecError::Malformed("trailing bytes in frame"));
-        }
+        r.finish()?;
         Ok(consumed)
     }
 
     /// Decodes the first frame — which must be a `PublishBatch` — straight
-    /// into `batch` (replacing its contents and reusing its arena and
-    /// recycled event shells). Returns the bytes consumed.
+    /// into `batch` (replacing its contents and reusing its buffers).
+    /// Returns the bytes consumed. On error, `batch` is left empty with its
+    /// buffers kept.
     ///
     /// This is the data-plane hot path: hop-by-hop routing keeps one batch
     /// alive and re-decodes into it, performing no per-event allocation in
@@ -499,17 +519,19 @@ impl Codec {
         bytes: &[u8],
         batch: &mut EventBatch,
     ) -> Result<usize, CodecError> {
-        let body = frame_body(bytes)?;
-        let consumed = FRAME_HEADER_LEN + body.len();
-        let mut r = Reader::new(body);
-        match r.u8()? {
-            4 => self.decode_batch_body(&mut r, batch)?,
-            tag => return Err(CodecError::UnknownTag(tag)),
+        let result = frame_body(bytes).and_then(|body| {
+            let mut r = Reader::new(body);
+            match r.u8()? {
+                4 => self.decode_batch_body(&mut r, batch)?,
+                tag => return Err(CodecError::UnknownTag(tag)),
+            }
+            r.finish()?;
+            Ok(FRAME_HEADER_LEN + body.len())
+        });
+        if result.is_err() {
+            batch.clear();
         }
-        if !r.is_empty() {
-            return Err(CodecError::Malformed("trailing bytes in frame"));
-        }
-        Ok(consumed)
+        result
     }
 
     fn decode_batch_body(
@@ -527,27 +549,45 @@ impl Codec {
         for _ in 0..count {
             let id = EventId::from_raw(r.u64()?);
             let npairs = r.u16()? as usize;
-            self.pair_scratch.clear();
-            // The encoder always emits an event's pairs in strictly
-            // ascending attribute-name order (the `EventMessage` invariant);
-            // enforcing it here keeps corrupted frames from smuggling
-            // unsorted or duplicate attributes past `push_resolved`.
-            let mut prev_name: Option<&str> = None;
-            for _ in 0..npairs {
-                let name = r.str16()?;
-                if prev_name.is_some_and(|prev| prev >= name) {
-                    return Err(CodecError::Malformed(
-                        "event attributes not strictly name-sorted",
-                    ));
+            batch.try_push_with(id, |pairs| {
+                for position in 0..npairs {
+                    let name = r.bytes16()?;
+                    // The encoder always emits an event's pairs in strictly
+                    // ascending attribute-name order (the `EventMessage`
+                    // invariant); enforcing it here keeps corrupted frames
+                    // from smuggling unsorted or duplicate attributes into
+                    // the batch. Byte order is `str` order, and the entry
+                    // at `position - 1` holds the previous pair's name.
+                    if position > 0 && *self.names[position - 1].0 >= *name {
+                        return Err(CodecError::Malformed(
+                            "event attributes not strictly name-sorted",
+                        ));
+                    }
+                    let attr = self.resolve_name(position, name)?;
+                    pairs.push(attr, self.decode_value(r)?);
                 }
-                prev_name = Some(name);
-                let attr_id = attr::intern(name);
-                let value = self.decode_value(r)?;
-                self.pair_scratch.push((attr_id, value));
-            }
-            batch.push_resolved(id, &self.pair_scratch);
+                Ok(())
+            })?;
         }
         Ok(())
+    }
+
+    /// The attribute id of `name`, decoded at pair `position` of an event,
+    /// through the name table (see [`Codec`]). Every entry at a lower
+    /// position holds the current event's names.
+    fn resolve_name(&mut self, position: usize, name: &[u8]) -> Result<AttrId, CodecError> {
+        if let Some((cached, id)) = self.names.get(position) {
+            if **cached == *name {
+                return Ok(*id);
+            }
+        }
+        let id = attr::intern(std::str::from_utf8(name).map_err(|_| CodecError::BadUtf8)?);
+        let entry = (Box::from(name), id);
+        match self.names.get_mut(position) {
+            Some(slot) => *slot = entry,
+            None => self.names.push(entry),
+        }
+        Ok(id)
     }
 
     fn decode_value(&mut self, r: &mut Reader<'_>) -> Result<Value, CodecError> {
@@ -623,16 +663,14 @@ impl Codec {
 /// Splits off the body of the first frame in `bytes`, validating the length
 /// prefix.
 fn frame_body(bytes: &[u8]) -> Result<&[u8], CodecError> {
-    if bytes.len() < FRAME_HEADER_LEN {
-        return Err(CodecError::Truncated);
-    }
-    let len = u32::from_le_bytes(bytes[..FRAME_HEADER_LEN].try_into().expect("4 bytes")) as usize;
+    let (len, rest) = bytes
+        .split_first_chunk::<FRAME_HEADER_LEN>()
+        .ok_or(CodecError::Truncated)?;
+    let len = u32::from_le_bytes(*len) as usize;
     if len == 0 {
         return Err(CodecError::Malformed("empty frame body"));
     }
-    bytes
-        .get(FRAME_HEADER_LEN..FRAME_HEADER_LEN + len)
-        .ok_or(CodecError::Truncated)
+    rest.get(..len).ok_or(CodecError::Truncated)
 }
 
 /// Writes the body length of the frame starting at `frame_start` into its
@@ -702,38 +740,47 @@ fn encode_tree(tree: &SubscriptionTree, node: pubsub_core::NodeId, out: &mut Vec
 
 /// Little-endian cursor over one frame body.
 struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// The bytes not read yet.
+    rest: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
     fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.pos == self.buf.len()
+        Self { rest: buf }
     }
 
     fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
+    }
+
+    /// Fails unless the whole body has been read.
+    fn finish(&self) -> Result<(), CodecError> {
+        if self.rest.is_empty() {
+            Ok(())
+        } else {
+            Err(CodecError::Malformed("trailing bytes in frame"))
+        }
     }
 
     fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let slice = self
-            .buf
-            .get(self.pos..self.pos + n)
-            .ok_or(CodecError::Truncated)?;
-        self.pos += n;
-        Ok(slice)
+        let (head, rest) = self.rest.split_at_checked(n).ok_or(CodecError::Truncated)?;
+        self.rest = rest;
+        Ok(head)
     }
 
     fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
-        Ok(self.bytes(N)?.try_into().expect("exact length"))
+        let (head, rest) = self
+            .rest
+            .split_first_chunk::<N>()
+            .ok_or(CodecError::Truncated)?;
+        self.rest = rest;
+        Ok(*head)
     }
 
     fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.array::<1>()?[0])
+        let (&byte, rest) = self.rest.split_first().ok_or(CodecError::Truncated)?;
+        self.rest = rest;
+        Ok(byte)
     }
 
     fn u16(&mut self) -> Result<u16, CodecError> {
@@ -748,9 +795,14 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
-    fn str16(&mut self) -> Result<&'a str, CodecError> {
+    /// A `str16` field's raw bytes, not yet checked for UTF-8.
+    fn bytes16(&mut self) -> Result<&'a [u8], CodecError> {
         let len = self.u16()? as usize;
-        std::str::from_utf8(self.bytes(len)?).map_err(|_| CodecError::BadUtf8)
+        self.bytes(len)
+    }
+
+    fn str16(&mut self) -> Result<&'a str, CodecError> {
+        std::str::from_utf8(self.bytes16()?).map_err(|_| CodecError::BadUtf8)
     }
 
     fn str32(&mut self) -> Result<&'a str, CodecError> {
@@ -1096,8 +1148,8 @@ mod tests {
         let mut frame = Vec::new();
         let mut decoded = EventBatch::new();
 
-        // Warm-up: sizes the pair scratch, the string cache, and the decode
-        // batch (arena + event shells).
+        // Warm-up: sizes the name table, the string cache, and the decode
+        // batch (ids, spans and arena).
         frame.clear();
         codec.encode_publish_batch(&batch, &mut frame);
         codec
@@ -1160,8 +1212,177 @@ mod tests {
         let WireMessage::PublishBatch { events } = message else {
             panic!("expected a batch");
         };
-        assert_eq!(events.event(0).get("a"), Some(&Value::Int(1)));
-        assert_eq!(events.event(0).get("b"), Some(&Value::Int(2)));
+        let event = events.event(0).to_message();
+        assert_eq!(event.get("a"), Some(&Value::Int(1)));
+        assert_eq!(event.get("b"), Some(&Value::Int(2)));
+    }
+
+    /// A one-event `PublishBatch` frame whose pairs carry the given raw
+    /// name bytes (not necessarily UTF-8, sorted or unique) and int values.
+    fn raw_publish_frame(names: &[&[u8]]) -> Vec<u8> {
+        let mut frame = vec![0u8; FRAME_HEADER_LEN];
+        frame.push(4);
+        frame.extend_from_slice(&1u32.to_le_bytes());
+        frame.extend_from_slice(&7u64.to_le_bytes());
+        frame.extend_from_slice(&(names.len() as u16).to_le_bytes());
+        for (value, name) in names.iter().enumerate() {
+            frame.extend_from_slice(&(name.len() as u16).to_le_bytes());
+            frame.extend_from_slice(name);
+            encode_value(&Value::Int(value as i64), &mut frame);
+        }
+        backpatch_len(&mut frame, 0);
+        frame
+    }
+
+    /// The `(name, value)` pairs of the single event `frame` decodes to.
+    fn decode_names(codec: &mut Codec, frame: &[u8]) -> Result<Vec<(String, Value)>, CodecError> {
+        let mut batch = EventBatch::new();
+        codec.decode_publish_batch_into(frame, &mut batch)?;
+        let pairs = batch.event(0).resolved_pairs();
+        Ok(pairs
+            .iter()
+            .map(|(id, value)| (attr::name(*id).to_owned(), value.clone()))
+            .collect())
+    }
+
+    #[test]
+    fn name_table_misses_resolve_the_name_on_the_wire() {
+        let mut codec = Codec::new();
+        // Warm the table with names at positions 0 and 1.
+        let warm = raw_publish_frame(&[b"wn_alpha", b"wn_beta"]);
+        for _ in 0..2 {
+            let decoded = decode_names(&mut codec, &warm).unwrap();
+            assert_eq!(decoded[0].0, "wn_alpha");
+            assert_eq!(decoded[1].0, "wn_beta");
+        }
+        // One byte off at each cached position: the other attribute, never
+        // the cached id.
+        let decoded = decode_names(&mut codec, &raw_publish_frame(&[b"wn_alphb", b"wn_beta"]));
+        assert_eq!(decoded.unwrap()[0].0, "wn_alphb");
+        let decoded = decode_names(&mut codec, &raw_publish_frame(&[b"wn_alpha", b"wn_betb"]));
+        assert_eq!(decoded.unwrap()[1].0, "wn_betb");
+        // A name shifted to another position, and a shorter one sharing a
+        // prefix with the cached entry.
+        let decoded = decode_names(&mut codec, &raw_publish_frame(&[b"wn_a", b"wn_alpha"]));
+        let names: Vec<String> = decoded.unwrap().into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["wn_a", "wn_alpha"]);
+        // And back: the table follows the stream.
+        let decoded = decode_names(&mut codec, &warm).unwrap();
+        assert_eq!((&*decoded[0].0, &*decoded[1].0), ("wn_alpha", "wn_beta"));
+    }
+
+    #[test]
+    fn name_table_keeps_utf8_and_order_checks() {
+        let mut codec = Codec::new();
+        let mut decode = |names: &[&[u8]]| decode_names(&mut codec, &raw_publish_frame(names));
+        decode(&[b"wn_delta", b"wn_gamma"]).unwrap();
+        // Invalid UTF-8 of a cached name's length, at its position.
+        assert_eq!(
+            decode(&[b"wn_delt\xFF", b"wn_gamma"]),
+            Err(CodecError::BadUtf8)
+        );
+        assert_eq!(
+            decode(&[b"wn_delta", b"wn_gamm\xFF"]),
+            Err(CodecError::BadUtf8)
+        );
+        // Unsorted and duplicate names whose every position is a table hit:
+        // two valid events leave the table holding exactly those names.
+        let unsorted = Err(CodecError::Malformed(
+            "event attributes not strictly name-sorted",
+        ));
+        for names in [
+            [b"wn_gamma".as_slice(), b"wn_delta"],
+            [b"wn_delta", b"wn_delta"],
+        ] {
+            decode(&[b"wn_a", names[1]]).unwrap();
+            decode(&[names[0]]).unwrap();
+            assert_eq!(decode(&names), unsorted);
+        }
+        // The sorted frame still decodes after the failures.
+        let decoded = decode(&[b"wn_delta", b"wn_gamma"]).unwrap();
+        assert_eq!((&*decoded[0].0, &*decoded[1].0), ("wn_delta", "wn_gamma"));
+    }
+
+    #[test]
+    fn failed_decode_leaves_an_empty_batch_with_its_capacity() {
+        let mut codec = Codec::new();
+        let batch = sample_batch();
+        let mut frame = Vec::new();
+        codec.encode_publish_batch(&batch, &mut frame);
+        for cut in [frame.len() - 1, frame.len() - 20, FRAME_HEADER_LEN + 8] {
+            // A truncated frame, and one truncated inside its declared body.
+            let mut inner = frame[..cut].to_vec();
+            backpatch_len(&mut inner, 0);
+            for bad in [&frame[..cut], &inner[..]] {
+                let mut decoded = batch.clone();
+                let capacity = decoded.capacity();
+                assert!(codec.decode_publish_batch_into(bad, &mut decoded).is_err());
+                assert!(decoded.is_empty() && decoded.arena_pairs().is_empty());
+                assert_eq!(decoded.capacity(), capacity);
+
+                let mut message = WireMessage::PublishBatch {
+                    events: batch.clone(),
+                };
+                assert!(codec.decode_into(bad, &mut message).is_err());
+                let WireMessage::PublishBatch { events } = &message else {
+                    panic!("the batch was not handed back");
+                };
+                assert!(events.is_empty() && events.arena_pairs().is_empty());
+                assert_eq!(events.capacity(), capacity);
+            }
+        }
+    }
+
+    #[test]
+    fn batches_built_by_push_decode_and_push_from_agree() {
+        let messages: Vec<EventMessage> = (0..6)
+            .map(|i| {
+                let mut builder = EventMessage::builder()
+                    .id(i as u64)
+                    .attr("category", ["books", "music"][i % 2])
+                    .attr("price", i as i64);
+                if i % 3 == 0 {
+                    builder = builder.attr("buy_now", true);
+                }
+                builder.build()
+            })
+            .collect();
+        let pushed: EventBatch = messages.iter().cloned().collect();
+        let mut codec = Codec::new();
+        let mut frame = Vec::new();
+        codec.encode_publish_batch(&pushed, &mut frame);
+        let mut decoded = EventBatch::new();
+        codec
+            .decode_publish_batch_into(&frame, &mut decoded)
+            .unwrap();
+        let mut copied = EventBatch::new();
+        for index in 0..pushed.len() {
+            copied.push_from(&decoded, index);
+        }
+        for batch in [&decoded, &copied] {
+            assert_eq!(batch, &pushed);
+            assert_eq!(batch.arena_pairs(), pushed.arena_pairs());
+            for (index, message) in messages.iter().enumerate() {
+                assert_eq!(batch.event(index), pushed.event(index));
+                assert_eq!(batch.resolved_pairs(index), message.resolved_pairs());
+            }
+        }
+        // Each event's view round-trips to the message it was built from.
+        let back: Vec<EventMessage> = decoded.iter().map(|event| event.to_message()).collect();
+        assert_eq!(back, messages);
+        // Clearing and refilling keeps every buffer.
+        let capacity = (decoded.capacity(), copied.capacity());
+        for _ in 0..3 {
+            codec
+                .decode_publish_batch_into(&frame, &mut decoded)
+                .unwrap();
+            copied.clear();
+            for index in 0..decoded.len() {
+                copied.push_from(&decoded, index);
+            }
+            assert_eq!(copied, pushed);
+        }
+        assert_eq!((decoded.capacity(), copied.capacity()), capacity);
     }
 
     #[test]

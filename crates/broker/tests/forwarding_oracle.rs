@@ -62,7 +62,8 @@ impl Model {
         }
         let mut deliveries = Vec::new();
         let mut links = Links::new();
-        for (index, event) in batch.events().iter().enumerate() {
+        for (index, event) in batch.iter().enumerate() {
+            let event = &event.to_message();
             for id in central.match_event(event) {
                 deliveries.push((event.id(), self.live[&id].subscriber(), id));
             }

@@ -158,7 +158,8 @@ fn run(kind: EngineKind, ops: &[Op]) -> Result<(), TestCaseError> {
                 table.forward_batch(&batch, exclude, &mut out);
                 prop_assert_eq!(out.len(), batch.len());
                 let remote = table.remote_subscriptions();
-                for (index, event) in batch.events().iter().enumerate() {
+                for (index, event) in batch.iter().enumerate() {
+                    let event = &event.to_message();
                     let expected: Vec<BrokerId> = (0..NEIGHBORS)
                         .map(BrokerId::from_raw)
                         .filter(|neighbor| {

@@ -120,6 +120,41 @@ fn event() -> impl Strategy<Value = EventMessage> {
         })
 }
 
+/// Event schemas whose names stress a decoder's per-position name table:
+/// shared prefixes (`ns_pri` / `ns_price` / `ns_price_max`), equal-length
+/// names one byte apart (`ns_aaaa` / `ns_aaab`, and in the last byte of a
+/// multi-byte character: `ns_βeta` / `ns_βetb`, `ns_東京` / `ns_東亰`,
+/// `ns_🚀` / `ns_🚁`), and names that sit at different positions in
+/// different schemas.
+const SCHEMAS: &[&[&str]] = &[
+    &["ns_price", "ns_price_max", "ns_title"],
+    &["ns_pri", "ns_price", "ns_title"],
+    &["ns_aaaa", "ns_aaab", "ns_price"],
+    &["ns_aaab", "ns_aaac", "ns_βeta"],
+    &["ns_βeta", "ns_βetb", "ns_東京"],
+    &["ns_東亰", "ns_東京", "ns_🚀", "ns_🚁"],
+];
+
+/// An event of a random schema carrying a random subset of its names, so
+/// a name also shifts position within its own schema.
+fn schema_event() -> impl Strategy<Value = EventMessage> {
+    (
+        0..SCHEMAS.len(),
+        0u8..16,
+        0u64..=u64::MAX,
+        prop::collection::vec(value(), 4),
+    )
+        .prop_map(|(schema, mask, id, values)| {
+            let mut builder = EventMessage::builder().id(id);
+            for (i, (name, value)) in SCHEMAS[schema].iter().zip(values).enumerate() {
+                if mask & (1 << i) != 0 {
+                    builder = builder.attr(*name, value);
+                }
+            }
+            builder.build()
+        })
+}
+
 fn batch() -> impl Strategy<Value = EventBatch> {
     prop::collection::vec(event(), 0..=16).prop_map(|events| events.into_iter().collect())
 }
@@ -298,6 +333,30 @@ proptest! {
         let mut frame = Vec::new();
         codec.encode_into(&message, &mut frame);
         prop_assert_eq!(frame_kind(&frame), Some(message.kind()));
+    }
+
+    /// One long-lived codec decodes a random interleaving of frames from
+    /// different schemas exactly: each frame decodes to what was encoded
+    /// and to what a fresh codec (an empty name table) gives.
+    #[test]
+    fn one_codec_decodes_interleaved_schemas_exactly(
+        frames in prop::collection::vec(prop::collection::vec(schema_event(), 1..=4), 1..=24),
+    ) {
+        let mut codec = Codec::new();
+        let mut frame = Vec::new();
+        let mut decoded = EventBatch::new();
+        for events in frames {
+            let batch: EventBatch = events.into_iter().collect();
+            frame.clear();
+            Codec::new().encode_publish_batch(&batch, &mut frame);
+            codec.decode_publish_batch_into(&frame, &mut decoded)
+                .map_err(|e| TestCaseError::fail(format!("decode failed: {e}")))?;
+            let mut fresh = EventBatch::new();
+            Codec::new().decode_publish_batch_into(&frame, &mut fresh)
+                .map_err(|e| TestCaseError::fail(format!("fresh decode failed: {e}")))?;
+            prop_assert_eq!(&decoded, &fresh);
+            prop_assert_eq!(&decoded, &batch);
+        }
     }
 
     /// Subscribe frames carrying analyzer-normalized trees — the shape the

@@ -83,12 +83,13 @@ impl MatchingEngine for NaiveEngine {
     fn match_batch(&mut self, batch: &EventBatch, sink: &mut dyn MatchSink) {
         let start = Instant::now();
         sink.begin_batch(batch.len());
-        for (index, event) in batch.events().iter().enumerate() {
+        for index in 0..batch.len() {
+            let pairs = batch.resolved_pairs(index);
             // BTreeMap iteration is id-sorted, so each event's matches are
             // emitted in subscription-id order as the trait requires.
             for (id, sub) in &self.subscriptions {
                 self.stats.trees_evaluated += 1;
-                if sub.matches(event) {
+                if sub.tree().evaluate_pairs(pairs) {
                     self.stats.matches += 1;
                     sink.on_match(index, *id);
                 }

@@ -110,7 +110,8 @@ proptest! {
             naive.match_batch(&batch, &mut naive_sink);
             prop_assert_eq!(counting_sink.len(), batch.len());
             prop_assert_eq!(naive_sink.len(), batch.len());
-            for (i, event) in batch.events().iter().enumerate() {
+            for (i, event) in batch.iter().enumerate() {
+                let event = &event.to_message();
                 // Reference: the engines' own single-event path.
                 let expected_counting = counting.match_event(event);
                 let mut expected_naive = naive.match_event(event);
@@ -208,7 +209,8 @@ proptest! {
             ] {
                 engine.match_batch(&batch, &mut got_sink);
                 prop_assert_eq!(got_sink.len(), reference_sink.len());
-                for (i, event) in batch.events().iter().enumerate() {
+                for (i, event) in batch.iter().enumerate() {
+                    let event = &event.to_message();
                     prop_assert_eq!(
                         got_sink.for_event(i),
                         reference_sink.for_event(i),
@@ -360,7 +362,8 @@ proptest! {
             for (name, engine) in engines {
                 engine.match_batch(&batch, &mut got_sink);
                 prop_assert_eq!(got_sink.len(), reference_sink.len());
-                for (i, event) in batch.events().iter().enumerate() {
+                for (i, event) in batch.iter().enumerate() {
+                    let event = &event.to_message();
                     let mut got = got_sink.for_event(i).to_vec();
                     // The naive baseline emits unsorted; everything else is
                     // contractually id-sorted already and the sort is a
@@ -720,7 +723,8 @@ proptest! {
             naive.match_batch(&batch, &mut expected);
             for (name, engine) in &mut engines {
                 engine.match_batch(&batch, &mut got);
-                for (i, event) in batch.events().iter().enumerate() {
+                for (i, event) in batch.iter().enumerate() {
+                    let event = &event.to_message();
                     let mut want = expected.for_event(i).to_vec();
                     want.sort();
                     prop_assert_eq!(

@@ -1,4 +1,4 @@
-//! Reusable, arena-backed batches of event messages.
+//! Reusable, arena-backed batches of events.
 //!
 //! The paper's figures are throughput curves over sustained event streams,
 //! and the matching engines are fastest when they are driven a *batch* at a
@@ -7,13 +7,16 @@
 //! consecutive events. [`EventBatch`] is the carrier type for that style of
 //! operation.
 //!
-//! A batch owns its [`EventMessage`]s and additionally keeps every event's
-//! pre-resolved `(AttrId, Value)` pairs in one flat **arena** (`Vec`) with a
-//! span per event. Matching iterates the arena contiguously — no per-event
-//! pointer chasing — and [`EventBatch::clear`] retains the arena, span, and
-//! event allocations, so a batch that is cleared and refilled to a similar
-//! size allocates nothing in steady state (string values are `Arc<str>`, so
-//! copying a pair into the arena is a refcount bump).
+//! A batch stores **one copy of each event**: its id, and its pre-resolved
+//! `(AttrId, Value)` pairs in one flat **arena** (`Vec`) with a span per
+//! event. Matching iterates the arena contiguously — no per-event pointer
+//! chasing — and [`EventBatch::event`] hands out a borrowed [`EventRef`]
+//! view instead of an owned message. [`EventBatch::push`] moves an event's
+//! pairs into the arena, the wire codec decodes straight into it
+//! ([`EventBatch::try_push_with`]), and [`EventBatch::clear`] retains every
+//! allocation, so a batch that is cleared and refilled to a similar size
+//! allocates nothing in steady state (string values are `Arc<str>`, so
+//! copying a pair between batches is a refcount bump).
 //!
 //! Batches are built three ways:
 //!
@@ -25,7 +28,7 @@
 //! ```
 //! use pubsub_core::{EventBatch, EventMessage};
 //!
-//! let batch: EventBatch = (0..3)
+//! let events: Vec<EventMessage> = (0..3)
 //!     .map(|i| {
 //!         EventMessage::builder()
 //!             .id(i as u64)
@@ -33,52 +36,80 @@
 //!             .build()
 //!     })
 //!     .collect();
+//! let batch: EventBatch = events.iter().cloned().collect();
 //! assert_eq!(batch.len(), 3);
-//! // The resolved view of an event agrees with the event itself.
-//! for (i, event) in batch.events().iter().enumerate() {
-//!     assert_eq!(batch.resolved(i).count(), event.len());
+//! // Each event's view reads the arena and agrees with the pushed message.
+//! for (event, message) in batch.iter().zip(&events) {
+//!     assert_eq!(event.id(), message.id());
+//!     assert_eq!(&event.to_message(), message);
 //! }
 //! ```
 
+use crate::event::{find_value, is_name_sorted, pairs_size_bytes};
 use crate::{AttrId, EventId, EventMessage, Value};
 
-/// A reusable, arena-backed collection of [`EventMessage`]s.
+/// A reusable, arena-backed collection of events.
 ///
 /// See the `batch` module documentation for the design rationale. The batch
 /// is the unit the matching engines consume (`MatchingEngine::match_batch` in
 /// the `filtering` crate) and the unit the broker simulation routes between
 /// brokers.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventBatch {
-    /// The owned event messages, in push order.
-    events: Vec<EventMessage>,
+    /// The event ids, in push order.
+    ids: Vec<EventId>,
     /// Flat arena of every event's resolved attribute pairs, concatenated.
     arena: Vec<(AttrId, Value)>,
-    /// Per-event `(start, len)` span into `arena`, parallel to `events`.
+    /// Per-event `(start, len)` span into `arena`, parallel to `ids`.
     spans: Vec<(u32, u32)>,
-    /// Recycled event shells parked by [`clear`](Self::clear), reused by
-    /// [`push_resolved`](Self::push_resolved) so decode-style refills (the
-    /// wire codec's `PublishBatch` hot path) build events without allocating.
-    /// Bounded by the largest batch ever cleared; excluded from equality and
-    /// clones.
-    spares: Vec<EventMessage>,
 }
 
-impl Clone for EventBatch {
-    fn clone(&self) -> Self {
-        Self {
-            events: self.events.clone(),
-            arena: self.arena.clone(),
-            spans: self.spans.clone(),
-            spares: Vec::new(),
-        }
+/// A borrowed view of one event of an [`EventBatch`]: its id and its
+/// resolved pairs, read straight out of the batch arena.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EventRef<'a> {
+    id: EventId,
+    pairs: &'a [(AttrId, Value)],
+}
+
+impl<'a> EventRef<'a> {
+    /// The identifier of this event.
+    pub fn id(self) -> EventId {
+        self.id
+    }
+
+    /// Looks up the value of an attribute by its interned id.
+    #[inline]
+    pub fn get_id(self, id: AttrId) -> Option<&'a Value> {
+        find_value(self.pairs, id)
+    }
+
+    /// The `(AttrId, Value)` pairs in attribute-name order, one per
+    /// attribute — the same shape as [`EventMessage::resolved_pairs`].
+    #[inline]
+    pub fn resolved_pairs(self) -> &'a [(AttrId, Value)] {
+        self.pairs
+    }
+
+    /// Copies the event out of the batch as an owned message.
+    pub fn to_message(self) -> EventMessage {
+        EventMessage::from_sorted_pairs(self.id, self.pairs.to_vec())
     }
 }
 
-impl PartialEq for EventBatch {
-    fn eq(&self, other: &Self) -> bool {
-        // The spare pool is scratch, not content.
-        self.events == other.events && self.arena == other.arena && self.spans == other.spans
+/// Appends the pairs of one event under construction to a batch arena; see
+/// [`EventBatch::try_push_with`].
+#[derive(Debug)]
+pub struct PairWriter<'a> {
+    arena: &'a mut Vec<(AttrId, Value)>,
+}
+
+impl PairWriter<'_> {
+    /// Appends one pair. Pairs must come in strictly ascending
+    /// attribute-name order.
+    #[inline]
+    pub fn push(&mut self, attr: AttrId, value: Value) {
+        self.arena.push((attr, value));
     }
 }
 
@@ -92,10 +123,9 @@ impl EventBatch {
     /// `width` attributes each.
     pub fn with_capacity(events: usize, width: usize) -> Self {
         Self {
-            events: Vec::with_capacity(events),
+            ids: Vec::with_capacity(events),
             arena: Vec::with_capacity(events * width),
             spans: Vec::with_capacity(events),
-            spares: Vec::new(),
         }
     }
 
@@ -106,39 +136,88 @@ impl EventBatch {
         }
     }
 
-    /// Appends an event to the batch, copying its resolved attribute pairs
+    /// Appends an event to the batch, moving its resolved attribute pairs
     /// into the arena.
     pub fn push(&mut self, event: EventMessage) {
-        let start = u32::try_from(self.arena.len()).expect("batch arena exceeds u32 range");
-        self.arena
-            .extend(event.iter_resolved().map(|(id, v)| (id, v.clone())));
-        let len = u32::try_from(self.arena.len() - start as usize)
-            .expect("event width exceeds u32 range");
+        let start = self.arena.len();
+        let (id, pairs) = event.into_parts();
+        self.arena.extend(pairs);
+        self.close_event(id, start);
+    }
+
+    /// Appends an event whose pairs `fill` writes straight into the arena —
+    /// the wire codec's decode path. The pairs must be in strictly
+    /// ascending attribute-name order. If `fill` fails, the pairs it wrote
+    /// are removed, the batch is left as it was, and the error is returned.
+    pub fn try_push_with<E>(
+        &mut self,
+        id: EventId,
+        fill: impl FnOnce(&mut PairWriter<'_>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let start = self.arena.len();
+        match fill(&mut PairWriter {
+            arena: &mut self.arena,
+        }) {
+            Ok(()) => {
+                debug_assert!(
+                    is_name_sorted(&self.arena[start..]),
+                    "event pairs must be name-sorted and deduplicated"
+                );
+                self.close_event(id, start);
+                Ok(())
+            }
+            Err(error) => {
+                self.arena.truncate(start);
+                Err(error)
+            }
+        }
+    }
+
+    /// Copies the event at `index` of another batch into this one. This is
+    /// how brokers build per-neighbor forward batches.
+    ///
+    /// # Panics
+    /// Panics if `index` is out of range for `source`.
+    pub fn push_from(&mut self, source: &EventBatch, index: usize) {
+        let start = self.arena.len();
+        self.arena.extend_from_slice(source.resolved_pairs(index));
+        self.close_event(source.ids[index], start);
+    }
+
+    /// Records the pairs from `start` to the arena's end as event `id`.
+    fn close_event(&mut self, id: EventId, start: usize) {
+        let len = self.arena.len() - start;
+        let start = u32::try_from(start).expect("batch arena exceeds u32 range");
+        let len = u32::try_from(len).expect("event width exceeds u32 range");
         self.spans.push((start, len));
-        self.events.push(event);
+        self.ids.push(id);
     }
 
     /// Number of events in the batch.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.ids.len()
     }
 
     /// Returns `true` if the batch holds no events.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// The events of this batch, in push order.
-    pub fn events(&self) -> &[EventMessage] {
-        &self.events
+        self.ids.is_empty()
     }
 
     /// The event at `index`.
     ///
     /// # Panics
     /// Panics if `index >= len()`.
-    pub fn event(&self, index: usize) -> &EventMessage {
-        &self.events[index]
+    #[inline]
+    pub fn event(&self, index: usize) -> EventRef<'_> {
+        EventRef {
+            id: self.ids[index],
+            pairs: self.resolved_pairs(index),
+        }
+    }
+
+    /// The events of this batch, in push order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = EventRef<'_>> {
+        (0..self.len()).map(|index| self.event(index))
     }
 
     /// Iterates over the pre-resolved `(AttrId, &Value)` pairs of the event
@@ -156,8 +235,7 @@ impl EventBatch {
     }
 
     /// The arena slice holding the resolved pairs of the event at `index` —
-    /// the borrowed form [`push_resolved`](Self::push_resolved) and the wire
-    /// codec's encoder consume.
+    /// the borrowed form matching and the wire codec's encoder consume.
     ///
     /// # Panics
     /// Panics if `index >= len()`.
@@ -167,50 +245,10 @@ impl EventBatch {
         &self.arena[start as usize..(start + len) as usize]
     }
 
-    /// Appends an event rebuilt from pre-resolved `(AttrId, Value)` pairs in
-    /// attribute-name order (unique attributes), reusing a recycled event
-    /// shell when one is available.
-    ///
-    /// This is the wire-decode hot path: the codec decodes a `PublishBatch`
-    /// frame pair by pair and pushes each event through this method, so a
-    /// batch that is cleared and re-decoded to a similar size allocates
-    /// nothing in steady state (string values are `Arc<str>`; copying a pair
-    /// is a refcount bump).
-    pub fn push_resolved(&mut self, id: EventId, pairs: &[(AttrId, Value)]) {
-        let start = u32::try_from(self.arena.len()).expect("batch arena exceeds u32 range");
-        self.arena.extend_from_slice(pairs);
-        let len = u32::try_from(pairs.len()).expect("event width exceeds u32 range");
-        self.spans.push((start, len));
-        let mut event = self.spares.pop().unwrap_or_default();
-        event.refill_resolved(id, pairs);
-        self.events.push(event);
-    }
-
-    /// Copies the event at `index` of another batch into this one, reusing a
-    /// recycled event shell. This is how brokers build per-neighbor forward
-    /// batches without cloning event allocations.
-    ///
-    /// # Panics
-    /// Panics if `index` is out of range for `source`.
-    pub fn push_from(&mut self, source: &EventBatch, index: usize) {
-        self.push_resolved(source.event(index).id(), source.resolved_pairs(index));
-    }
-
-    /// Removes all events while retaining the event, span, and arena
+    /// Removes all events while retaining the id, span, and arena
     /// allocations, so the batch can be refilled without reallocating.
-    ///
-    /// Cleared events are parked in an internal spare pool (bounded by one
-    /// batch's worth of shells) and reused by
-    /// [`push_resolved`](Self::push_resolved); their allocations — including
-    /// any `Arc<str>` value references — are retained until overwritten or
-    /// the batch is dropped.
     pub fn clear(&mut self) {
-        let cap = self.spares.capacity().max(self.events.len());
-        for event in self.events.drain(..) {
-            if self.spares.len() < cap {
-                self.spares.push(event);
-            }
-        }
+        self.ids.clear();
         self.arena.clear();
         self.spans.clear();
     }
@@ -219,7 +257,7 @@ impl EventBatch {
     /// internal buffers. Constant across `clear`/refill cycles of similar
     /// size; the scratch-reuse regression tests assert on it.
     pub fn capacity(&self) -> usize {
-        self.events.capacity() + self.arena.capacity() + self.spans.capacity()
+        self.ids.capacity() + self.arena.capacity() + self.spans.capacity()
     }
 
     /// The whole resolved-pair arena: every event's `(AttrId, Value)` pairs
@@ -231,23 +269,19 @@ impl EventBatch {
         &self.arena
     }
 
-    /// Sum of the estimated wire sizes of all events in the batch.
+    /// Sum of the estimated wire sizes ([`EventMessage::size_bytes`]) of
+    /// all events in the batch.
     pub fn size_bytes(&self) -> usize {
-        self.events.iter().map(EventMessage::size_bytes).sum()
-    }
-
-    /// Consumes the batch, returning the owned events.
-    pub fn into_events(self) -> Vec<EventMessage> {
-        self.events
+        (0..self.len())
+            .map(|index| pairs_size_bytes(self.resolved_pairs(index)))
+            .sum()
     }
 }
 
 impl From<Vec<EventMessage>> for EventBatch {
     fn from(events: Vec<EventMessage>) -> Self {
         let mut batch = EventBatch::with_capacity(events.len(), 8);
-        for event in events {
-            batch.push(event);
-        }
+        batch.extend(events);
         batch
     }
 }
@@ -265,15 +299,6 @@ impl Extend<EventMessage> for EventBatch {
         for event in iter {
             self.push(event);
         }
-    }
-}
-
-impl<'a> IntoIterator for &'a EventBatch {
-    type Item = &'a EventMessage;
-    type IntoIter = std::slice::Iter<'a, EventMessage>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.events.iter()
     }
 }
 
@@ -457,11 +482,17 @@ mod tests {
         batch.push(ev(2, 20));
         assert_eq!(batch.len(), 2);
         assert_eq!(batch.event(0).id(), EventId::from_raw(1));
-        assert_eq!(batch.events().len(), 2);
-        for (i, event) in batch.events().iter().enumerate() {
+        let messages = [ev(1, 10), ev(2, 20)];
+        assert_eq!(batch.iter().len(), 2);
+        for (i, (event, message)) in batch.iter().zip(&messages).enumerate() {
             let from_arena: Vec<(AttrId, &Value)> = batch.resolved(i).collect();
-            let from_event: Vec<(AttrId, &Value)> = event.iter_resolved().collect();
+            let from_event: Vec<(AttrId, &Value)> = message.iter_resolved().collect();
             assert_eq!(from_arena, from_event);
+            assert_eq!(event.resolved_pairs(), message.resolved_pairs());
+            assert_eq!(&event.to_message(), message);
+            for (id, value) in message.iter_resolved() {
+                assert_eq!(event.get_id(id), Some(value));
+            }
         }
     }
 
@@ -498,15 +529,17 @@ mod tests {
 
     #[test]
     fn iteration_and_size() {
-        let batch: EventBatch = (0..4).map(|i| ev(i, i as i64)).collect();
-        assert_eq!((&batch).into_iter().count(), 4);
-        let expected: usize = batch.events().iter().map(EventMessage::size_bytes).sum();
+        let messages: Vec<EventMessage> = (0..4).map(|i| ev(i, i as i64)).collect();
+        let batch: EventBatch = messages.iter().cloned().collect();
+        let ids: Vec<EventId> = batch.iter().map(EventRef::id).collect();
+        let expected_ids: Vec<EventId> = messages.iter().map(EventMessage::id).collect();
+        assert_eq!(ids, expected_ids);
+        let expected: usize = messages.iter().map(EventMessage::size_bytes).sum();
         assert_eq!(batch.size_bytes(), expected);
-        assert_eq!(batch.into_events().len(), 4);
     }
 
     #[test]
-    fn push_resolved_rebuilds_equal_events_and_recycles_shells() {
+    fn push_from_rebuilds_equal_events_without_growing() {
         let mut reference = EventBatch::new();
         for i in 0..32 {
             reference.push(ev(i, i as i64));
@@ -518,8 +551,8 @@ mod tests {
         }
         assert_eq!(rebuilt, reference);
 
-        // Steady state: clear + refill through push_resolved reuses the
-        // recycled event shells and the arena — zero growth.
+        // Steady state: clear + refill through push_from reuses the id,
+        // span, and arena buffers — zero growth.
         let capacity = rebuilt.capacity();
         for _ in 0..4 {
             rebuilt.clear();
@@ -532,35 +565,31 @@ mod tests {
     }
 
     #[test]
-    fn spare_pool_stays_bounded_under_push_refills() {
-        // Refilling through `push` (fresh events) must not let the spare
-        // pool of recycled shells grow without bound.
+    fn failed_try_push_with_leaves_the_batch_unchanged() {
         let mut batch = EventBatch::new();
-        for _ in 0..10 {
-            for i in 0..16 {
-                batch.push(ev(i, i as i64));
-            }
-            batch.clear();
-        }
-        assert!(
-            batch.spares.len() <= 16,
-            "spare pool grew to {}",
-            batch.spares.len()
+        batch.push(ev(1, 10));
+        let before = batch.clone();
+        let price = crate::attr::intern("price");
+        let result = batch.try_push_with(EventId::from_raw(2), |pairs| {
+            pairs.push(price, Value::Int(1));
+            Err("decode failed")
+        });
+        assert_eq!(result, Err("decode failed"));
+        assert_eq!(batch, before);
+        assert_eq!(batch.arena_pairs().len(), 2, "half-built pairs left behind");
+        batch
+            .try_push_with(EventId::from_raw(2), |pairs| {
+                pairs.push(price, Value::Int(20));
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+        assert_eq!(
+            batch.event(1).to_message(),
+            EventMessage::builder()
+                .id(2u64)
+                .attr("price", 20i64)
+                .build()
         );
-    }
-
-    #[test]
-    fn clones_and_equality_ignore_the_spare_pool() {
-        let mut a = EventBatch::new();
-        a.push(ev(1, 1));
-        a.clear(); // parks a spare shell
-        a.push(ev(2, 2));
-        let mut b = EventBatch::new();
-        b.push(ev(2, 2));
-        assert_eq!(a, b);
-        let c = a.clone();
-        assert_eq!(c, a);
-        assert!(c.spares.is_empty());
     }
 
     #[test]

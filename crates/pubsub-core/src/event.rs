@@ -65,10 +65,7 @@ impl EventMessage {
     /// just a linear scan over the event's few entries comparing `u32`s.
     #[inline]
     pub fn get_id(&self, id: AttrId) -> Option<&Value> {
-        self.attributes
-            .iter()
-            .find(|(aid, _)| *aid == id)
-            .map(|(_, v)| v)
+        find_value(&self.attributes, id)
     }
 
     /// Returns `true` if the event carries the given attribute.
@@ -132,24 +129,20 @@ impl EventMessage {
         }
     }
 
-    /// Clears this event and refills it from pre-resolved pairs that are
-    /// already in attribute-name order with unique attributes — the form the
-    /// wire codec decodes and the batch arena stores. Reuses the attribute
-    /// allocation, which is what makes recycled event shells
-    /// (`EventBatch::push_resolved`) allocation-free in steady state.
-    pub(crate) fn refill_resolved(&mut self, id: EventId, pairs: &[(AttrId, Value)]) {
+    /// Builds an event from pre-resolved pairs that are already in
+    /// attribute-name order with unique attributes — the form the batch
+    /// arena stores.
+    pub(crate) fn from_sorted_pairs(id: EventId, attributes: Vec<(AttrId, Value)>) -> Self {
         debug_assert!(
-            {
-                let resolver = attr::resolver();
-                pairs
-                    .windows(2)
-                    .all(|w| resolver.name(w[0].0) < resolver.name(w[1].0))
-            },
-            "refill_resolved pairs must be name-sorted and deduplicated"
+            is_name_sorted(&attributes),
+            "event pairs must be name-sorted and deduplicated"
         );
-        self.id = id;
-        self.attributes.clear();
-        self.attributes.extend_from_slice(pairs);
+        Self { id, attributes }
+    }
+
+    /// Splits the event into its id and its name-sorted pairs.
+    pub(crate) fn into_parts(self) -> (EventId, Vec<(AttrId, Value)>) {
+        (self.id, self.attributes)
     }
 
     /// Binary-searches the name-sorted entries for `id`, resolving all probe
@@ -167,16 +160,35 @@ impl EventMessage {
     /// The distributed simulation uses this to account for network load in
     /// bytes in addition to message counts.
     pub fn size_bytes(&self) -> usize {
-        const PER_PAIR_OVERHEAD: usize = 4;
-        const HEADER: usize = 16;
-        let resolver = attr::resolver();
-        HEADER
-            + self
-                .attributes
-                .iter()
-                .map(|(id, v)| resolver.name(*id).len() + v.size_bytes() + PER_PAIR_OVERHEAD)
-                .sum::<usize>()
+        pairs_size_bytes(&self.attributes)
     }
+}
+
+/// The value of `id` among one event's resolved pairs — a linear scan over
+/// a few `u32`s, shared by [`EventMessage`] and the batch's event view.
+#[inline]
+pub(crate) fn find_value(pairs: &[(AttrId, Value)], id: AttrId) -> Option<&Value> {
+    pairs.iter().find(|(aid, _)| *aid == id).map(|(_, v)| v)
+}
+
+/// [`EventMessage::size_bytes`] of the event holding `pairs`.
+pub(crate) fn pairs_size_bytes(pairs: &[(AttrId, Value)]) -> usize {
+    const PER_PAIR_OVERHEAD: usize = 4;
+    const HEADER: usize = 16;
+    let resolver = attr::resolver();
+    HEADER
+        + pairs
+            .iter()
+            .map(|(id, v)| resolver.name(*id).len() + v.size_bytes() + PER_PAIR_OVERHEAD)
+            .sum::<usize>()
+}
+
+/// Whether `pairs` are in strictly ascending attribute-name order.
+pub(crate) fn is_name_sorted(pairs: &[(AttrId, Value)]) -> bool {
+    let resolver = attr::resolver();
+    pairs
+        .windows(2)
+        .all(|w| resolver.name(w[0].0) < resolver.name(w[1].0))
 }
 
 impl fmt::Display for EventMessage {

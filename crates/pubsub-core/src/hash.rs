@@ -1,11 +1,12 @@
 //! Shared FNV-1a 64-bit hashing.
 //!
-//! One implementation serves every non-cryptographic fingerprint in the
-//! workspace: the reliable-link frame checksums in `broker::reliable` and
-//! the hash-consed subscription fingerprints in [`analysis`](crate::analysis).
-//! FNV-1a is a deliberate choice — byte-order independent of the host,
-//! allocation free, and trivially streamable, so checksums computed on one
-//! side of a wire frame reproduce exactly on the other.
+//! One implementation serves the hash-consed subscription fingerprints in
+//! [`analysis`](crate::analysis) and the checksums of the durable
+//! [`record`](crate::record)s, so logs written before stay readable. FNV-1a
+//! is a deliberate choice there — byte-order independent of the host,
+//! allocation free, and trivially streamable. It runs one byte at a time,
+//! so the per-frame link checksums of `broker::reliable` use a word-wise
+//! hash of their own instead.
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

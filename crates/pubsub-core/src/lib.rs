@@ -5,8 +5,8 @@
 //!
 //! * [`Value`] — typed attribute values carried by event messages.
 //! * [`EventMessage`] — a set of attribute–value pairs published by a producer.
-//! * [`EventBatch`] — a reusable, arena-backed batch of event messages, the
-//!   unit the batch-first matching API consumes.
+//! * [`EventBatch`] — a reusable, arena-backed batch of events, the unit the
+//!   batch-first matching API consumes.
 //! * [`Predicate`] — an attribute–operator–value triple, the leaf variables of
 //!   subscriptions.
 //! * [`SubscriptionTree`] — an arbitrary Boolean expression over predicates
@@ -68,7 +68,7 @@ mod value;
 
 pub use analysis::{Analysis, AnalysisReport, Analyzer};
 pub use attr::AttrId;
-pub use batch::{AttrGroups, EventBatch, EventBatchBuilder};
+pub use batch::{AttrGroups, EventBatch, EventBatchBuilder, EventRef, PairWriter};
 pub use error::CoreError;
 pub use event::{EventBuilder, EventMessage};
 pub use expr::Expr;

@@ -64,7 +64,7 @@ impl Subscription {
 
     /// Evaluates the subscription against an event message.
     pub fn matches(&self, event: &EventMessage) -> bool {
-        self.tree.evaluate(event)
+        self.tree.evaluate_pairs(event.resolved_pairs())
     }
 
     /// Summary statistics of the subscription's tree.

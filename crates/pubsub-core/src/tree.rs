@@ -7,7 +7,7 @@
 //! *which* subtree to remove, how many bytes it occupies, and whether its
 //! removal generalizes the subscription.
 
-use crate::{CoreError, EventMessage, Expr, NodeId, Predicate};
+use crate::{AttrId, CoreError, EventMessage, Expr, NodeId, Predicate, Value};
 use std::fmt;
 
 /// The kind of a tree node.
@@ -304,7 +304,16 @@ impl SubscriptionTree {
 
     /// Evaluates the tree against an event message.
     pub fn evaluate(&self, event: &EventMessage) -> bool {
-        self.evaluate_leaves(&mut |_, p| p.evaluate(event))
+        self.evaluate_pairs(event.resolved_pairs())
+    }
+
+    /// Evaluates the tree against one event's resolved `(AttrId, Value)`
+    /// pairs — the form a batch stores (`EventBatch::resolved_pairs`), so a
+    /// batch event is matched without being materialized as a message.
+    pub fn evaluate_pairs(&self, pairs: &[(AttrId, Value)]) -> bool {
+        self.evaluate_leaves(&mut |_, p| {
+            crate::event::find_value(pairs, p.attr_id()).is_some_and(|v| p.evaluate_value(v))
+        })
     }
 
     /// Evaluates the tree using an externally supplied truth assignment for

@@ -120,9 +120,9 @@ impl EventGenerator {
     ///
     /// Sustained-stream drivers keep one batch alive and refill it between
     /// `match_batch` calls (or wire `encode_publish_batch` frames); the
-    /// batch retains its arena, span, and recycled event-shell allocations
-    /// across the clear, so the steady state allocates only the freshly
-    /// generated events themselves.
+    /// batch retains its id, span, and arena allocations across the clear,
+    /// so the steady state allocates only the freshly generated events
+    /// themselves.
     pub fn fill_event_batch(&mut self, count: usize, batch: &mut EventBatch) {
         batch.clear();
         for _ in 0..count {

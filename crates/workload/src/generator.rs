@@ -154,12 +154,12 @@ mod tests {
         let mut b = WorkloadGenerator::new(WorkloadConfig::small());
         let batch = a.event_batch(30);
         let events = b.events(30);
-        assert_eq!(batch.events(), &events[..]);
+        assert_eq!(batch, EventBatch::from(events));
         // Refilling a kept batch continues the stream and reuses the arena.
         let mut batch = batch;
         a.fill_event_batch(30, &mut batch);
         let capacity = batch.capacity();
-        assert_eq!(batch.events(), &b.events(30)[..]);
+        assert_eq!(batch, EventBatch::from(b.events(30)));
         a.fill_event_batch(30, &mut batch);
         assert_eq!(batch.capacity(), capacity);
     }
