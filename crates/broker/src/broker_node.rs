@@ -517,9 +517,17 @@ impl Broker {
         event: &EventMessage,
         from: Option<BrokerId>,
     ) -> EventHandling {
+        let batch = std::iter::once(event.clone()).collect();
+        let BatchHandling {
+            deliveries,
+            mut forward_to,
+        } = self.handle_batch(&batch, from);
         EventHandling {
-            deliveries: self.table.match_local(event),
-            forward_to: self.table.neighbors_to_forward(event, from),
+            deliveries: deliveries
+                .into_iter()
+                .map(|(_, subscriber, id)| (subscriber, id))
+                .collect(),
+            forward_to: forward_to.pop().unwrap_or_default(),
         }
     }
 

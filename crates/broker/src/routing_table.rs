@@ -26,7 +26,10 @@
 //! alone, pruned trees included.
 //!
 //! **Break-even.** Measured at 1,000 of the paper's entries towards one
-//! neighbor, in batches of 64 on a 2-core x86-64 host: an engine pass over
+//! neighbor, in batches of 64 on a 2-core x86-64 host, while trees still
+//! kept a child vector per node (before the preorder layout of
+//! [`SubscriptionTree`], which makes both an evaluation and an engine pass
+//! cheaper; not re-measured since): an engine pass over
 //! events no entry matches costs ~1.2 µs per event, a decision a witness
 //! answers ~0.3 µs (6.2 evaluations on average), and an event that misses a
 //! full list pays all [`MAX_WITNESSES`] evaluations, ~1.2 µs, on top of its
@@ -55,8 +58,7 @@ use filtering::{
 };
 use pubsub_core::analysis::implies;
 use pubsub_core::{
-    BrokerId, EventBatch, EventMessage, SubscriberId, Subscription, SubscriptionId,
-    SubscriptionTree,
+    BrokerId, EventBatch, SubscriberId, Subscription, SubscriptionId, SubscriptionTree,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
@@ -158,9 +160,6 @@ pub struct RoutingTable {
     /// [`install_remote_tree`](Self::install_remote_tree) rather than the one
     /// they were registered (and flooded onward) with.
     pruned: BTreeSet<SubscriptionId>,
-    /// Reusable match buffer so per-event routing allocates nothing in
-    /// steady state (events are matched through `match_event_into`).
-    match_scratch: Vec<SubscriptionId>,
     /// Reusable sink for batch-matching the local engine.
     batch_sink: VecSink,
     /// Reusable per-event first matches for the per-neighbor forwarding
@@ -451,31 +450,10 @@ impl RoutingTable {
             }))
     }
 
-    /// Matches an event against the local entries, returning
-    /// `(subscriber, subscription)` pairs to notify.
-    pub fn match_local(&mut self, event: &EventMessage) -> Vec<(SubscriberId, SubscriptionId)> {
-        let mut ids = std::mem::take(&mut self.match_scratch);
-        self.local.match_event_into(event, &mut ids);
-        let hits = ids
-            .iter()
-            .map(|&id| {
-                let subscriber = self
-                    .local
-                    .get(id)
-                    .expect("matched subscription is registered")
-                    .subscriber();
-                (subscriber, id)
-            })
-            .collect();
-        self.match_scratch = ids;
-        hits
-    }
-
     /// Matches a whole batch against the local entries, replacing `out` with
     /// `(event index, subscriber, subscription)` triples to notify.
     ///
-    /// This is the batch analogue of [`match_local`](Self::match_local): the
-    /// local engine is driven once for the whole batch, and the table's
+    /// The local engine is driven once for the whole batch, and the table's
     /// reusable sink keeps the operation allocation-free in steady state
     /// (apart from growing `out`).
     pub fn match_local_batch(
@@ -573,19 +551,6 @@ impl RoutingTable {
         }
     }
 
-    /// Determines which neighbors need a copy of the event:
-    /// [`forward_batch`](Self::forward_batch) for a batch of one.
-    pub fn neighbors_to_forward(
-        &mut self,
-        event: &EventMessage,
-        exclude: Option<BrokerId>,
-    ) -> Vec<BrokerId> {
-        let batch: EventBatch = std::iter::once(event.clone()).collect();
-        let mut out = Vec::new();
-        self.forward_batch(&batch, exclude, &mut out);
-        out.pop().unwrap_or_default()
-    }
-
     /// Number of local entries.
     pub fn local_len(&self) -> usize {
         self.local.len()
@@ -656,7 +621,7 @@ fn file_all(engine: &AnyEngine, pruned: &BTreeSet<SubscriptionId>) -> Subsumptio
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pubsub_core::Expr;
+    use pubsub_core::{EventMessage, Expr};
 
     fn b(i: u32) -> BrokerId {
         BrokerId::from_raw(i)
@@ -677,12 +642,35 @@ mod tests {
             .build()
     }
 
+    /// `match_local_batch` for a batch of one.
+    fn match_local_one(
+        table: &mut RoutingTable,
+        event: &EventMessage,
+    ) -> Vec<(SubscriberId, SubscriptionId)> {
+        let mut out = Vec::new();
+        table.match_local_batch(&std::iter::once(event.clone()).collect(), &mut out);
+        out.into_iter()
+            .map(|(_, subscriber, id)| (subscriber, id))
+            .collect()
+    }
+
+    /// `forward_batch` for a batch of one.
+    fn forward_one(
+        table: &mut RoutingTable,
+        event: &EventMessage,
+        exclude: Option<BrokerId>,
+    ) -> Vec<BrokerId> {
+        let mut out = Vec::new();
+        table.forward_batch(&std::iter::once(event.clone()).collect(), exclude, &mut out);
+        out.pop().unwrap_or_default()
+    }
+
     #[test]
     fn local_matching_reports_subscribers() {
         let mut table = RoutingTable::new();
         table.add_local(sub(1, 10, &Expr::eq("category", "books")));
         table.add_local(sub(2, 20, &Expr::eq("category", "music")));
-        let hits = table.match_local(&books_event(5));
+        let hits = match_local_one(&mut table, &books_event(5));
         assert_eq!(
             hits,
             vec![(SubscriberId::from_raw(10), SubscriptionId::from_raw(1))]
@@ -696,10 +684,10 @@ mod tests {
         let mut table = RoutingTable::new();
         table.add_remote(sub(1, 10, &Expr::eq("category", "books")), b(1));
         table.add_remote(sub(2, 20, &Expr::eq("category", "music")), b(2));
-        let forward = table.neighbors_to_forward(&books_event(5), None);
+        let forward = forward_one(&mut table, &books_event(5), None);
         assert_eq!(forward, vec![b(1)]);
         // The link the event arrived on is excluded even if it matches.
-        let forward = table.neighbors_to_forward(&books_event(5), Some(b(1)));
+        let forward = forward_one(&mut table, &books_event(5), Some(b(1)));
         assert!(forward.is_empty());
     }
 
@@ -716,16 +704,11 @@ mod tests {
         );
         table.add_remote(original.clone(), b(1));
         // An expensive book does not match the exact entry.
-        assert!(table
-            .neighbors_to_forward(&books_event(50), None)
-            .is_empty());
+        assert!(forward_one(&mut table, &books_event(50), None).is_empty());
         // Install the pruned entry (price constraint removed).
         let pruned_tree = SubscriptionTree::from_expr(&Expr::eq("category", "books"));
         assert!(table.install_remote_tree(SubscriptionId::from_raw(1), pruned_tree));
-        assert_eq!(
-            table.neighbors_to_forward(&books_event(50), None),
-            vec![b(1)]
-        );
+        assert_eq!(forward_one(&mut table, &books_event(50), None), vec![b(1)]);
         // Destination is unchanged.
         assert_eq!(
             table.remote_destination(SubscriptionId::from_raw(1)),
@@ -789,23 +772,23 @@ mod tests {
         table.add_remote(books.clone(), b(2));
         assert_eq!(table.remote_len(), 1);
         assert_eq!(table.remote_subscriptions().len(), 1);
-        assert_eq!(table.neighbors_to_forward(&books_event(5), None), [b(2)]);
+        assert_eq!(forward_one(&mut table, &books_event(5), None), [b(2)]);
         assert!(table.remove(id).is_some());
         assert_eq!(table.remote_len(), 0);
-        assert!(table.neighbors_to_forward(&books_event(5), None).is_empty());
+        assert!(forward_one(&mut table, &books_event(5), None).is_empty());
         assert!(table.remove(id).is_none());
         // Remote, then local: delivered, no longer forwarded.
         table.add_remote(books.clone(), b(0));
         table.add_local(books.clone());
         assert_eq!((table.local_len(), table.remote_len()), (1, 0));
-        assert!(table.neighbors_to_forward(&books_event(5), None).is_empty());
-        assert_eq!(table.match_local(&books_event(5)).len(), 1);
+        assert!(forward_one(&mut table, &books_event(5), None).is_empty());
+        assert_eq!(match_local_one(&mut table, &books_event(5)).len(), 1);
         // Local, then remote: forwarded, no longer delivered.
         table.add_remote(books, b(1));
         assert_eq!((table.local_len(), table.remote_len()), (0, 1));
         assert_eq!(table.remote_destination(id), Some(b(1)));
-        assert!(table.match_local(&books_event(5)).is_empty());
-        assert_eq!(table.neighbors_to_forward(&books_event(5), None), [b(1)]);
+        assert!(match_local_one(&mut table, &books_event(5)).is_empty());
+        assert_eq!(forward_one(&mut table, &books_event(5), None), [b(1)]);
         assert_eq!(table.entries().count(), 1);
     }
 
@@ -863,10 +846,10 @@ mod tests {
         let cheap_books = Expr::and(vec![books.clone(), Expr::le("price", 10i64)]);
         let mut table = RoutingTable::new();
         table.add_remote(sub(1, 10, &books), b(1));
-        assert_eq!(table.neighbors_to_forward(&books_event(50), None), [b(1)]);
+        assert_eq!(forward_one(&mut table, &books_event(50), None), [b(1)]);
         assert_eq!(witness_ids(&table, b(1)), [1]);
         // The second decision is the witness's.
-        assert_eq!(table.neighbors_to_forward(&books_event(50), None), [b(1)]);
+        assert_eq!(forward_one(&mut table, &books_event(50), None), [b(1)]);
         assert_eq!(table.filter_stats().witness_hits, 1);
 
         // Installing another tree drops the witness cloned from the old
@@ -874,26 +857,24 @@ mod tests {
         let id = SubscriptionId::from_raw(1);
         assert!(table.install_remote_tree(id, SubscriptionTree::from_expr(&cheap_books)));
         assert!(witness_ids(&table, b(1)).is_empty());
-        assert!(table
-            .neighbors_to_forward(&books_event(50), None)
-            .is_empty());
-        assert_eq!(table.neighbors_to_forward(&books_event(5), None), [b(1)]);
+        assert!(forward_one(&mut table, &books_event(50), None).is_empty());
+        assert_eq!(forward_one(&mut table, &books_event(5), None), [b(1)]);
         assert_eq!(witness_ids(&table, b(1)), [1]);
 
         // So does re-registering the id, towards this or another neighbor…
         table.add_remote(sub(1, 10, &Expr::eq("category", "music")), b(1));
         assert!(witness_ids(&table, b(1)).is_empty());
-        assert!(table.neighbors_to_forward(&books_event(5), None).is_empty());
+        assert!(forward_one(&mut table, &books_event(5), None).is_empty());
         table.add_remote(sub(1, 10, &books), b(1));
-        assert_eq!(table.neighbors_to_forward(&books_event(5), None), [b(1)]);
+        assert_eq!(forward_one(&mut table, &books_event(5), None), [b(1)]);
         table.add_remote(sub(1, 10, &books), b(2));
         assert!(witness_ids(&table, b(1)).is_empty());
-        assert_eq!(table.neighbors_to_forward(&books_event(5), None), [b(2)]);
+        assert_eq!(forward_one(&mut table, &books_event(5), None), [b(2)]);
 
         // …and removing it.
         assert!(table.remove(id).is_some());
         assert!(witness_ids(&table, b(2)).is_empty());
-        assert!(table.neighbors_to_forward(&books_event(5), None).is_empty());
+        assert!(forward_one(&mut table, &books_event(5), None).is_empty());
         assert_eq!(table.filter_stats().witness_hits, 1);
     }
 
@@ -1004,14 +985,15 @@ mod tests {
         assert_eq!(forward.len(), batch.len());
 
         for (i, event) in events.iter().enumerate() {
-            let expected_local: Vec<(SubscriberId, SubscriptionId)> = table.match_local(event);
+            let expected_local: Vec<(SubscriberId, SubscriptionId)> =
+                match_local_one(&mut table, event);
             let got_local: Vec<(SubscriberId, SubscriptionId)> = local
                 .iter()
                 .filter(|(e, _, _)| *e == i)
                 .map(|&(_, subscriber, id)| (subscriber, id))
                 .collect();
             assert_eq!(got_local, expected_local, "event {i}");
-            let expected_forward = table.neighbors_to_forward(event, None);
+            let expected_forward = forward_one(&mut table, event, None);
             assert_eq!(forward[i], expected_forward, "event {i}");
         }
 
@@ -1090,8 +1072,8 @@ mod tests {
         // local and the per-neighbor engine, and the stage counters must
         // surface in the merged stats.
         let no_price = EventMessage::builder().attr("category", "books").build();
-        assert!(table.match_local(&no_price).is_empty());
-        assert!(table.neighbors_to_forward(&no_price, None).is_empty());
+        assert!(match_local_one(&mut table, &no_price).is_empty());
+        assert!(forward_one(&mut table, &no_price, None).is_empty());
         let stats = table.filter_stats();
         assert_eq!(stats.killed_by_prefilter, 2);
         assert_eq!(stats.stage2_candidates, 0);
@@ -1100,8 +1082,8 @@ mod tests {
         // tree).
         table.set_engine_config(EngineConfig::with_prefilter(PrefilterMode::Off));
         assert_eq!(table.engine_config().prefilter, PrefilterMode::Off);
-        assert!(table.match_local(&no_price).is_empty());
-        assert!(table.neighbors_to_forward(&no_price, None).is_empty());
+        assert!(match_local_one(&mut table, &no_price).is_empty());
+        assert!(forward_one(&mut table, &no_price, None).is_empty());
         let stats = table.filter_stats();
         assert_eq!(stats.killed_by_prefilter, 2, "stage 0 no longer killing");
         assert_eq!(stats.stage2_candidates, 2);
@@ -1112,8 +1094,8 @@ mod tests {
         let mut table = RoutingTable::new();
         table.add_local(sub(1, 10, &Expr::eq("category", "books")));
         table.add_remote(sub(2, 20, &Expr::eq("category", "books")), b(1));
-        let _ = table.match_local(&books_event(1));
-        let _ = table.neighbors_to_forward(&books_event(1), None);
+        let _ = match_local_one(&mut table, &books_event(1));
+        let _ = forward_one(&mut table, &books_event(1), None);
         let stats = table.filter_stats();
         assert_eq!(stats.events_filtered, 2); // one per engine touched
         assert_eq!(stats.matches, 2);

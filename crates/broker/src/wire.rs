@@ -294,7 +294,7 @@ impl Codec {
                 out.push(2);
                 out.extend_from_slice(&subscription.id().raw().to_le_bytes());
                 out.extend_from_slice(&subscription.subscriber().raw().to_le_bytes());
-                encode_tree(subscription.tree(), subscription.tree().root(), out);
+                encode_tree(subscription.tree(), out);
             }
             WireMessage::Unsubscribe { id } => {
                 out.push(3);
@@ -315,7 +315,7 @@ impl Codec {
                 for subscription in subscriptions {
                     out.extend_from_slice(&subscription.id().raw().to_le_bytes());
                     out.extend_from_slice(&subscription.subscriber().raw().to_le_bytes());
-                    encode_tree(subscription.tree(), subscription.tree().root(), out);
+                    encode_tree(subscription.tree(), out);
                 }
             }
         }
@@ -334,7 +334,7 @@ impl Codec {
         out.push(2);
         out.extend_from_slice(&subscription.id().raw().to_le_bytes());
         out.extend_from_slice(&subscription.subscriber().raw().to_le_bytes());
-        encode_tree(subscription.tree(), subscription.tree().root(), out);
+        encode_tree(subscription.tree(), out);
         backpatch_len(out, frame_start);
         out.len() - frame_start
     }
@@ -710,30 +710,28 @@ fn encode_value(value: &Value, out: &mut Vec<u8>) {
     }
 }
 
-fn encode_tree(tree: &SubscriptionTree, node: pubsub_core::NodeId, out: &mut Vec<u8>) {
-    let n = tree.node(node).expect("node ids of this tree are valid");
-    match n.kind() {
-        NodeKind::Predicate(p) => {
-            out.push(0);
-            encode_str16(p.attribute(), out);
-            out.push(p.operator().wire_tag());
-            encode_value(p.constant(), out);
-        }
-        NodeKind::And | NodeKind::Or => {
-            out.push(if matches!(n.kind(), NodeKind::And) {
-                1
-            } else {
-                2
-            });
-            let count = u16::try_from(n.children().len()).expect("node exceeds u16 children");
-            out.extend_from_slice(&count.to_le_bytes());
-            for child in n.children() {
-                encode_tree(tree, *child, out);
+/// Writes `tree` in the wire's preorder — each node's header followed by its
+/// children's subtrees — which is the order the tree stores its nodes in.
+fn encode_tree(tree: &SubscriptionTree, out: &mut Vec<u8>) {
+    for (id, n) in tree.node_ids().zip(tree.nodes()) {
+        match n.kind() {
+            NodeKind::Predicate(p) => {
+                out.push(0);
+                encode_str16(p.attribute(), out);
+                out.push(p.operator().wire_tag());
+                encode_value(p.constant(), out);
             }
-        }
-        NodeKind::Not => {
-            out.push(3);
-            encode_tree(tree, n.children()[0], out);
+            NodeKind::And | NodeKind::Or => {
+                out.push(if matches!(n.kind(), NodeKind::And) {
+                    1
+                } else {
+                    2
+                });
+                let count =
+                    u16::try_from(tree.children(id).count()).expect("node exceeds u16 children");
+                out.extend_from_slice(&count.to_le_bytes());
+            }
+            NodeKind::Not => out.push(3),
         }
     }
 }

@@ -11,10 +11,11 @@
 //!   candidates that provably cannot match (a required attribute absent, the
 //!   secondary equality key mismatched, the numeric bound failed) are killed
 //!   before stage 2.
-//! * **Stage 2 — evaluation**: a gated candidate's tree is evaluated against
-//!   the event itself, through a dense per-event `AttrId → value` view. An
-//!   ungated candidate's fulfilled leaves are counted, and only trees reaching
-//!   their `pmin` are evaluated against the leaf mask.
+//! * **Stage 2 — evaluation**: a candidate's tree is evaluated against the
+//!   event itself, through a dense per-event `AttrId → value` view, with
+//!   the leaves of its access clause taken as true. An ungated candidate is
+//!   evaluated only once its emissions reach the tree's `pmin`.
+//!   Subscriptions with `pmin == 0` are evaluated for every event.
 //!
 //! Every stage is semantics-preserving: match output is byte-identical with
 //! any [`EngineConfig`], stages only change how much work it takes.
@@ -36,7 +37,10 @@
 //!
 //! The rule that makes gating exact is that the index holds exactly the
 //! leaves whose firing makes the access clause true: stage 2 takes an
-//! emission of a gated slot as proof that its clause holds.
+//! emission of a gated slot as proof that its clause holds. A clause is a
+//! range of the tree's preorder node array — the leaf, or the group's
+//! children, which are consecutive leaves — so stage 2 tells an access leaf
+//! by two compares.
 
 use crate::config::EngineConfig;
 use crate::index::{equality_key, AttributeIndex, EqKey, PredicateKey, SubSlot};
@@ -44,11 +48,12 @@ use crate::prefilter::{for_each_required_item, PreFilter, RequiredItem};
 use crate::probe::ProbePlan;
 use crate::{EngineReport, FilterStats, MatchSink, MatchingEngine};
 use pubsub_core::{
-    AttrId, EventBatch, EventMessage, LeafMask, NodeId, NodeKind, Predicate, Subscription,
-    SubscriptionId, SubscriptionTree, Value,
+    AttrId, EventBatch, EventMessage, NodeId, NodeKind, Predicate, Subscription, SubscriptionId,
+    SubscriptionTree, Value,
 };
 use selectivity::DiscriminationHint;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Sentinel meaning "this slot is not in the zero-pmin list".
@@ -63,10 +68,23 @@ struct SlotEntry {
     access: Option<AccessClause>,
     /// `pmin` of the current tree, cached at insertion time.
     pmin: u32,
-    /// Reusable truth mask over the tree's nodes, allocated at insertion
-    /// time and generation-cleared between events; empty for a gated
-    /// subscription, whose leaves are not counted.
-    mask: LeafMask,
+}
+
+impl SlotEntry {
+    /// Stage 2's one evaluator, for every kind of candidate: the tree
+    /// against the event `pairs` loaded into `view`. An emitted gated slot's
+    /// access clause holds, so its leaves are taken as true — a fired leaf
+    /// is, and an equality group is true when one child fired (taking every
+    /// child as true changes no other node).
+    fn matches(&self, view: &EventView, pairs: &[(AttrId, Value)]) -> bool {
+        let fired = self.access.as_ref().map_or(0..0, |a| a.nodes.clone());
+        self.subscription.tree().evaluate_leaves(&mut |node, p| {
+            fired.contains(&node.0)
+                || view
+                    .get(pairs, p.attr_id())
+                    .is_some_and(|value| p.evaluate_value(value))
+        })
+    }
 }
 
 /// The one required clause a gated subscription is indexed under.
@@ -74,10 +92,11 @@ struct SlotEntry {
 struct AccessClause {
     /// The attribute the clause constrains.
     attr: AttrId,
-    /// The clause's equality leaves: one for a leaf, the children that can
-    /// be true for an equality group. Exactly these are registered in the
-    /// index, and any one of them firing makes the clause true.
-    nodes: Box<[NodeId]>,
+    /// The clause's leaves as a node range: the leaf itself, or the
+    /// children of an equality group. Those that can be true (all but `NaN`
+    /// constants) are registered in the index, and any one of them firing
+    /// makes the clause true.
+    nodes: Range<u32>,
 }
 
 /// Picks the access clause of `tree` (see the [module docs](self)), or
@@ -94,10 +113,18 @@ fn access_clause(
     // far, and the clause itself.
     let mut best: Option<(f64, (usize, u32, NodeId), AccessClause)> = None;
     for_each_required_item(tree, &mut Vec::new(), |item| {
-        let Some(leaves) = (match item {
-            RequiredItem::Leaf(node, p) => equality_key(p).map(|key| vec![(node, key)]),
-            RequiredItem::AnyEq(_, children) => group_leaves(tree, children),
-        }) else {
+        let (nodes, leaves) = match item {
+            RequiredItem::Leaf(node, p) => (
+                node.0..node.0 + 1,
+                equality_key(p).map(|key| vec![(node, key)]),
+            ),
+            RequiredItem::AnyEq(_, or) => {
+                let group = tree.subtree_range(or);
+                let children = group.start as u32 + 1..group.end as u32;
+                (children, group_leaves(tree, or))
+            }
+        };
+        let Some(leaves) = leaves else {
             return;
         };
         let Some(&(first, _)) = leaves.first() else {
@@ -116,43 +143,46 @@ fn access_clause(
             score.total_cmp(s).then(rank.cmp(r)).is_lt()
         });
         if better {
-            let nodes = leaves.into_iter().map(|(node, _)| node).collect();
             best = Some((score, rank, AccessClause { attr, nodes }));
         }
     });
     best.map(|(_, _, clause)| clause)
 }
 
-/// The leaves of a required equality group, with their bucket keys, or
-/// `None` when the group cannot be an access clause. A child with a `NaN`
+/// The leaves of the required equality group `or`, with their bucket keys,
+/// or `None` when the group cannot be an access clause. A child with a `NaN`
 /// constant can never be true, so it is left out. A child without a bucket
 /// for any other reason (an int beyond ±2^53, kept in the scan list) can be
 /// true while no bucketed sibling fires, so the group cannot gate.
-fn group_leaves(tree: &SubscriptionTree, children: &[NodeId]) -> Option<Vec<(NodeId, EqKey)>> {
-    let mut leaves = Vec::with_capacity(children.len());
-    for &node in children {
+fn group_leaves(tree: &SubscriptionTree, or: NodeId) -> Option<Vec<(NodeId, EqKey)>> {
+    let mut leaves = Vec::new();
+    for node in tree.children(or) {
         let Some(NodeKind::Predicate(p)) = tree.node(node).map(|n| n.kind()) else {
             return None;
         };
         match equality_key(p) {
             Some(key) => leaves.push((node, key)),
-            None if matches!(p.constant(), Value::Float(f) if f.is_nan()) => {}
+            None if never_true(p) => {}
             None => return None,
         }
     }
     Some(leaves)
 }
 
+/// An equality with a `NaN` constant, which no value fulfils.
+fn never_true(p: &Predicate) -> bool {
+    matches!(p.constant(), Value::Float(f) if f.is_nan())
+}
+
 /// The predicate leaves stage 1 reaches `subscription` through: those of its
-/// access clause, or all of them without one.
+/// access clause that can be true, or all of them without one.
 fn indexed_leaves<'a>(
     subscription: &'a Subscription,
     access: Option<&'a AccessClause>,
 ) -> impl Iterator<Item = (NodeId, &'a Predicate)> {
-    subscription
-        .tree()
-        .predicates()
-        .filter(move |(node, _)| access.map_or(true, |a| a.nodes.contains(node)))
+    subscription.tree().predicates().filter(move |(node, p)| {
+        access.map_or(true, |a| a.nodes.contains(&node.0) && !never_true(p))
+    })
 }
 
 /// Dense view of one event: `AttrId::index()` → position of the attribute's
@@ -254,34 +284,23 @@ impl MatchScratch {
 }
 
 /// Hands one surviving stage-1 emission to stage 2: stamps the slot as a
-/// candidate on first touch and, for an ungated slot, counts the leaf once.
-/// Returns whether the emission fulfilled a leaf not yet seen this event.
+/// candidate on first touch and counts the fulfilled leaf. (The index emits
+/// a leaf at most once per event: an event carries each attribute once.)
 #[inline]
 fn record(
-    entry: &mut SlotEntry,
-    key: PredicateKey,
+    slot: SubSlot,
     current_gen: u32,
     gen: &mut [u32],
     counts: &mut [u32],
     touched: &mut Vec<u32>,
-) -> bool {
-    let s = key.slot.index();
+) {
+    let s = slot.index();
     if gen[s] != current_gen {
         gen[s] = current_gen;
         counts[s] = 0;
-        entry.mask.clear();
-        touched.push(key.slot.0);
+        touched.push(slot.0);
     }
-    if entry.access.is_some() {
-        // Gated: the access clause holds; stage 2 evaluates the tree itself.
-        return true;
-    }
-    if entry.mask.contains(key.node) {
-        return false;
-    }
-    entry.mask.set(key.node);
     counts[s] += 1;
-    true
 }
 
 /// The production matching engine.
@@ -291,23 +310,21 @@ fn record(
 /// predicate leaf. Matching an event proceeds in two phases:
 ///
 /// 1. **Predicate phase** — the index reports every fulfilled registered
-///    predicate as a `(subscription slot, leaf node)` pair. A gated slot
-///    becomes a candidate; for an ungated slot the engine bumps a flat
-///    per-slot counter and marks the leaf in the subscription's reusable
-///    [`LeafMask`].
-/// 2. **Subscription phase** — a gated candidate's tree is evaluated against
-///    the event. An ungated candidate is evaluated only if its number of
-///    fulfilled leaves reaches the tree's `pmin`, directly against the leaf
-///    mask discovered in phase 1, so no predicate is evaluated twice.
+///    predicate as a `(subscription slot, leaf node)` pair. Its slot becomes
+///    a candidate, and the engine bumps a flat per-slot counter.
+/// 2. **Subscription phase** — every candidate's tree is evaluated against
+///    the event, through one dense per-event view of it, with a gated
+///    slot's access leaves taken as true. An ungated candidate is evaluated
+///    only if its number of fulfilled leaves reaches the tree's `pmin`.
 ///
 /// Subscriptions are stored in a slab: each [`SubscriptionId`] maps to a dense
-/// [`SubSlot`] so that all per-event state lives in flat arrays. Counters and
-/// masks are generation-stamped — "clearing" them between events is a single
-/// integer increment — which together with the reusable `touched` list makes
-/// the steady-state hot path allocation-free.
+/// [`SubSlot`] so that all per-event state lives in flat arrays. Counters are
+/// generation-stamped — "clearing" them between events is a single integer
+/// increment — which together with the reusable `touched` list makes the
+/// steady-state hot path allocation-free.
 ///
 /// The primary entry point is `match_batch`: the scratch state — counters,
-/// stamps, touch list, leaf masks, and the per-event match buffer — stays hot
+/// stamps, touch list, event view, and the per-event match buffer — stays hot
 /// across the whole batch, with a single generation bump per event and one
 /// timestamp pair per batch, so a warmed-up batch performs no heap
 /// allocation at all regardless of its size.
@@ -504,7 +521,7 @@ impl CountingEngine {
     /// costs one branch after first touch.
     #[allow(clippy::too_many_arguments)] // engine fields passed piecewise, see above
     fn match_one(
-        slots: &mut [Option<SlotEntry>],
+        slots: &[Option<SlotEntry>],
         zero_pmin: &[u32],
         index: &AttributeIndex,
         scratch: &mut MatchScratch,
@@ -553,12 +570,8 @@ impl CountingEngine {
                     return;
                 }
             }
-            let Some(entry) = slots.get_mut(s).and_then(|e| e.as_mut()) else {
-                return;
-            };
-            if record(entry, key, current_gen, gen, counts, touched) {
-                fulfilled_count += 1;
-            }
+            record(key.slot, current_gen, gen, counts, touched);
+            fulfilled_count += 1;
         });
         stats.predicates_fulfilled += fulfilled_count;
         stats.killed_by_prefilter += killed_count;
@@ -569,7 +582,7 @@ impl CountingEngine {
     /// Matches one event whose fulfilled predicate keys were already probed
     /// (and stage-0-filtered) by a [`ProbePlan`] — the batch path's stage 2.
     fn match_keys(
-        slots: &mut [Option<SlotEntry>],
+        slots: &[Option<SlotEntry>],
         zero_pmin: &[u32],
         scratch: &mut MatchScratch,
         stats: &mut FilterStats,
@@ -586,24 +599,18 @@ impl CountingEngine {
             touched,
             ..
         } = scratch;
-        let mut fulfilled_count = 0u64;
-        for &key in keys {
-            let Some(entry) = slots.get_mut(key.slot.index()).and_then(|e| e.as_mut()) else {
-                continue;
-            };
-            if record(entry, key, *current_gen, gen, counts, touched) {
-                fulfilled_count += 1;
-            }
+        for key in keys {
+            record(key.slot, *current_gen, gen, counts, touched);
         }
-        stats.predicates_fulfilled += fulfilled_count;
+        stats.predicates_fulfilled += keys.len() as u64;
 
         Self::finish_event(slots, zero_pmin, scratch, stats, pairs, matches);
     }
 
     /// Stage 2, shared by every probe front-end: evaluate the candidate
-    /// subscriptions (gated ones against the event `pairs`, ungated ones
-    /// reaching their `pmin` against their leaf mask), always-evaluated
-    /// zero-`pmin` subscriptions, and emit id-sorted matches.
+    /// subscriptions (ungated ones only once they reach their `pmin`) and
+    /// the always-evaluated zero-`pmin` subscriptions against the event
+    /// `pairs`, and emit id-sorted matches.
     fn finish_event(
         slots: &[Option<SlotEntry>],
         zero_pmin: &[u32],
@@ -612,62 +619,53 @@ impl CountingEngine {
         pairs: &[(AttrId, Value)],
         matches: &mut Vec<SubscriptionId>,
     ) {
-        let current_gen = scratch.current_gen;
-        stats.stage2_candidates += scratch.touched.len() as u64;
-        // The event view is loaded for the first gated candidate, at most
-        // once per event.
+        let MatchScratch {
+            counts,
+            gen,
+            current_gen,
+            touched,
+            view,
+            ..
+        } = scratch;
+        stats.stage2_candidates += touched.len() as u64;
+        // The event view is loaded for the first tree evaluated, at most
+        // once per event: an event without candidates never pays for it.
         let mut view_loaded = false;
-        for &slot in &scratch.touched {
+        let mut evaluate = |entry: &SlotEntry| {
+            if !view_loaded {
+                view.load(pairs);
+                view_loaded = true;
+            }
+            entry.matches(view, pairs)
+        };
+        for &slot in touched.iter() {
             let entry = slots[slot as usize]
                 .as_ref()
                 .expect("touched slots are occupied");
-            let tree = entry.subscription.tree();
-            let matched = if let Some(access) = &entry.access {
-                if !view_loaded {
-                    scratch.view.load(pairs);
-                    view_loaded = true;
-                }
-                let view = &scratch.view;
-                stats.trees_evaluated += 1;
-                // The slot was emitted, so its access clause holds: a fired
-                // leaf is true, and so is the group when one child fired
-                // (taking every child as true changes no other node).
-                tree.evaluate_leaves(&mut |node, p| {
-                    access.nodes.contains(&node)
-                        || view
-                            .get(pairs, p.attr_id())
-                            .is_some_and(|value| p.evaluate_value(value))
-                })
-            } else if scratch.counts[slot as usize] < entry.pmin {
+            if entry.access.is_none() && counts[slot as usize] < entry.pmin {
                 stats.skipped_by_pmin += 1;
                 continue;
-            } else {
-                stats.trees_evaluated += 1;
-                tree.evaluate_with_mask(&entry.mask)
-            };
-            if matched {
+            }
+            stats.trees_evaluated += 1;
+            if evaluate(entry) {
                 matches.push(entry.subscription.id());
             }
         }
         // Subscriptions with pmin == 0 (possible only with negations) are
         // evaluated for every event, because they can match an event that
         // fulfils none of their predicates. Slots already touched above were
-        // evaluated with their real mask (pmin 0 always passes the count
-        // check); the rest see the all-false mask. (They are never gated,
-        // nor killed by stage 0: a required leaf implies pmin ≥ 1.)
+        // evaluated there (pmin 0 always passes the count check). (They are
+        // never gated, nor killed by stage 0: a required leaf implies
+        // pmin ≥ 1.)
         for &slot in zero_pmin.iter() {
-            if scratch.gen[slot as usize] == current_gen {
+            if gen[slot as usize] == *current_gen {
                 continue;
             }
             let entry = slots[slot as usize]
                 .as_ref()
                 .expect("zero-pmin slots are occupied");
             stats.trees_evaluated += 1;
-            if entry
-                .subscription
-                .tree()
-                .evaluate_with_mask(LeafMask::empty())
-            {
+            if evaluate(entry) {
                 matches.push(entry.subscription.id());
             }
         }
@@ -761,15 +759,10 @@ impl MatchingEngine for CountingEngine {
             access.as_ref().map(|a| a.attr),
             self.hint.as_ref(),
         );
-        let mask = match access {
-            Some(_) => LeafMask::default(),
-            None => LeafMask::new(tree.node_count()),
-        };
         self.slots[slot as usize] = Some(SlotEntry {
             subscription,
             access,
             pmin,
-            mask,
         });
     }
 
@@ -839,7 +832,7 @@ impl MatchingEngine for CountingEngine {
                 }
             } else {
                 // One generation bump per event; every other piece of
-                // scratch — counters, stamps, touch list, leaf masks, match
+                // scratch — counters, stamps, touch list, event view, match
                 // buffer — stays hot across the whole batch, so a warmed-up
                 // batch allocates nothing.
                 for index_in_batch in 0..batch.len() {
@@ -970,8 +963,10 @@ mod tests {
         );
         let access = access_clause(group.tree(), &index, None).expect("the group gates");
         assert_eq!(access.attr, attr("ac_cat"));
-        // The `NaN` child can never be true, so it is not an access leaf.
-        assert_eq!(access.nodes.len(), 2);
+        // The clause spans the group's three children, but the `NaN` child
+        // can never be true, so it is not registered.
+        assert_eq!(access.nodes.len(), 3);
+        assert_eq!(indexed_leaves(&group, Some(&access)).count(), 2);
         for (node, p) in indexed_leaves(&group, Some(&access)) {
             index.insert(p, PredicateKey::new(SubSlot(0), node));
         }

@@ -607,10 +607,10 @@ impl PreFilter {
 pub(crate) enum RequiredItem<'a> {
     /// A predicate leaf that must itself be true.
     Leaf(NodeId, &'a Predicate),
-    /// A required `Or` whose children are all equality predicates on one
-    /// attribute: the attribute must be present and its value must equal one
-    /// of the children's constants.
-    AnyEq(AttrId, &'a [NodeId]),
+    /// A required `Or` (the node) whose children are all equality predicates
+    /// on one attribute: the attribute must be present and its value must
+    /// equal one of the children's constants.
+    AnyEq(AttrId, NodeId),
 }
 
 impl RequiredItem<'_> {
@@ -624,10 +624,10 @@ impl RequiredItem<'_> {
 }
 
 /// Walks the *required* clauses of a tree: root required, `And` propagates
-/// to all children, a single-child `Or` to its only child, `Not` to none. A
-/// required multi-child `Or` is surfaced as [`RequiredItem::AnyEq`] when all
-/// its children are equalities on one attribute, and dropped otherwise. See
-/// the [module docs](self) for why this under-approximation is sound.
+/// to all children, `Not` to none. A required `Or` (it has two children or
+/// more) is surfaced as [`RequiredItem::AnyEq`] when all its children are
+/// equalities on one attribute, and dropped otherwise. See the
+/// [module docs](self) for why this under-approximation is sound.
 pub(crate) fn for_each_required_item<'a>(
     tree: &'a SubscriptionTree,
     stack: &mut Vec<NodeId>,
@@ -636,30 +636,28 @@ pub(crate) fn for_each_required_item<'a>(
     stack.clear();
     stack.push(tree.root());
     while let Some(id) = stack.pop() {
-        let node = tree.node(id).expect("tree nodes are internally consistent");
+        let Some(node) = tree.node(id) else {
+            continue;
+        };
         match node.kind() {
             NodeKind::Predicate(p) => f(RequiredItem::Leaf(id, p)),
-            NodeKind::And => stack.extend_from_slice(node.children()),
-            NodeKind::Or => match node.children() {
-                [only] => stack.push(*only),
-                children => {
-                    if let Some(attr) = single_attr_equality_group(tree, children) {
-                        f(RequiredItem::AnyEq(attr, children));
-                    }
+            NodeKind::And => stack.extend(tree.children(id)),
+            NodeKind::Or => {
+                if let Some(attr) = single_attr_equality_group(tree, id) {
+                    f(RequiredItem::AnyEq(attr, id));
                 }
-            },
+            }
             NodeKind::Not => {}
         }
     }
 }
 
-/// Returns the common attribute when every node in `children` is an equality
+/// Returns the common attribute when every child of `or` is an equality
 /// predicate on the same attribute, `None` otherwise.
-fn single_attr_equality_group(tree: &SubscriptionTree, children: &[NodeId]) -> Option<AttrId> {
+fn single_attr_equality_group(tree: &SubscriptionTree, or: NodeId) -> Option<AttrId> {
     let mut attr = None;
-    for &id in children {
-        let node = tree.node(id).expect("tree nodes are internally consistent");
-        let NodeKind::Predicate(p) = node.kind() else {
+    for id in tree.children(or) {
+        let Some(NodeKind::Predicate(p)) = tree.node(id).map(|n| n.kind()) else {
             return None;
         };
         if p.operator() != Operator::Eq {
@@ -732,11 +730,11 @@ mod tests {
             RequiredItem::Leaf(_, p) => {
                 attrs.push(pubsub_core::attr::name(p.attr_id()).to_string());
             }
-            RequiredItem::AnyEq(attr, children) => {
+            RequiredItem::AnyEq(attr, or) => {
                 attrs.push(format!(
                     "any({}, {})",
                     pubsub_core::attr::name(attr),
-                    children.len()
+                    s.tree().children(or).count()
                 ));
             }
         });

@@ -11,8 +11,8 @@
 //!   ungated ones agree with the baseline through churn that adds, moves and
 //!   removes access clauses, on every engine, path and pre-filter mode.
 //! * After warmup, repeated matching — per event or per batch — must not
-//!   allocate any new scratch: the generation-stamped counters, leaf masks,
-//!   touched lists, and the batch match buffer are reused.
+//!   allocate any new scratch: the generation-stamped counters, touched
+//!   lists, event view, and the batch match buffer are reused.
 
 use filtering::{
     ATreeEngine, AnalyzeMode, CountingEngine, DiscriminationHint, EngineConfig, MatchingEngine,
@@ -859,8 +859,8 @@ fn steady_state_batch_matching_allocates_no_new_scratch() {
 
 /// The sharded analogue of the batch scratch-reuse acceptance test: after a
 /// warm-up batch, repeated `match_batch` calls grow no scratch on *any*
-/// shard — every shard's generation-stamped counters, masks, and match
-/// buffer, and the engine's per-shard merge sinks, are all reused.
+/// shard — every shard's generation-stamped counters, event view, and
+/// match buffer, and the engine's per-shard merge sinks, are all reused.
 #[test]
 fn sharded_steady_state_matching_reuses_scratch_on_every_shard() {
     let mut generator = WorkloadGenerator::new(WorkloadConfig::small());

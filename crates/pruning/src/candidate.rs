@@ -61,19 +61,9 @@ pub fn enumerate_candidates(
 /// Returns `true` if some *strict* descendant of `node` is itself a valid
 /// pruning target.
 fn has_valid_descendant(tree: &SubscriptionTree, node: NodeId, valid: &[NodeId]) -> bool {
-    let Some(n) = tree.node(node) else {
-        return false;
-    };
-    let mut stack: Vec<NodeId> = n.children().to_vec();
-    while let Some(current) = stack.pop() {
-        if valid.contains(&current) {
-            return true;
-        }
-        if let Some(c) = tree.node(current) {
-            stack.extend_from_slice(c.children());
-        }
-    }
-    false
+    let subtree = tree.subtree_range(node);
+    let descendants = subtree.start + 1..subtree.end;
+    valid.iter().any(|v| descendants.contains(&v.index()))
 }
 
 /// Picks the best candidate for the given dimension from a slice of scored

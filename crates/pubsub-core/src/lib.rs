@@ -77,7 +77,7 @@ pub use ids::{BrokerId, EventId, NodeId, SubscriberId, SubscriptionId};
 pub use operator::Operator;
 pub use predicate::Predicate;
 pub use subscription::Subscription;
-pub use tree::{LeafMask, Node, NodeKind, PruneError, SubscriptionTree, TreeStats};
+pub use tree::{Node, NodeKind, PruneError, SubscriptionTree, TreeStats};
 pub use value::Value;
 
 /// Convenient result alias for fallible operations in this crate.

@@ -1,14 +1,35 @@
-//! Arena-based Boolean subscription trees.
+//! Boolean subscription trees stored as one node array in preorder.
 //!
 //! A [`SubscriptionTree`] stores the Boolean filter expression of a
-//! subscription as a flat arena of [`Node`]s. Compared to the recursive
-//! [`Expr`](crate::Expr) form, the arena representation gives every subtree a
-//! stable [`NodeId`], which the pruning machinery needs to talk about
-//! *which* subtree to remove, how many bytes it occupies, and whether its
-//! removal generalizes the subscription.
+//! subscription as a flat array of [`Node`]s. Compared to the recursive
+//! [`Expr`](crate::Expr) form, the array gives every subtree a stable
+//! [`NodeId`], which the pruning machinery needs to talk about *which*
+//! subtree to remove, how many bytes it occupies, and whether its removal
+//! generalizes the subscription.
+//!
+//! # Layout
+//!
+//! The nodes are stored in **preorder**: the root is node 0, and every node
+//! is followed by its whole subtree. A node records its parent and `end`,
+//! the index just past its subtree, so
+//!
+//! * the subtree of node `n` is the index range `[n, end)`
+//!   ([`SubscriptionTree::subtree_range`]);
+//! * the first child of `n` (if any) is `n + 1`, and the child after a child
+//!   `c` starts at `c`'s `end` ([`SubscriptionTree::children`]).
+//!
+//! A tree is therefore one allocation, and evaluating it reads that array
+//! front to back: a short-circuit skips a subtree by jumping to its `end`.
+//! There is no per-node child vector to chase, which matters because every
+//! matching path — the counting engine's stage 2, `NaiveEngine`,
+//! `Subscription::matches` and the routing table's witnesses — evaluates
+//! trees per event. Subtree sizes, leaf counts and descendant tests are
+//! range scans. The order is also the wire format's, so a tree is encoded
+//! by writing its nodes in order.
 
 use crate::{AttrId, CoreError, EventMessage, Expr, NodeId, Predicate, Value};
 use std::fmt;
+use std::ops::Range;
 
 /// The kind of a tree node.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,12 +51,18 @@ impl NodeKind {
     }
 }
 
-/// A node of a [`SubscriptionTree`].
+/// `Node::parent` of the root.
+const NO_PARENT: u32 = u32::MAX;
+
+/// A node of a [`SubscriptionTree`]; its children are found through
+/// [`SubscriptionTree::children`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     kind: NodeKind,
-    parent: Option<NodeId>,
-    children: Vec<NodeId>,
+    /// Index of the parent, or [`NO_PARENT`].
+    parent: u32,
+    /// Index just past this node's subtree.
+    end: u32,
 }
 
 impl Node {
@@ -46,13 +73,28 @@ impl Node {
 
     /// The node's parent, or `None` for the root.
     pub fn parent(&self) -> Option<NodeId> {
-        self.parent
+        (self.parent != NO_PARENT).then_some(NodeId(self.parent))
     }
+}
 
-    /// The node's children (empty for leaves).
-    pub fn children(&self) -> &[NodeId] {
-        &self.children
-    }
+/// The `u32` form of a node index (trees are far below `u32::MAX` nodes).
+fn index_u32(index: usize) -> u32 {
+    NodeId::from_index(index).0
+}
+
+/// Appends a node whose subtree is still to come; [`seal`] sets its `end`
+/// once the subtree is in.
+fn push(nodes: &mut Vec<Node>, kind: NodeKind, parent: u32) -> usize {
+    nodes.push(Node {
+        kind,
+        parent,
+        end: 0,
+    });
+    nodes.len() - 1
+}
+
+fn seal(nodes: &mut [Node], at: usize) {
+    nodes[at].end = index_u32(nodes.len());
 }
 
 /// Why a requested pruning was rejected.
@@ -109,25 +151,29 @@ pub struct TreeStats {
     pub size_bytes: usize,
 }
 
-/// An arbitrary Boolean subscription filter stored as an arena of nodes.
+/// An arbitrary Boolean subscription filter stored as one array of nodes in
+/// preorder: each node is followed by its subtree and records the index
+/// just past it, so a subtree is an index range
+/// ([`subtree_range`](Self::subtree_range)) and evaluation reads the array
+/// front to back.
 ///
 /// Invariants maintained by every constructor and by [`prune`](Self::prune):
 ///
-/// * there is exactly one root and every non-root node has a parent;
+/// * node 0 is the root, the only node without a parent, and every node is
+///   followed by its subtree;
 /// * AND/OR nodes have at least two children (single-child nodes are
 ///   collapsed), NOT nodes have exactly one child;
 /// * leaves are predicates and have no children.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubscriptionTree {
     nodes: Vec<Node>,
-    root: NodeId,
 }
 
 impl SubscriptionTree {
     /// Builds a tree from a recursive expression.
     ///
     /// Single-child AND/OR nodes in the expression are collapsed so that the
-    /// arena upholds the structural invariants documented on the type.
+    /// tree upholds the structural invariants documented on the type.
     ///
     /// # Panics
     /// Panics if the expression is structurally invalid (an AND/OR node with
@@ -135,8 +181,8 @@ impl SubscriptionTree {
     pub fn from_expr(expr: &Expr) -> Self {
         assert!(expr.is_valid(), "expression is structurally invalid");
         let mut nodes = Vec::with_capacity(expr.node_count());
-        let root = Self::build_node(expr, None, &mut nodes);
-        Self { nodes, root }
+        Self::build_node(expr, NO_PARENT, &mut nodes);
+        Self { nodes }
     }
 
     /// Builds a tree consisting of a single predicate.
@@ -144,113 +190,79 @@ impl SubscriptionTree {
         Self::from_expr(&Expr::Pred(predicate))
     }
 
-    fn build_node(expr: &Expr, parent: Option<NodeId>, nodes: &mut Vec<Node>) -> NodeId {
-        match expr {
-            Expr::Pred(p) => {
-                let id = NodeId::from_index(nodes.len());
-                nodes.push(Node {
-                    kind: NodeKind::Predicate(p.clone()),
-                    parent,
-                    children: Vec::new(),
-                });
-                id
-            }
+    /// Appends `expr` in preorder below `parent`.
+    fn build_node(expr: &Expr, parent: u32, nodes: &mut Vec<Node>) {
+        let (kind, children) = match expr {
             Expr::And(children) | Expr::Or(children) if children.len() == 1 => {
                 // Collapse single-child AND/OR.
-                Self::build_node(&children[0], parent, nodes)
+                return Self::build_node(&children[0], parent, nodes);
             }
-            Expr::And(children) => {
-                let id = NodeId::from_index(nodes.len());
-                nodes.push(Node {
-                    kind: NodeKind::And,
-                    parent,
-                    children: Vec::new(),
-                });
-                let kids: Vec<NodeId> = children
-                    .iter()
-                    .map(|c| Self::build_node(c, Some(id), nodes))
-                    .collect();
-                nodes[id.index()].children = kids;
-                id
-            }
-            Expr::Or(children) => {
-                let id = NodeId::from_index(nodes.len());
-                nodes.push(Node {
-                    kind: NodeKind::Or,
-                    parent,
-                    children: Vec::new(),
-                });
-                let kids: Vec<NodeId> = children
-                    .iter()
-                    .map(|c| Self::build_node(c, Some(id), nodes))
-                    .collect();
-                nodes[id.index()].children = kids;
-                id
-            }
-            Expr::Not(child) => {
-                let id = NodeId::from_index(nodes.len());
-                nodes.push(Node {
-                    kind: NodeKind::Not,
-                    parent,
-                    children: Vec::new(),
-                });
-                let kid = Self::build_node(child, Some(id), nodes);
-                nodes[id.index()].children = vec![kid];
-                id
-            }
+            Expr::Pred(p) => (NodeKind::Predicate(p.clone()), &[][..]),
+            Expr::And(children) => (NodeKind::And, &children[..]),
+            Expr::Or(children) => (NodeKind::Or, &children[..]),
+            Expr::Not(child) => (NodeKind::Not, std::slice::from_ref(&**child)),
+        };
+        let at = push(nodes, kind, parent);
+        for child in children {
+            Self::build_node(child, index_u32(at), nodes);
         }
+        seal(nodes, at);
     }
 
     /// Converts the tree back into a recursive expression.
     pub fn to_expr(&self) -> Expr {
-        self.subtree_to_expr(self.root, None)
-            .expect("root subtree is never excluded")
+        self.subtree_to_expr(self.root())
     }
 
-    fn subtree_to_expr(&self, node: NodeId, exclude: Option<NodeId>) -> Option<Expr> {
-        if Some(node) == exclude {
-            return None;
-        }
-        let n = &self.nodes[node.index()];
-        match &n.kind {
-            NodeKind::Predicate(p) => Some(Expr::Pred(p.clone())),
-            NodeKind::Not => {
-                let child = self.subtree_to_expr(n.children[0], exclude)?;
-                Some(Expr::Not(Box::new(child)))
-            }
-            NodeKind::And => {
-                let children: Vec<Expr> = n
-                    .children
-                    .iter()
-                    .filter_map(|c| self.subtree_to_expr(*c, exclude))
-                    .collect();
-                match children.len() {
-                    0 => None,
-                    _ => Some(Expr::and(children)),
-                }
-            }
-            NodeKind::Or => {
-                let children: Vec<Expr> = n
-                    .children
-                    .iter()
-                    .filter_map(|c| self.subtree_to_expr(*c, exclude))
-                    .collect();
-                match children.len() {
-                    0 => None,
-                    _ => Some(Expr::or(children)),
-                }
-            }
+    fn subtree_to_expr(&self, node: NodeId) -> Expr {
+        let children = || {
+            self.children(node)
+                .map(|c| self.subtree_to_expr(c))
+                .collect()
+        };
+        match &self.nodes[node.index()].kind {
+            NodeKind::Predicate(p) => Expr::Pred(p.clone()),
+            NodeKind::Not => Expr::not(self.subtree_to_expr(NodeId(node.0 + 1))),
+            NodeKind::And => Expr::And(children()),
+            NodeKind::Or => Expr::Or(children()),
         }
     }
 
-    /// The root node id.
+    /// The root node id: always node 0.
     pub fn root(&self) -> NodeId {
-        self.root
+        NodeId(0)
     }
 
     /// Returns the node with the given id, or `None` if it does not exist.
     pub fn node(&self, id: NodeId) -> Option<&Node> {
         self.nodes.get(id.index())
+    }
+
+    /// All nodes in preorder; the node at index `i` is `NodeId(i)`.
+    pub fn nodes(&self) -> &[Node] {
+        &self.nodes
+    }
+
+    /// The children of `node`, in order (none for a leaf or an unknown
+    /// node): the first one right after `node`, each next one right after
+    /// the previous one's subtree.
+    pub fn children(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let end = self.nodes.get(node.index()).map_or(0, |n| n.end as usize);
+        let mut next = node.index() + 1;
+        std::iter::from_fn(move || {
+            let child = next;
+            next = self.nodes.get(child).filter(|_| child < end)?.end as usize;
+            Some(NodeId(child as u32))
+        })
+    }
+
+    /// The indices of the subtree rooted at `node`: `node` itself and all
+    /// its descendants, contiguous in preorder. Empty for an unknown node.
+    pub fn subtree_range(&self, node: NodeId) -> Range<usize> {
+        match self.nodes.get(node.index()) {
+            Some(n) => node.index()..n.end as usize,
+            None => 0..0,
+        }
     }
 
     /// Total number of nodes.
@@ -260,10 +272,7 @@ impl SubscriptionTree {
 
     /// Number of predicate leaves.
     pub fn predicate_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n.kind, NodeKind::Predicate(_)))
-            .count()
+        self.subtree_predicate_count(self.root())
     }
 
     /// Returns `true` if the tree consists of a single predicate leaf.
@@ -271,7 +280,7 @@ impl SubscriptionTree {
         self.nodes.len() == 1
     }
 
-    /// Iterates over all node ids in arena order.
+    /// Iterates over all node ids in preorder.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.nodes.len()).map(NodeId::from_index)
     }
@@ -289,15 +298,13 @@ impl SubscriptionTree {
 
     /// Depth of the tree (a single predicate has depth 1).
     pub fn depth(&self) -> usize {
-        self.depth_of(self.root)
+        self.depth_of(self.root())
     }
 
     fn depth_of(&self, node: NodeId) -> usize {
-        let n = &self.nodes[node.index()];
-        1 + n
-            .children
-            .iter()
-            .map(|c| self.depth_of(*c))
+        1 + self
+            .children(node)
+            .map(|c| self.depth_of(c))
             .max()
             .unwrap_or(0)
     }
@@ -317,51 +324,35 @@ impl SubscriptionTree {
     }
 
     /// Evaluates the tree using an externally supplied truth assignment for
-    /// the predicate leaves. The matching engine uses this after resolving
-    /// predicates through its attribute indexes.
+    /// the predicate leaves. The matching engine uses this to evaluate
+    /// candidates against its per-event view of the event, with the leaves
+    /// its index already reported taken as true.
     pub fn evaluate_leaves(&self, leaf_truth: &mut impl FnMut(NodeId, &Predicate) -> bool) -> bool {
-        self.evaluate_node(self.root, leaf_truth)
-    }
-
-    /// Evaluates the tree against a precomputed leaf truth mask: a leaf is
-    /// taken as fulfilled exactly when [`LeafMask::contains`] reports it.
-    ///
-    /// This is the hot-path variant of [`evaluate_leaves`](Self::evaluate_leaves):
-    /// the counting matcher marks fulfilled leaves in a reusable mask during
-    /// its index phase and then evaluates candidate trees with plain array
-    /// reads — no closure dispatch, no per-event allocation.
-    pub fn evaluate_with_mask(&self, mask: &LeafMask) -> bool {
-        self.evaluate_mask_node(self.root, mask)
-    }
-
-    fn evaluate_mask_node(&self, node: NodeId, mask: &LeafMask) -> bool {
-        let n = &self.nodes[node.index()];
-        match &n.kind {
-            NodeKind::Predicate(_) => mask.contains(node),
-            NodeKind::And => n.children.iter().all(|c| self.evaluate_mask_node(*c, mask)),
-            NodeKind::Or => n.children.iter().any(|c| self.evaluate_mask_node(*c, mask)),
-            NodeKind::Not => !self.evaluate_mask_node(n.children[0], mask),
-        }
+        self.evaluate_node(0, leaf_truth)
     }
 
     fn evaluate_node(
         &self,
-        node: NodeId,
+        at: usize,
         leaf_truth: &mut impl FnMut(NodeId, &Predicate) -> bool,
     ) -> bool {
-        let n = &self.nodes[node.index()];
-        match &n.kind {
-            NodeKind::Predicate(p) => leaf_truth(node, p),
-            NodeKind::And => n
-                .children
-                .iter()
-                .all(|c| self.evaluate_node(*c, leaf_truth)),
-            NodeKind::Or => n
-                .children
-                .iter()
-                .any(|c| self.evaluate_node(*c, leaf_truth)),
-            NodeKind::Not => !self.evaluate_node(n.children[0], leaf_truth),
+        let node = &self.nodes[at];
+        let all = match &node.kind {
+            NodeKind::Predicate(p) => return leaf_truth(NodeId(at as u32), p),
+            NodeKind::Not => return !self.evaluate_node(at + 1, leaf_truth),
+            NodeKind::And => true,
+            NodeKind::Or => false,
+        };
+        // An AND is decided by its first false child, an OR by its first
+        // true one; the next child starts where the previous subtree ends.
+        let mut child = at + 1;
+        while child < node.end as usize {
+            if self.evaluate_node(child, leaf_truth) != all {
+                return !all;
+            }
+            child = self.nodes[child].end as usize;
         }
+        all
     }
 
     /// The minimum number of fulfilled predicates that can fulfil the tree.
@@ -375,63 +366,52 @@ impl SubscriptionTree {
     /// * a NOT can be fulfilled with 0 fulfilled predicates (its child being
     ///   unfulfilled is sufficient), so it contributes 0.
     pub fn pmin(&self) -> usize {
-        self.pmin_of(self.root)
+        self.pmin_of(self.root())
     }
 
     fn pmin_of(&self, node: NodeId) -> usize {
-        let n = &self.nodes[node.index()];
-        match &n.kind {
+        let children = self.children(node).map(|c| self.pmin_of(c));
+        match &self.nodes[node.index()].kind {
             NodeKind::Predicate(_) => 1,
-            NodeKind::And => n.children.iter().map(|c| self.pmin_of(*c)).sum(),
-            NodeKind::Or => n
-                .children
-                .iter()
-                .map(|c| self.pmin_of(*c))
-                .min()
-                .unwrap_or(0),
+            NodeKind::And => children.sum(),
+            NodeKind::Or => children.min().unwrap_or(0),
             NodeKind::Not => 0,
         }
     }
 
     /// Estimated memory footprint of the whole tree in bytes (`mem≈`).
     pub fn size_bytes(&self) -> usize {
-        self.subtree_size_bytes(self.root)
+        self.subtree_size_bytes(self.root())
     }
 
-    /// Estimated memory footprint of the subtree rooted at `node` in bytes.
+    /// Estimated memory footprint of the subtree rooted at `node` in bytes:
+    /// a fixed overhead per internal node and per leaf, plus each leaf's
+    /// predicate. The paper's `mem≈` model, independent of how the tree is
+    /// laid out in memory.
     ///
     /// Returns 0 for unknown nodes.
     pub fn subtree_size_bytes(&self, node: NodeId) -> usize {
         const INTERNAL_NODE_OVERHEAD: usize = 24;
         const LEAF_NODE_OVERHEAD: usize = 16;
-        let Some(n) = self.nodes.get(node.index()) else {
-            return 0;
-        };
-        match &n.kind {
-            NodeKind::Predicate(p) => LEAF_NODE_OVERHEAD + p.size_bytes(),
-            _ => {
-                INTERNAL_NODE_OVERHEAD
-                    + n.children
-                        .iter()
-                        .map(|c| self.subtree_size_bytes(*c))
-                        .sum::<usize>()
-            }
-        }
+        self.subtree_nodes(node)
+            .iter()
+            .map(|n| match &n.kind {
+                NodeKind::Predicate(p) => LEAF_NODE_OVERHEAD + p.size_bytes(),
+                _ => INTERNAL_NODE_OVERHEAD,
+            })
+            .sum()
     }
 
     /// Number of predicate leaves inside the subtree rooted at `node`.
     pub fn subtree_predicate_count(&self, node: NodeId) -> usize {
-        let Some(n) = self.nodes.get(node.index()) else {
-            return 0;
-        };
-        match &n.kind {
-            NodeKind::Predicate(_) => 1,
-            _ => n
-                .children
-                .iter()
-                .map(|c| self.subtree_predicate_count(*c))
-                .sum(),
-        }
+        self.subtree_nodes(node)
+            .iter()
+            .filter(|n| n.kind.is_leaf())
+            .count()
+    }
+
+    fn subtree_nodes(&self, node: NodeId) -> &[Node] {
+        &self.nodes[self.subtree_range(node)]
     }
 
     /// Summary statistics of this tree.
@@ -449,13 +429,13 @@ impl SubscriptionTree {
     /// of NOT nodes. Removal semantics flip under odd parity.
     pub fn negation_parity(&self, node: NodeId) -> bool {
         let mut parity = false;
-        let mut current = self.nodes[node.index()].parent;
+        let mut current = self.nodes[node.index()].parent();
         while let Some(p) = current {
             let n = &self.nodes[p.index()];
             if matches!(n.kind, NodeKind::Not) {
                 parity = !parity;
             }
-            current = n.parent;
+            current = n.parent();
         }
         parity
     }
@@ -474,13 +454,12 @@ impl SubscriptionTree {
             .nodes
             .get(node.index())
             .ok_or(PruneError::UnknownNode(node))?;
-        let parent_id = n.parent.ok_or(PruneError::CannotPruneRoot)?;
-        let parent = &self.nodes[parent_id.index()];
-        if parent.children.len() < 2 {
+        let parent_id = n.parent().ok_or(PruneError::CannotPruneRoot)?;
+        if self.children(parent_id).nth(1).is_none() {
             return Err(PruneError::ParentWouldBeEmpty(node));
         }
         let parity = self.negation_parity(parent_id);
-        let generalizes = match parent.kind {
+        let generalizes = match self.nodes[parent_id.index()].kind {
             NodeKind::And => !parity,
             NodeKind::Or => parity,
             // The only child of a NOT cannot be removed without leaving the
@@ -500,7 +479,7 @@ impl SubscriptionTree {
         self.validate_prune(node).is_ok()
     }
 
-    /// Enumerates all nodes whose removal is a valid pruning, in arena order.
+    /// Enumerates all nodes whose removal is a valid pruning, in preorder.
     pub fn generalizing_removals(&self) -> Vec<NodeId> {
         self.node_ids()
             .filter(|id| self.is_valid_prune(*id))
@@ -513,10 +492,27 @@ impl SubscriptionTree {
     /// Node ids of the returned tree are *not* related to node ids of `self`.
     pub fn prune(&self, node: NodeId) -> Result<SubscriptionTree, PruneError> {
         self.validate_prune(node)?;
-        let expr = self
-            .subtree_to_expr(self.root, Some(node))
-            .expect("validated prune keeps at least one sibling");
-        Ok(SubscriptionTree::from_expr(&expr))
+        let mut nodes = Vec::with_capacity(self.nodes.len());
+        self.copy_without(self.root(), node, NO_PARENT, &mut nodes);
+        Ok(Self { nodes })
+    }
+
+    /// Appends the subtree of `node` without the subtree of `removed`, in
+    /// preorder below `parent`. An AND/OR left with one child collapses into
+    /// it, as [`from_expr`](Self::from_expr) collapses one in an expression.
+    fn copy_without(&self, node: NodeId, removed: NodeId, parent: u32, out: &mut Vec<Node>) {
+        let kept = || self.children(node).filter(|&c| c != removed);
+        let kind = &self.nodes[node.index()].kind;
+        if matches!(kind, NodeKind::And | NodeKind::Or) && kept().nth(1).is_none() {
+            if let Some(only) = kept().next() {
+                return self.copy_without(only, removed, parent, out);
+            }
+        }
+        let at = push(out, kind.clone(), parent);
+        for child in kept() {
+            self.copy_without(child, removed, index_u32(at), out);
+        }
+        seal(out, at);
     }
 
     /// Simulates a pruning without materializing the tree: returns the
@@ -527,76 +523,6 @@ impl SubscriptionTree {
         // Building the pruned tree is O(size of tree); trees are small
         // (tens of nodes), so this stays cheap while remaining exact.
         Ok(self.prune(node)?.stats())
-    }
-}
-
-/// A reusable, generation-stamped truth mask over the nodes of one
-/// [`SubscriptionTree`].
-///
-/// The counting matcher keeps one mask per registered subscription. Between
-/// events the mask is cleared in O(1) by advancing its generation stamp
-/// ([`clear`](Self::clear)) instead of zeroing memory; a node is considered
-/// set only if its slot carries the current stamp. The backing array is
-/// allocated once at registration time (sized to the tree's node count), so
-/// the per-event matching path performs no allocation.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LeafMask {
-    marks: Vec<u32>,
-    stamp: u32,
-}
-
-impl LeafMask {
-    /// Creates a cleared mask able to address `node_count` nodes.
-    pub fn new(node_count: usize) -> Self {
-        Self {
-            marks: vec![0; node_count],
-            stamp: 1,
-        }
-    }
-
-    /// A mask with no set bits regardless of node id, for evaluating trees
-    /// whose subscriptions had no fulfilled predicate at all.
-    pub fn empty() -> &'static Self {
-        static EMPTY: LeafMask = LeafMask {
-            marks: Vec::new(),
-            stamp: 1,
-        };
-        &EMPTY
-    }
-
-    /// Number of addressable nodes.
-    pub fn node_count(&self) -> usize {
-        self.marks.len()
-    }
-
-    /// Clears all set bits in O(1) by advancing the generation stamp.
-    ///
-    /// On the (once per 2³² clears) stamp wrap-around the backing array is
-    /// zeroed so marks from a previous generation era can never leak through.
-    pub fn clear(&mut self) {
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            self.marks.fill(0);
-            self.stamp = 1;
-        }
-    }
-
-    /// Marks `node` as set in the current generation.
-    ///
-    /// # Panics
-    /// Panics if `node` is outside the mask's node range.
-    #[inline]
-    pub fn set(&mut self, node: NodeId) {
-        self.marks[node.index()] = self.stamp;
-    }
-
-    /// Returns `true` if `node` was set since the last [`clear`](Self::clear).
-    /// Nodes outside the mask's range are reported as unset.
-    #[inline]
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.marks
-            .get(node.index())
-            .is_some_and(|m| *m == self.stamp)
     }
 }
 
@@ -942,7 +868,7 @@ mod tests {
 
         let e = Expr::not(Expr::eq("a", 1i64));
         let t = SubscriptionTree::from_expr(&e);
-        let child = t.node(t.root()).unwrap().children()[0];
+        let child = t.children(t.root()).next().unwrap();
         assert!(t.validate_prune(child).is_err());
     }
 

@@ -130,25 +130,15 @@ impl SelectivityEstimator {
         let Some(n) = tree.node(node) else {
             return SelectivityEstimate::never();
         };
+        let children: Vec<SelectivityEstimate> = tree
+            .children(node)
+            .map(|c| self.estimate_node(tree, c))
+            .collect();
         match n.kind() {
             NodeKind::Predicate(p) => SelectivityEstimate::exact(self.estimate_predicate(p)),
-            NodeKind::And => {
-                let children: Vec<SelectivityEstimate> = n
-                    .children()
-                    .iter()
-                    .map(|c| self.estimate_node(tree, *c))
-                    .collect();
-                SelectivityEstimate::and(&children)
-            }
-            NodeKind::Or => {
-                let children: Vec<SelectivityEstimate> = n
-                    .children()
-                    .iter()
-                    .map(|c| self.estimate_node(tree, *c))
-                    .collect();
-                SelectivityEstimate::or(&children)
-            }
-            NodeKind::Not => self.estimate_node(tree, n.children()[0]).not(),
+            NodeKind::And => SelectivityEstimate::and(&children),
+            NodeKind::Or => SelectivityEstimate::or(&children),
+            NodeKind::Not => children[0].not(),
         }
     }
 

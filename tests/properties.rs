@@ -4,10 +4,12 @@
 //! * the counting matcher agrees with direct tree evaluation;
 //! * every valid pruning generalizes the subscription (no lost matches);
 //! * `pmin` never increases under pruning;
+//! * every built and every pruned tree keeps the preorder node layout;
 //! * selectivity estimates bracket the measured selectivity;
 //! * the distributed simulation delivers exactly the centralized matches.
 
 use dimension_pruning::matching::MatchingEngine;
+use dimension_pruning::model::NodeId;
 use dimension_pruning::net::{Simulation, SimulationConfig, Topology};
 use dimension_pruning::prelude::*;
 use proptest::prelude::*;
@@ -88,6 +90,57 @@ fn subscription(id: u64, expr: &Expr) -> Subscription {
     )
 }
 
+/// The preorder layout of a [`SubscriptionTree`]: the root is node 0 and
+/// every other node's parent precedes it; `children(n)` is exactly the nodes
+/// whose parent is `n`, in order; the subtree of `n` — `n` and the nodes
+/// whose parent chain reaches `n` — is the range `[n, end)`; and evaluating
+/// the leaves agrees with `expr`, the expression the tree stands for.
+fn check_preorder_layout(
+    tree: &SubscriptionTree,
+    expr: &Expr,
+    events: &[EventMessage],
+) -> Result<(), TestCaseError> {
+    let parent = |n: NodeId| tree.node(n).and_then(|node| node.parent());
+    prop_assert_eq!(tree.root(), NodeId::from_index(0));
+    prop_assert_eq!(parent(tree.root()), None);
+    for n in tree.node_ids().skip(1) {
+        prop_assert!(parent(n).is_some_and(|p| p < n), "{n} in {tree}");
+    }
+    for n in tree.node_ids() {
+        let children: Vec<NodeId> = tree.children(n).collect();
+        let parented: Vec<NodeId> = tree.node_ids().filter(|&c| parent(c) == Some(n)).collect();
+        prop_assert_eq!(children, parented, "children of {} in {}", n, tree);
+        let below_n = |mut m: NodeId| loop {
+            if m == n {
+                return true;
+            }
+            match parent(m) {
+                Some(p) => m = p,
+                None => return false,
+            }
+        };
+        let subtree: Vec<usize> = tree
+            .node_ids()
+            .filter(|&m| below_n(m))
+            .map(NodeId::index)
+            .collect();
+        prop_assert_eq!(
+            subtree,
+            tree.subtree_range(n).collect::<Vec<_>>(),
+            "subtree of {} in {}",
+            n,
+            tree
+        );
+    }
+    for event in events {
+        prop_assert_eq!(
+            tree.evaluate_leaves(&mut |_, p| p.evaluate(event)),
+            expr.evaluate(event)
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -124,8 +177,14 @@ proptest! {
         events in prop::collection::vec(event_strategy(), 1..16),
     ) {
         let tree = SubscriptionTree::from_expr(&expr);
+        check_preorder_layout(&tree, &expr, &events)?;
         for node in tree.generalizing_removals() {
             let pruned = tree.prune(node).expect("enumerated prunings are valid");
+            // Pruning copies the layout `from_expr` builds for the same
+            // expression, node for node.
+            let pruned_expr = pruned.to_expr();
+            prop_assert_eq!(&SubscriptionTree::from_expr(&pruned_expr), &pruned);
+            check_preorder_layout(&pruned, &pruned_expr, &events)?;
             prop_assert!(pruned.predicate_count() < tree.predicate_count());
             prop_assert!(pruned.size_bytes() < tree.size_bytes());
             prop_assert!(pruned.pmin() <= tree.pmin(), "pmin may only drop");
@@ -186,6 +245,8 @@ proptest! {
     ) {
         let tree = SubscriptionTree::from_expr(&expr);
         let roundtripped = SubscriptionTree::from_expr(&tree.to_expr());
+        check_preorder_layout(&tree, &expr, &events)?;
+        prop_assert_eq!(&roundtripped, &tree);
         for event in &events {
             prop_assert_eq!(tree.evaluate(event), expr.evaluate(event));
             prop_assert_eq!(roundtripped.evaluate(event), tree.evaluate(event));

@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 HOT_PATH_FILES = [
+    "crates/pubsub-core/src/tree.rs",
     "crates/filtering/src/analyze.rs",
     "crates/filtering/src/counting.rs",
     "crates/filtering/src/naive.rs",
