@@ -53,8 +53,7 @@
 use crate::metrics::RoutingMemoryReport;
 use crate::subsumption::{SubsumptionIndex, SubsumptionQuery};
 use filtering::{
-    AnyEngine, DiscriminationHint, EngineConfig, EngineKind, FilterStats, MatchSink,
-    MatchingEngine, VecSink,
+    AnyEngine, DiscriminationHint, EngineConfig, EngineKind, FilterStats, MatchSink, MatchingEngine,
 };
 use pubsub_core::analysis::implies;
 use pubsub_core::{
@@ -86,10 +85,21 @@ impl MatchSink for AnyMatchSink {
         self.first.resize(batch_len, None);
     }
 
-    fn on_match(&mut self, event_index: usize, sub: SubscriptionId) {
+    fn on_match(&mut self, event_index: usize, sub: SubscriptionId, _subscriber: SubscriberId) {
         if let Some(first) = self.first.get_mut(event_index) {
             first.get_or_insert(sub);
         }
+    }
+}
+
+/// A [`MatchSink`] that appends every local match to the caller's delivery
+/// list as an `(event index, subscriber, subscription)` triple, in the
+/// engine's emission order.
+struct DeliverySink<'a>(&'a mut Vec<(usize, SubscriberId, SubscriptionId)>);
+
+impl MatchSink for DeliverySink<'_> {
+    fn on_match(&mut self, event_index: usize, sub: SubscriptionId, subscriber: SubscriberId) {
+        self.0.push((event_index, subscriber, sub));
     }
 }
 
@@ -160,8 +170,6 @@ pub struct RoutingTable {
     /// [`install_remote_tree`](Self::install_remote_tree) rather than the one
     /// they were registered (and flooded onward) with.
     pruned: BTreeSet<SubscriptionId>,
-    /// Reusable sink for batch-matching the local engine.
-    batch_sink: VecSink,
     /// Reusable per-event first matches for the per-neighbor forwarding
     /// decision.
     any_match: AnyMatchSink,
@@ -438,39 +446,35 @@ impl RoutingTable {
 
     /// Iterates over every registered entry as `(origin, subscription)`:
     /// `None` for local-client entries, `Some(neighbor)` for remote entries
-    /// pointing towards that neighbor. Order is unspecified.
+    /// pointing towards that neighbor.
+    ///
+    /// The order is deterministic, so a journal snapshot's bytes depend on
+    /// the table alone: local entries first, then each neighbor's in
+    /// broker-id order; within one engine, a counting engine's slot order
+    /// and an A-Tree's id order (its id map has no order of its own).
     pub fn entries(&self) -> impl Iterator<Item = (Option<BrokerId>, &Subscription)> {
-        self.local
-            .subscriptions()
+        deterministic_order(&self.local)
             .map(|sub| (None, sub))
             .chain(self.per_neighbor.iter().flat_map(|(neighbor, link)| {
-                link.engine
-                    .subscriptions()
-                    .map(move |sub| (Some(*neighbor), sub))
+                deterministic_order(&link.engine).map(move |sub| (Some(*neighbor), sub))
             }))
     }
 
     /// Matches a whole batch against the local entries, replacing `out` with
-    /// `(event index, subscriber, subscription)` triples to notify.
+    /// `(event index, subscriber, subscription)` triples to notify: grouped
+    /// by event, id-sorted within one.
     ///
-    /// The local engine is driven once for the whole batch, and the table's
-    /// reusable sink keeps the operation allocation-free in steady state
-    /// (apart from growing `out`).
+    /// The local engine is driven once for the whole batch and writes each
+    /// match into `out` as it emits it, subscriber included — every engine
+    /// holds the subscriber where it decides a match, so no entry is looked
+    /// up again. Allocation-free in steady state apart from growing `out`.
     pub fn match_local_batch(
         &mut self,
         batch: &EventBatch,
         out: &mut Vec<(usize, SubscriberId, SubscriptionId)>,
     ) {
         out.clear();
-        self.local.match_batch(batch, &mut self.batch_sink);
-        out.extend(self.batch_sink.matches().iter().map(|&(event_index, id)| {
-            let subscriber = self
-                .local
-                .get(id)
-                .expect("matched subscription is registered")
-                .subscriber();
-            (event_index, subscriber, id)
-        }));
+        self.local.match_batch(batch, &mut DeliverySink(out));
     }
 
     /// Determines, per batch event, which neighbors need a copy: for each
@@ -607,10 +611,26 @@ impl RoutingTable {
     }
 }
 
-/// Files every unpruned entry of `engine`.
+/// The entries of `engine` in the order [`RoutingTable::entries`] lists
+/// them: as the engine iterates them, sorted by id for the A-Tree arms,
+/// whose id map iterates in a different order on every run.
+fn deterministic_order(engine: &AnyEngine) -> Box<dyn Iterator<Item = &Subscription> + '_> {
+    match engine {
+        AnyEngine::ATree(_) | AnyEngine::ShardedATree(_) => {
+            let mut subs: Vec<&Subscription> = engine.subscriptions().collect();
+            subs.sort_unstable_by_key(|sub| sub.id());
+            Box::new(subs.into_iter())
+        }
+        _ => engine.subscriptions(),
+    }
+}
+
+/// Files every unpruned entry of `engine`, in the order of
+/// [`deterministic_order`]: where an entry is filed depends on what was
+/// filed before it.
 fn file_all(engine: &AnyEngine, pruned: &BTreeSet<SubscriptionId>) -> SubsumptionIndex {
     let mut index = SubsumptionIndex::default();
-    for entry in engine.subscriptions() {
+    for entry in deterministic_order(engine) {
         if !pruned.contains(&entry.id()) {
             index.insert(entry);
         }

@@ -14,19 +14,32 @@
 //!   [`expr_fingerprint`](pubsub_core::analysis::expr_fingerprint) (computed
 //!   bottom-up via the public combiners, verified structurally on bucket
 //!   collision). Identical subtrees across subscriptions — and the analyzer
-//!   of PR 8 already normalizes inserted trees into a flattened, deduped,
+//!   already normalizes inserted trees into a flattened, deduped,
 //!   commutative-stable form, maximizing hits — become **one node** carrying
-//!   a sorted subscriber list.
+//!   an id-sorted list of `(subscription, subscriber)` pairs, so a match is
+//!   delivered straight from the node that decided it.
+//! * **Hot facts beside the slab.** A node's children never change after it
+//!   is created, so its operator, arity, level, default value (its value
+//!   under "no predicate fulfilled") and `base` — how many of its child
+//!   edges are default-true, duplicates counted — are fixed then. They live
+//!   in one array parallel to the slab, with the node's reference count and
+//!   whether it has subscribers; the slab keeps the predicate, the edge
+//!   lists, the subscribers and the fingerprint.
 //! * **Leaves reuse the existing machinery.** Each distinct predicate leaf is
 //!   registered once in the [`AttributeIndex`], keyed by its DAG node id, so
 //!   the single-event probe and the batch-aware [`ProbePlan`] (which groups a
 //!   whole batch's probes by attribute run) work unchanged.
-//! * **Evaluation is at most once per node per event.** Matching touches the
-//!   fulfilled leaves, then sweeps scheduled interior nodes bottom-up in
-//!   level order with generation-stamped value/schedule memos. A node whose
-//!   inputs all hold their *default* value (the value under "no predicate
-//!   fulfilled") is never scheduled — its value is known statically — so an
-//!   event pays only for the part of the DAG it perturbs.
+//! * **Counter evaluation, at most once per node per event.** Matching
+//!   touches the fulfilled leaves, then sweeps scheduled interior nodes
+//!   bottom-up in level order. A node whose value leaves its default adds
+//!   ±1 to a per-event counter of every parent edge, in the same loop that
+//!   schedules the parent; a scheduled node then knows how many of its child
+//!   edges are true, `base + count`, without reading a child: an And is true
+//!   when that equals its arity, an Or when it is positive, a Not when it is
+//!   zero. A node is scheduled once per event however many children change,
+//!   and one whose children all hold their defaults is never scheduled —
+//!   its value is its default — so an event pays only for the part of the
+//!   DAG it perturbs.
 //! * **Removal reference-counts.** Every parent edge and every subscriber
 //!   holds one reference; releasing the last one frees the slab slot,
 //!   unregisters the leaf, and cascades to children, so churn never leaks.
@@ -50,10 +63,10 @@ use pubsub_core::analysis::{
     and_fingerprint, not_fingerprint, or_fingerprint, predicate_fingerprint,
 };
 use pubsub_core::{
-    EventBatch, EventMessage, Expr, NodeId, Predicate, Subscription, SubscriptionId,
+    EventBatch, EventMessage, Expr, NodeId, Predicate, SubscriberId, Subscription, SubscriptionId,
 };
 use selectivity::DiscriminationHint;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::mem::size_of;
 use std::time::Instant;
 
@@ -61,22 +74,61 @@ use std::time::Instant;
 const NOT_IN_LIST: u32 = u32::MAX;
 
 /// The operator of one DAG node.
-#[derive(Debug)]
-enum DagKind {
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Op {
     /// A predicate leaf (level 0), registered in the [`AttributeIndex`].
-    Pred(Predicate),
-    /// Conjunction over `children`; empty conjunctions are vacuously true.
+    #[default]
+    Leaf,
+    /// Conjunction over the children; empty conjunctions are vacuously true.
     And,
-    /// Disjunction over `children`; empty disjunctions are false.
+    /// Disjunction over the children; empty disjunctions are false.
     Or,
     /// Negation of the single child.
     Not,
 }
 
-/// One live DAG node.
+/// The per-node facts the sweep reads, one per slab slot (parallel to
+/// `ATreeEngine::nodes`). Everything but `refs` and `has_subscribers` is
+/// fixed when the node is created; a freed slot holds the default, and
+/// nothing reads it until the slot is reused.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct NodeMeta {
+    op: Op,
+    /// The node's value under "no predicate fulfilled": the statically known
+    /// result whenever it is not scheduled.
+    default: bool,
+    /// Whether any subscription is rooted here.
+    has_subscribers: bool,
+    /// Child edges, duplicates counted.
+    arity: u32,
+    /// Child edges whose child is default-true, duplicates counted.
+    base: u32,
+    /// 0 for leaves, `1 + max(child levels)` otherwise.
+    level: u32,
+    /// Live references: one per parent edge plus one per subscriber. The
+    /// node is freed when this reaches zero.
+    refs: u32,
+}
+
+impl NodeMeta {
+    /// The value of an interior node `true_edges` of whose child edges hold
+    /// true.
+    #[inline]
+    fn value(&self, true_edges: u32) -> bool {
+        match self.op {
+            Op::And => true_edges == self.arity,
+            Op::Or => true_edges > 0,
+            // Leaves sit at level 0 and are never scheduled.
+            Op::Not | Op::Leaf => true_edges == 0,
+        }
+    }
+}
+
+/// One live DAG node: what interning, propagation and emission read.
 #[derive(Debug)]
 struct DagNode {
-    kind: DagKind,
+    /// The predicate of a leaf; `None` for an interior node.
+    pred: Option<Predicate>,
     /// Child node ids, **sorted** (duplicates retained so arity is
     /// preserved). Sorting makes structural equality a plain `Vec` compare
     /// and absorbs `And(a, b)` vs `And(b, a)`, matching the commutative
@@ -85,30 +137,11 @@ struct DagNode {
     /// One entry per parent *edge* (duplicates allowed when a parent lists
     /// this child twice). Used to propagate non-default values upward.
     parents: Vec<u32>,
-    /// Subscriptions rooted at this node, sorted by id.
-    subscribers: Vec<SubscriptionId>,
-    /// Live references: one per parent edge plus one per subscriber. The
-    /// node is freed when this reaches zero.
-    refs: u32,
+    /// Subscriptions rooted at this node with their subscribers, sorted by
+    /// id.
+    subscribers: Vec<(SubscriptionId, SubscriberId)>,
     /// Structural fingerprint — the hash-consing key.
     fp: u64,
-}
-
-impl DagNode {
-    /// Structural equality against a candidate `(kind, children)` pair, used
-    /// to verify fingerprint-bucket hits.
-    fn matches(&self, kind: &DagKind, children: &[u32]) -> bool {
-        if self.children != children {
-            return false;
-        }
-        match (&self.kind, kind) {
-            (DagKind::Pred(a), DagKind::Pred(b)) => a == b,
-            (DagKind::And, DagKind::And)
-            | (DagKind::Or, DagKind::Or)
-            | (DagKind::Not, DagKind::Not) => true,
-            _ => false,
-        }
-    }
 }
 
 /// Reusable per-event scratch, indexed by DAG node id. Generation-stamped:
@@ -116,20 +149,22 @@ impl DagNode {
 /// matching performs no heap allocation here.
 #[derive(Debug, Default)]
 struct AtreeScratch {
-    /// Truth value per node, valid only where `val_gen` is current.
-    val: Vec<u8>,
-    /// Generation stamp for `val`.
-    val_gen: Vec<u32>,
-    /// Generation stamp recording "already scheduled for evaluation".
+    /// Generation stamp per node: a leaf fulfilled, or an interior node
+    /// scheduled, by the current event.
     sched_gen: Vec<u32>,
+    /// Per scheduled node, its child edges that left their default for true
+    /// minus those that left it for false. Valid only where `sched_gen` is
+    /// current.
+    count: Vec<i32>,
     /// The generation of the event currently being matched.
     current_gen: u32,
     /// Scheduled interior nodes, bucketed by DAG level; swept ascending.
     pending: Vec<Vec<u32>>,
-    /// Nodes with subscribers whose value was computed this event.
-    touched_roots: Vec<u32>,
-    /// Reusable per-event match buffer used by `match_batch`.
-    match_buf: Vec<SubscriptionId>,
+    /// Nodes with subscribers that came out true this event.
+    true_roots: Vec<u32>,
+    /// The current event's `(id, subscriber)` matches, id-sorted once the
+    /// event is done.
+    match_buf: Vec<(SubscriptionId, SubscriberId)>,
     /// Number of times any scratch buffer had to grow. Stable across calls
     /// in steady state; tests assert on it.
     grows: u64,
@@ -139,10 +174,9 @@ impl AtreeScratch {
     /// Starts a new event: bumps the generation and sizes the per-node
     /// buffers to cover `nodes` slab entries and `max_level` levels.
     fn advance(&mut self, nodes: usize, max_level: u32) {
-        if self.val.len() < nodes {
-            self.val.resize(nodes, 0);
-            self.val_gen.resize(nodes, 0);
+        if self.sched_gen.len() < nodes {
             self.sched_gen.resize(nodes, 0);
+            self.count.resize(nodes, 0);
         }
         let want_levels = max_level as usize + 1;
         if self.pending.len() < want_levels {
@@ -152,31 +186,47 @@ impl AtreeScratch {
         if self.current_gen == 0 {
             // Generation wrap (once per 2³² events): physically reset the
             // stamps so ancient generations cannot alias the new one.
-            self.val_gen.fill(0);
             self.sched_gen.fill(0);
             self.current_gen = 1;
         }
-        self.touched_roots.clear();
+        self.true_roots.clear();
+        self.match_buf.clear();
+    }
+
+    /// Adds `delta` to the counter of every edge in `parents`, scheduling
+    /// each parent (with a zeroed counter) the first time this event.
+    #[inline]
+    fn schedule(&mut self, parents: &[u32], delta: i32, meta: &[NodeMeta]) {
+        let gen = self.current_gen;
+        for &p in parents {
+            let i = p as usize;
+            if self.sched_gen[i] != gen {
+                self.sched_gen[i] = gen;
+                self.count[i] = 0;
+                self.pending[meta[i].level as usize].push(p);
+            }
+            self.count[i] += delta;
+        }
     }
 
     /// Total number of scratch elements currently allocated.
     fn capacity(&self) -> usize {
-        self.val.capacity()
-            + self.val_gen.capacity()
-            + self.sched_gen.capacity()
+        self.sched_gen.capacity()
+            + self.count.capacity()
             + self.pending.capacity()
             + self.pending.iter().map(Vec::capacity).sum::<usize>()
-            + self.touched_roots.capacity()
+            + self.true_roots.capacity()
             + self.match_buf.capacity()
     }
 }
 
 /// Point-in-time memory footprint of the DAG, for the benchmark panel's
 /// per-engine accounting. `slab_bytes` covers the matching structure itself —
-/// node slab, child/parent/subscriber edge lists, string-constant heap of the
-/// leaf predicates, the interning table, and the flat per-node arrays — and
-/// deliberately excludes the engine-API `Subscription` storage, which is
-/// identical across engines and never touched while matching.
+/// node slab and its parallel per-node arrays, child/parent/subscriber edge
+/// lists, string-constant heap of the leaf predicates, the interning table,
+/// and the id → root mapping — and deliberately excludes the engine-API
+/// `Subscription` storage, which is identical across engines and never
+/// touched while matching.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AtreeMemory {
     /// Live DAG nodes.
@@ -193,22 +243,18 @@ pub struct AtreeMemory {
 pub struct ATreeEngine {
     /// Slab of DAG nodes; freed slots are recycled via `free_nodes`.
     nodes: Vec<Option<DagNode>>,
+    /// The hot per-node facts, parallel to `nodes`.
+    meta: Vec<NodeMeta>,
     free_nodes: Vec<u32>,
-    /// Per-node value under "no predicate fulfilled" (parallel to `nodes`):
-    /// the statically known result for every unscheduled node.
-    empty_vals: Vec<bool>,
-    /// Per-node DAG level: 0 for leaves, `1 + max(child levels)` otherwise.
-    levels: Vec<u32>,
     /// Highest level currently in the DAG (monotone; slots keep it simple).
     max_level: u32,
     /// Hash-consing table: fingerprint → candidate node ids (verified
     /// structurally, so a fingerprint collision costs a compare, not
     /// correctness).
     interned: HashMap<u64, Vec<u32>>,
-    /// Subscription id → root node.
-    id_to_root: HashMap<SubscriptionId, u32>,
-    /// Registered subscriptions in id order (backs `get`/`subscriptions`).
-    subs: BTreeMap<SubscriptionId, Subscription>,
+    /// Registered subscriptions with their root node (backs `get`,
+    /// `subscriptions` and replacement).
+    subs: HashMap<SubscriptionId, (u32, Subscription)>,
     /// Roots with subscribers whose default value is *true* — like the
     /// counting engine's zero-`pmin` list, they match events that fulfil
     /// none of their predicates, but here an untouched root is emitted
@@ -236,18 +282,6 @@ pub struct ATreeEngine {
     hint: Option<DiscriminationHint>,
 }
 
-/// Value of node `c` for the current event: its memoized value if computed,
-/// its static default otherwise.
-#[inline]
-fn node_val(val: &[u8], val_gen: &[u32], empty_vals: &[bool], gen: u32, c: u32) -> bool {
-    let i = c as usize;
-    if val_gen.get(i).copied() == Some(gen) {
-        val[i] != 0
-    } else {
-        empty_vals.get(i).copied().unwrap_or(false)
-    }
-}
-
 impl ATreeEngine {
     /// Creates an empty engine with the default configuration.
     pub fn new() -> Self {
@@ -269,7 +303,8 @@ impl ATreeEngine {
     pub fn with_config_and_capacity(config: EngineConfig, n: usize) -> Self {
         Self {
             nodes: Vec::with_capacity(n),
-            id_to_root: HashMap::with_capacity(n),
+            meta: Vec::with_capacity(n),
+            subs: HashMap::with_capacity(n),
             config,
             ..Self::default()
         }
@@ -300,9 +335,11 @@ impl ATreeEngine {
         false
     }
 
-    /// Iterates over the registered subscriptions in id order.
+    /// Iterates over the registered subscriptions in unspecified order
+    /// (that of the id map; callers that need a canonical order sort by
+    /// id).
     pub fn subscriptions(&self) -> impl Iterator<Item = &Subscription> {
-        self.subs.values()
+        self.subs.values().map(|(_, sub)| sub)
     }
 
     /// Direct access to the underlying predicate index (read-only).
@@ -325,26 +362,27 @@ impl ATreeEngine {
     /// Point-in-time memory footprint of the DAG (see [`AtreeMemory`]).
     pub fn memory(&self) -> AtreeMemory {
         let mut edge_count = 0usize;
-        let mut bytes = self.nodes.capacity() * size_of::<Option<DagNode>>();
+        let mut bytes = self.nodes.capacity() * size_of::<Option<DagNode>>()
+            + self.meta.capacity() * size_of::<NodeMeta>();
         for node in self.nodes.iter().flatten() {
             edge_count += node.children.len();
             bytes += (node.children.capacity() + node.parents.capacity()) * size_of::<u32>()
-                + node.subscribers.capacity() * size_of::<SubscriptionId>();
-            if let DagKind::Pred(p) = &node.kind {
+                + node.subscribers.capacity() * size_of::<(SubscriptionId, SubscriberId)>();
+            if let Some(p) = &node.pred {
                 bytes += p.size_bytes();
             }
         }
-        bytes += self.free_nodes.capacity() * size_of::<u32>()
-            + self.empty_vals.capacity()
-            + (self.levels.capacity() + self.default_true_pos.capacity()) * size_of::<u32>()
-            + self.default_true_roots.capacity() * size_of::<u32>()
+        bytes += (self.free_nodes.capacity()
+            + self.default_true_pos.capacity()
+            + self.default_true_roots.capacity())
+            * size_of::<u32>()
             + self.interned.capacity() * size_of::<(u64, Vec<u32>)>()
             + self
                 .interned
                 .values()
                 .map(|b| b.capacity() * size_of::<u32>())
                 .sum::<usize>()
-            + self.id_to_root.capacity() * size_of::<(SubscriptionId, u32)>();
+            + self.subs.capacity() * size_of::<(SubscriptionId, u32)>();
         AtreeMemory {
             node_count: self.live_nodes as usize,
             edge_count,
@@ -364,8 +402,7 @@ impl ATreeEngine {
         }
         let n = u32::try_from(self.nodes.len()).expect("DAG node slab exceeds u32 range");
         self.nodes.push(None);
-        self.empty_vals.push(false);
-        self.levels.push(0);
+        self.meta.push(NodeMeta::default());
         self.default_true_pos.push(NOT_IN_LIST);
         n
     }
@@ -381,66 +418,59 @@ impl ATreeEngine {
 
     /// Adds one reference to `n`, maintaining the shared gauge.
     fn bump_ref(&mut self, n: u32) {
-        if let Some(node) = self.nodes.get_mut(n as usize).and_then(|e| e.as_mut()) {
-            node.refs += 1;
-            if node.refs == 2 {
+        if let Some(m) = self.meta.get_mut(n as usize) {
+            m.refs += 1;
+            if m.refs == 2 {
                 self.shared_count += 1;
             }
         }
     }
 
-    /// Returns the node for `(fp, kind, children)`, reusing a structurally
-    /// identical existing node or creating a fresh one. Because equality
-    /// compares child *ids*, a hit guarantees every child of the candidate
-    /// is exactly the child we interned — fresh children are never orphaned
-    /// by a hit (a live candidate cannot reference a just-allocated id).
-    fn intern(&mut self, fp: u64, kind: DagKind, children: Vec<u32>) -> u32 {
+    /// Returns the node for `(fp, op, pred, children)`, reusing a
+    /// structurally identical existing node or creating a fresh one. Because
+    /// equality compares child *ids*, a hit guarantees every child of the
+    /// candidate is exactly the child we interned — fresh children are never
+    /// orphaned by a hit (a live candidate cannot reference a just-allocated
+    /// id).
+    fn intern(&mut self, fp: u64, op: Op, pred: Option<&Predicate>, children: Vec<u32>) -> u32 {
         if let Some(bucket) = self.interned.get(&fp) {
             for &cand in bucket {
-                if self
-                    .nodes
-                    .get(cand as usize)
-                    .and_then(|e| e.as_ref())
-                    .is_some_and(|n| n.matches(&kind, &children))
-                {
+                let hit = self.meta.get(cand as usize).is_some_and(|m| m.op == op)
+                    && self
+                        .nodes
+                        .get(cand as usize)
+                        .and_then(|e| e.as_ref())
+                        .is_some_and(|n| n.children == children && n.pred.as_ref() == pred);
+                if hit {
                     return cand;
                 }
             }
         }
-        self.create_node(fp, kind, children)
+        self.create_node(fp, op, pred, children)
     }
 
-    fn create_node(&mut self, fp: u64, kind: DagKind, children: Vec<u32>) -> u32 {
-        let (level, empty) = match &kind {
-            DagKind::Pred(_) => (0, false),
-            DagKind::And => (
-                1 + children
-                    .iter()
-                    .map(|&c| self.levels.get(c as usize).copied().unwrap_or(0))
-                    .max()
-                    .unwrap_or(0),
-                children
-                    .iter()
-                    .all(|&c| self.empty_vals.get(c as usize).copied().unwrap_or(false)),
-            ),
-            DagKind::Or => (
-                1 + children
-                    .iter()
-                    .map(|&c| self.levels.get(c as usize).copied().unwrap_or(0))
-                    .max()
-                    .unwrap_or(0),
-                children
-                    .iter()
-                    .any(|&c| self.empty_vals.get(c as usize).copied().unwrap_or(false)),
-            ),
-            DagKind::Not => {
-                let c = children.first().copied().unwrap_or(0);
-                (
-                    1 + self.levels.get(c as usize).copied().unwrap_or(0),
-                    !self.empty_vals.get(c as usize).copied().unwrap_or(false),
-                )
-            }
+    fn create_node(
+        &mut self,
+        fp: u64,
+        op: Op,
+        pred: Option<&Predicate>,
+        children: Vec<u32>,
+    ) -> u32 {
+        let mut meta = NodeMeta {
+            op,
+            ..NodeMeta::default()
         };
+        if op != Op::Leaf {
+            let mut child_level = 0;
+            for &c in &children {
+                let child = self.meta.get(c as usize).copied().unwrap_or_default();
+                child_level = child_level.max(child.level);
+                meta.arity += 1;
+                meta.base += u32::from(child.default);
+            }
+            meta.level = child_level + 1;
+            meta.default = meta.value(meta.base);
+        }
         let id = self.alloc_node();
         for &c in &children {
             if let Some(child) = self.nodes.get_mut(c as usize).and_then(|e| e.as_mut()) {
@@ -448,20 +478,18 @@ impl ATreeEngine {
             }
             self.bump_ref(c);
         }
-        if let DagKind::Pred(p) = &kind {
+        if let Some(p) = pred {
             self.index
                 .insert(p, PredicateKey::new(SubSlot(id), NodeId(0)));
         }
         let i = id as usize;
-        self.empty_vals[i] = empty;
-        self.levels[i] = level;
-        self.max_level = self.max_level.max(level);
+        self.meta[i] = meta;
+        self.max_level = self.max_level.max(meta.level);
         self.nodes[i] = Some(DagNode {
-            kind,
+            pred: pred.cloned(),
             children,
             parents: Vec::new(),
             subscribers: Vec::new(),
-            refs: 0,
             fp,
         });
         self.interned.entry(fp).or_default().push(id);
@@ -472,28 +500,25 @@ impl ATreeEngine {
     /// Interns `expr` bottom-up, returning its DAG node.
     fn intern_expr(&mut self, expr: &Expr) -> u32 {
         match expr {
-            Expr::Pred(p) => {
-                let fp = predicate_fingerprint(p);
-                self.intern(fp, DagKind::Pred(p.clone()), Vec::new())
-            }
+            Expr::Pred(p) => self.intern(predicate_fingerprint(p), Op::Leaf, Some(p), Vec::new()),
             Expr::And(children) => {
                 let mut kids: Vec<u32> = children.iter().map(|c| self.intern_expr(c)).collect();
                 let fps: Vec<u64> = kids.iter().map(|&k| self.node_fp(k)).collect();
                 let fp = and_fingerprint(&fps);
                 kids.sort_unstable();
-                self.intern(fp, DagKind::And, kids)
+                self.intern(fp, Op::And, None, kids)
             }
             Expr::Or(children) => {
                 let mut kids: Vec<u32> = children.iter().map(|c| self.intern_expr(c)).collect();
                 let fps: Vec<u64> = kids.iter().map(|&k| self.node_fp(k)).collect();
                 let fp = or_fingerprint(&fps);
                 kids.sort_unstable();
-                self.intern(fp, DagKind::Or, kids)
+                self.intern(fp, Op::Or, None, kids)
             }
             Expr::Not(child) => {
                 let k = self.intern_expr(child);
                 let fp = not_fingerprint(self.node_fp(k));
-                self.intern(fp, DagKind::Not, vec![k])
+                self.intern(fp, Op::Not, None, vec![k])
             }
         }
     }
@@ -525,29 +550,31 @@ impl ATreeEngine {
         }
     }
 
-    fn add_subscriber(&mut self, root: u32, id: SubscriptionId) {
-        let mut first = false;
-        if let Some(node) = self.nodes.get_mut(root as usize).and_then(|e| e.as_mut()) {
-            if let Err(pos) = node.subscribers.binary_search(&id) {
-                node.subscribers.insert(pos, id);
-            }
-            first = node.subscribers.len() == 1;
+    fn add_subscriber(&mut self, root: u32, id: SubscriptionId, subscriber: SubscriberId) {
+        let Some(node) = self.nodes.get_mut(root as usize).and_then(|e| e.as_mut()) else {
+            return;
+        };
+        if let Err(pos) = node.subscribers.binary_search_by_key(&id, |&(s, _)| s) {
+            node.subscribers.insert(pos, (id, subscriber));
         }
-        if first && self.empty_vals.get(root as usize).copied().unwrap_or(false) {
+        let m = &mut self.meta[root as usize];
+        let first = !m.has_subscribers;
+        m.has_subscribers = true;
+        if first && m.default {
             self.default_true_insert(root);
         }
         self.bump_ref(root);
     }
 
     fn remove_subscriber(&mut self, root: u32, id: SubscriptionId) {
-        let mut emptied = false;
-        if let Some(node) = self.nodes.get_mut(root as usize).and_then(|e| e.as_mut()) {
-            if let Ok(pos) = node.subscribers.binary_search(&id) {
-                node.subscribers.remove(pos);
-            }
-            emptied = node.subscribers.is_empty();
+        let Some(node) = self.nodes.get_mut(root as usize).and_then(|e| e.as_mut()) else {
+            return;
+        };
+        if let Ok(pos) = node.subscribers.binary_search_by_key(&id, |&(s, _)| s) {
+            node.subscribers.remove(pos);
         }
-        if emptied {
+        if node.subscribers.is_empty() {
+            self.meta[root as usize].has_subscribers = false;
             self.default_true_remove(root);
         }
         self.release(root);
@@ -558,20 +585,20 @@ impl ATreeEngine {
     fn release(&mut self, node: u32) {
         let mut work = vec![node];
         while let Some(n) = work.pop() {
-            let freed = {
-                let Some(entry) = self.nodes.get_mut(n as usize).and_then(|e| e.as_mut()) else {
-                    continue;
-                };
-                entry.refs = entry.refs.saturating_sub(1);
-                if entry.refs == 1 {
-                    self.shared_count = self.shared_count.saturating_sub(1);
-                }
-                entry.refs == 0
-            };
-            if !freed {
+            let i = n as usize;
+            if self.nodes.get(i).and_then(|e| e.as_ref()).is_none() {
                 continue;
             }
-            let Some(entry) = self.nodes.get_mut(n as usize).and_then(|e| e.take()) else {
+            let m = &mut self.meta[i];
+            m.refs = m.refs.saturating_sub(1);
+            if m.refs == 1 {
+                self.shared_count = self.shared_count.saturating_sub(1);
+            }
+            if m.refs > 0 {
+                continue;
+            }
+            *m = NodeMeta::default();
+            let Some(entry) = self.nodes[i].take() else {
                 continue;
             };
             if let Some(bucket) = self.interned.get_mut(&entry.fp) {
@@ -582,7 +609,7 @@ impl ATreeEngine {
                     self.interned.remove(&entry.fp);
                 }
             }
-            if let DagKind::Pred(p) = &entry.kind {
+            if let Some(p) = &entry.pred {
                 self.index
                     .remove(p, PredicateKey::new(SubSlot(n), NodeId(0)));
             }
@@ -604,159 +631,114 @@ impl ATreeEngine {
     ///
     /// `feed` delivers the event's fulfilled leaf nodes (from the probe
     /// plan's CSR slice or a live index probe); the core then sweeps the
-    /// scheduled interior nodes bottom-up in level order, memoizing each
-    /// shared node's value once, and emits the id-sorted matches.
-    #[allow(clippy::too_many_arguments)] // engine fields passed piecewise, as in the counting engine
+    /// scheduled interior nodes bottom-up in level order, evaluating each
+    /// from its counter, and leaves the id-sorted `(id, subscriber)`
+    /// matches in `scratch.match_buf`.
     fn match_event_core(
         nodes: &[Option<DagNode>],
-        empty_vals: &[bool],
-        levels: &[u32],
+        meta: &[NodeMeta],
         max_level: u32,
         default_true_roots: &[u32],
         scratch: &mut AtreeScratch,
         stats: &mut FilterStats,
         feed: impl FnOnce(&mut dyn FnMut(u32)),
-        matches: &mut Vec<SubscriptionId>,
     ) {
-        matches.clear();
         scratch.advance(nodes.len(), max_level);
-        let AtreeScratch {
-            val,
-            val_gen,
-            sched_gen,
-            current_gen,
-            pending,
-            touched_roots,
-            ..
-        } = scratch;
-        let gen = *current_gen;
+        let gen = scratch.current_gen;
         let mut fulfilled = 0u64;
         let mut evaluated = 0u64;
         let mut saved = 0u64;
+        let mut candidates = 0u64;
 
         // Stage 1: touch the fulfilled leaves. Idempotent per node (the
-        // index may report a leaf more than once) and schedules every
-        // parent of a touched leaf — a leaf's true differs from its false
-        // default by construction.
+        // index may report a leaf more than once); a leaf's true differs
+        // from its false default by construction, so every parent edge
+        // counts +1.
         {
             let mut touch = |n: u32| {
                 let i = n as usize;
-                if val_gen.get(i).copied() == Some(gen) {
-                    return;
-                }
                 let Some(node) = nodes.get(i).and_then(|e| e.as_ref()) else {
                     return;
                 };
-                val_gen[i] = gen;
-                val[i] = 1;
+                if scratch.sched_gen[i] == gen {
+                    return;
+                }
+                scratch.sched_gen[i] = gen;
                 fulfilled += 1;
-                if node.refs > 1 {
-                    saved += u64::from(node.refs) - 1;
+                let m = meta[i];
+                saved += u64::from(m.refs.saturating_sub(1));
+                if m.has_subscribers {
+                    candidates += 1;
+                    scratch.true_roots.push(n);
                 }
-                if !node.subscribers.is_empty() {
-                    touched_roots.push(n);
-                }
-                for &p in &node.parents {
-                    let pi = p as usize;
-                    if sched_gen.get(pi).copied() != Some(gen) {
-                        sched_gen[pi] = gen;
-                        let lvl = levels.get(pi).copied().unwrap_or(0) as usize;
-                        if let Some(q) = pending.get_mut(lvl) {
-                            q.push(p);
-                        }
-                    }
-                }
+                scratch.schedule(&node.parents, 1, meta);
             };
             feed(&mut touch);
         }
 
         // Stage 2: bottom-up level sweep. A node is only ever scheduled by a
-        // strictly lower level, so each level's queue is complete when its
-        // turn comes; by induction an *unscheduled* node's children all hold
-        // their defaults, hence its value is its own default — exactly what
-        // `node_val` returns for it.
+        // strictly lower level, so each level's queue — and each counter in
+        // it — is complete when its turn comes; by induction an
+        // *unscheduled* node's children all hold their defaults, hence its
+        // value is its own default.
         let mut lvl = 1usize;
-        while lvl < pending.len() {
+        while lvl < scratch.pending.len() {
             let mut idx = 0usize;
-            while let Some(&n) = pending[lvl].get(idx) {
+            while let Some(&n) = scratch.pending[lvl].get(idx) {
                 idx += 1;
                 let i = n as usize;
-                let Some(node) = nodes.get(i).and_then(|e| e.as_ref()) else {
-                    continue;
-                };
-                let v = match &node.kind {
-                    DagKind::And => node
-                        .children
-                        .iter()
-                        .all(|&c| node_val(val, val_gen, empty_vals, gen, c)),
-                    DagKind::Or => node
-                        .children
-                        .iter()
-                        .any(|&c| node_val(val, val_gen, empty_vals, gen, c)),
-                    DagKind::Not => !node
-                        .children
-                        .first()
-                        .is_some_and(|&c| node_val(val, val_gen, empty_vals, gen, c)),
-                    // Leaves live at level 0 and are never scheduled; keep
-                    // the arm total anyway.
-                    DagKind::Pred(_) => node_val(val, val_gen, empty_vals, gen, n),
-                };
+                let m = meta[i];
+                let v = m.value(m.base.wrapping_add_signed(scratch.count[i]));
                 evaluated += 1;
-                if node.refs > 1 {
-                    saved += u64::from(node.refs) - 1;
+                saved += u64::from(m.refs.saturating_sub(1));
+                if m.has_subscribers {
+                    candidates += 1;
+                    if v {
+                        scratch.true_roots.push(n);
+                    }
                 }
-                val[i] = u8::from(v);
-                val_gen[i] = gen;
-                if !node.subscribers.is_empty() {
-                    touched_roots.push(n);
-                }
-                if v != empty_vals.get(i).copied().unwrap_or(false) {
-                    for &p in &node.parents {
-                        let pi = p as usize;
-                        if sched_gen.get(pi).copied() != Some(gen) {
-                            sched_gen[pi] = gen;
-                            let plvl = levels.get(pi).copied().unwrap_or(0) as usize;
-                            if let Some(q) = pending.get_mut(plvl) {
-                                q.push(p);
-                            }
-                        }
+                if v != m.default {
+                    if let Some(node) = nodes.get(i).and_then(|e| e.as_ref()) {
+                        scratch.schedule(&node.parents, if v { 1 } else { -1 }, meta);
                     }
                 }
             }
-            pending[lvl].clear();
+            scratch.pending[lvl].clear();
             lvl += 1;
         }
 
         stats.predicates_fulfilled += fulfilled;
         stats.trees_evaluated += evaluated;
         stats.node_evals_saved += saved;
-        stats.stage2_candidates += touched_roots.len() as u64;
+        stats.stage2_candidates += candidates;
 
-        // Emit: computed roots that came out true, plus untouched
+        // Emit: computed roots that came out true, plus unscheduled
         // default-true roots (their value is statically true). Subscriber
         // lists are disjoint across roots, so a sort suffices for the
         // deterministic id order that keeps this engine byte-identical to
         // the counting engine.
-        for &r in touched_roots.iter() {
-            let i = r as usize;
-            if val.get(i).copied() != Some(1) {
-                continue;
-            }
-            if let Some(node) = nodes.get(i).and_then(|e| e.as_ref()) {
-                matches.extend_from_slice(&node.subscribers);
+        let AtreeScratch {
+            sched_gen,
+            true_roots,
+            match_buf,
+            ..
+        } = scratch;
+        for &r in true_roots.iter() {
+            if let Some(node) = nodes.get(r as usize).and_then(|e| e.as_ref()) {
+                match_buf.extend_from_slice(&node.subscribers);
             }
         }
         for &r in default_true_roots {
             let i = r as usize;
-            if val_gen.get(i).copied() == Some(gen) {
+            if sched_gen[i] == gen {
                 continue;
             }
             if let Some(node) = nodes.get(i).and_then(|e| e.as_ref()) {
-                matches.extend_from_slice(&node.subscribers);
+                match_buf.extend_from_slice(&node.subscribers);
             }
         }
-        matches.sort_unstable();
-        stats.matches += matches.len() as u64;
+        match_buf.sort_unstable_by_key(|&(id, _)| id);
+        stats.matches += match_buf.len() as u64;
     }
 }
 
@@ -777,29 +759,26 @@ impl MatchingEngine for ATreeEngine {
                 return;
             }
         };
-        if let Some(old_root) = self.id_to_root.remove(&id) {
+        if let Some((old_root, _)) = self.subs.remove(&id) {
             // Replacement: detach the old tree first so its now-unshared
             // nodes are freed before the new tree interns.
             self.remove_subscriber(old_root, id);
         }
         let root = self.intern_expr(&subscription.tree().to_expr());
-        self.add_subscriber(root, id);
-        self.id_to_root.insert(id, root);
-        self.subs.insert(id, subscription);
+        self.add_subscriber(root, id, subscription.subscriber());
+        self.subs.insert(id, (root, subscription));
         self.refresh_gauges();
     }
 
     fn remove(&mut self, id: SubscriptionId) -> Option<Subscription> {
-        let sub = self.subs.remove(&id)?;
-        if let Some(root) = self.id_to_root.remove(&id) {
-            self.remove_subscriber(root, id);
-        }
+        let (root, sub) = self.subs.remove(&id)?;
+        self.remove_subscriber(root, id);
         self.refresh_gauges();
         Some(sub)
     }
 
     fn get(&self, id: SubscriptionId) -> Option<&Subscription> {
-        self.subs.get(&id)
+        self.subs.get(&id).map(|(_, sub)| sub)
     }
 
     fn match_batch(&mut self, batch: &EventBatch, sink: &mut dyn MatchSink) {
@@ -808,73 +787,51 @@ impl MatchingEngine for ATreeEngine {
         self.index.ensure_built();
         let scratch_capacity_before = self.scratch.capacity() + self.probe.capacity_bytes();
 
-        let mut buf = std::mem::take(&mut self.scratch.match_buf);
-        {
-            let Self {
+        let Self {
+            nodes,
+            meta,
+            max_level,
+            default_true_roots,
+            index,
+            prefilter,
+            probe,
+            scratch,
+            stats,
+            ..
+        } = self;
+        if batch.len() >= 2 {
+            // Batch path: probe the whole batch attribute-group by
+            // attribute-group, then run the DAG sweep per event over the
+            // plan's CSR slices.
+            let mut killed = 0u64;
+            probe.run(batch, index, prefilter, &mut killed);
+            stats.killed_by_prefilter += killed;
+        }
+        for index_in_batch in 0..batch.len() {
+            let probed = batch.len() >= 2;
+            Self::match_event_core(
                 nodes,
-                empty_vals,
-                levels,
-                max_level,
+                meta,
+                *max_level,
                 default_true_roots,
-                index,
-                prefilter,
-                probe,
                 scratch,
                 stats,
-                ..
-            } = self;
-            if batch.len() >= 2 {
-                // Batch path: probe the whole batch attribute-group by
-                // attribute-group, then run the DAG sweep per event over
-                // the plan's CSR slices.
-                let mut killed = 0u64;
-                probe.run(batch, index, prefilter, &mut killed);
-                stats.killed_by_prefilter += killed;
-                for index_in_batch in 0..batch.len() {
-                    let keys = probe.emitted(index_in_batch);
-                    Self::match_event_core(
-                        nodes,
-                        empty_vals,
-                        levels,
-                        *max_level,
-                        default_true_roots,
-                        scratch,
-                        stats,
-                        |touch| {
-                            for key in keys {
-                                touch(key.slot.0);
-                            }
-                        },
-                        &mut buf,
-                    );
-                    for &id in buf.iter() {
-                        sink.on_match(index_in_batch, id);
+                |touch| {
+                    if probed {
+                        for key in probe.emitted(index_in_batch) {
+                            touch(key.slot.0);
+                        }
+                    } else {
+                        index.fulfilled_pairs(batch.resolved(index_in_batch), |key| {
+                            touch(key.slot.0)
+                        });
                     }
-                }
-            } else {
-                for index_in_batch in 0..batch.len() {
-                    Self::match_event_core(
-                        nodes,
-                        empty_vals,
-                        levels,
-                        *max_level,
-                        default_true_roots,
-                        scratch,
-                        stats,
-                        |touch| {
-                            index.fulfilled_pairs(batch.resolved(index_in_batch), |key| {
-                                touch(key.slot.0)
-                            });
-                        },
-                        &mut buf,
-                    );
-                    for &id in buf.iter() {
-                        sink.on_match(index_in_batch, id);
-                    }
-                }
+                },
+            );
+            for &(id, subscriber) in &scratch.match_buf {
+                sink.on_match(index_in_batch, id, subscriber);
             }
         }
-        self.scratch.match_buf = buf;
 
         if self.scratch.capacity() + self.probe.capacity_bytes() > scratch_capacity_before {
             self.scratch.grows += 1;
@@ -891,8 +848,7 @@ impl MatchingEngine for ATreeEngine {
 
         let Self {
             nodes,
-            empty_vals,
-            levels,
+            meta,
             max_level,
             default_true_roots,
             index,
@@ -902,8 +858,7 @@ impl MatchingEngine for ATreeEngine {
         } = self;
         Self::match_event_core(
             nodes,
-            empty_vals,
-            levels,
+            meta,
             *max_level,
             default_true_roots,
             scratch,
@@ -911,8 +866,9 @@ impl MatchingEngine for ATreeEngine {
             |touch| {
                 index.fulfilled_pairs(event.iter_resolved(), |key| touch(key.slot.0));
             },
-            matches,
         );
+        matches.clear();
+        matches.extend(scratch.match_buf.iter().map(|&(id, _)| id));
 
         if self.scratch.capacity() > scratch_capacity_before {
             self.scratch.grows += 1;
@@ -950,6 +906,7 @@ mod tests {
     use super::*;
     use crate::{AnalyzeMode, CountingEngine, NaiveEngine, VecSink};
     use pubsub_core::{Expr, SubscriberId};
+    use std::collections::BTreeSet;
 
     fn sub(id: u64, expr: &Expr) -> Subscription {
         Subscription::from_expr(
@@ -1309,6 +1266,158 @@ mod tests {
         assert_eq!(mem.node_count as u64, e.stats().dag_nodes);
         assert!(mem.edge_count >= mem.node_count - e.report().association_count);
         assert_eq!(mem.slab_bytes, r.tree_bytes);
+    }
+
+    /// Checks the incrementally kept per-node facts against values
+    /// recomputed from scratch: every live node's meta from its children and
+    /// subscribers, the edge lists against each other, the id map against
+    /// the root lists, the default-true list and the gauges; and that every
+    /// freed slot is inert (default meta, off every list, never interned).
+    fn assert_meta_equals_rebuild(e: &ATreeEngine) {
+        let live = |c: u32| e.nodes[c as usize].as_ref().expect("child is live");
+        let mut shared = 0;
+        let mut default_true: Vec<u32> = Vec::new();
+        for (i, slot) in e.nodes.iter().enumerate() {
+            let n = i as u32;
+            let m = e.meta[i];
+            let Some(node) = slot else {
+                assert_eq!(m, NodeMeta::default(), "freed slot {i} keeps meta");
+                assert_eq!(e.default_true_pos[i], NOT_IN_LIST, "freed slot {i} listed");
+                assert!(e.free_nodes.contains(&n), "freed slot {i} not recyclable");
+                assert!(
+                    e.interned.values().all(|bucket| !bucket.contains(&n)),
+                    "freed slot {i} still interned"
+                );
+                continue;
+            };
+            let kids: Vec<NodeMeta> = node.children.iter().map(|&c| e.meta[c as usize]).collect();
+            let defaults = kids.iter().map(|k| k.default);
+            let (op, default) = match (&node.pred, m.op) {
+                (Some(_), _) => (Op::Leaf, false),
+                (None, Op::And) => (Op::And, defaults.clone().all(|d| d)),
+                (None, Op::Or) => (Op::Or, defaults.clone().any(|d| d)),
+                (None, Op::Not) => (Op::Not, !kids[0].default),
+                (None, Op::Leaf) => panic!("node {i} is a leaf without a predicate"),
+            };
+            // Each edge is listed once on either side: `c` in our children
+            // as often as we are in `c`'s parents, and vice versa.
+            let distinct = |ids: &[u32]| ids.iter().copied().collect::<BTreeSet<u32>>();
+            let occurrences = |list: &[u32], x: u32| list.iter().filter(|&&y| y == x).count();
+            for c in distinct(&node.children) {
+                assert_eq!(
+                    occurrences(&live(c).parents, n),
+                    occurrences(&node.children, c),
+                    "edge {i} -> {c}"
+                );
+            }
+            for p in distinct(&node.parents) {
+                assert_eq!(
+                    occurrences(&live(p).children, n),
+                    occurrences(&node.parents, p),
+                    "edge {p} -> {i}"
+                );
+            }
+            let rebuilt = NodeMeta {
+                op,
+                default,
+                has_subscribers: !node.subscribers.is_empty(),
+                arity: node.children.len() as u32,
+                base: defaults.filter(|&d| d).count() as u32,
+                level: kids
+                    .iter()
+                    .map(|k| k.level + 1)
+                    .max()
+                    .unwrap_or(u32::from(op != Op::Leaf)),
+                refs: (node.parents.len() + node.subscribers.len()) as u32,
+            };
+            assert_eq!(m, rebuilt, "node {i} meta");
+            assert!(m.refs > 0, "live node {i} without references");
+            shared += u64::from(m.refs > 1);
+            if m.has_subscribers && m.default {
+                default_true.push(n);
+            }
+            assert!(node.subscribers.windows(2).all(|w| w[0].0 < w[1].0));
+            for &(id, subscriber) in &node.subscribers {
+                let (root, sub) = &e.subs[&id];
+                assert_eq!(
+                    (*root, sub.subscriber()),
+                    (n, subscriber),
+                    "{id:?} at node {i}"
+                );
+            }
+        }
+        let pairs: usize = e.nodes.iter().flatten().map(|n| n.subscribers.len()).sum();
+        assert_eq!(pairs, e.subs.len(), "every id sits at exactly one root");
+        let mut listed = e.default_true_roots.clone();
+        listed.sort_unstable();
+        assert_eq!(listed, default_true, "default-true roots");
+        assert_eq!(e.live_nodes as usize, e.nodes.iter().flatten().count());
+        assert_eq!(e.shared_count, shared);
+    }
+
+    /// A random tree over a few attributes, drawn from a small pool of
+    /// leaves and nested at most `depth` deep, so trees share subexpressions
+    /// and repeat children (`And(p, p)`) often.
+    fn random_expr(rng: &mut proptest::TestRng, depth: usize) -> Expr {
+        if depth == 0 || rng.index(3) == 0 {
+            let v = rng.index(3) as i64;
+            return match rng.index(3) {
+                0 => Expr::eq("a", v),
+                1 => Expr::le("b", v),
+                _ => Expr::ne("c", v),
+            };
+        }
+        let kids = |rng: &mut proptest::TestRng| {
+            (0..1 + rng.index(3))
+                .map(|_| random_expr(rng, depth - 1))
+                .collect::<Vec<_>>()
+        };
+        match rng.index(3) {
+            0 => Expr::and(kids(rng)),
+            1 => Expr::or(kids(rng)),
+            _ => Expr::not(random_expr(rng, depth - 1)),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// The per-node facts kept incrementally through random insert /
+        /// replace / remove sequences equal a rebuild after every step, with
+        /// analysis on and off (off keeps duplicate children), and the
+        /// counter sweep they drive agrees with the naive engine.
+        #[test]
+        fn incremental_meta_equals_a_rebuild(seed in 0u64..1024) {
+            let mut rng = proptest::TestRng::deterministic(seed);
+            for analyze in [AnalyzeMode::Off, AnalyzeMode::On] {
+                let config = EngineConfig::default().analyze(analyze);
+                let mut e = ATreeEngine::with_config(config);
+                let mut naive = NaiveEngine::with_config(config);
+                for step in 0..150 {
+                    let id = SubscriptionId::from_raw(rng.index(24) as u64);
+                    if rng.index(4) == 0 {
+                        e.remove(id);
+                        naive.remove(id);
+                    } else {
+                        let subscriber = SubscriberId::from_raw(rng.index(6) as u64);
+                        let s = Subscription::from_expr(id, subscriber, &random_expr(&mut rng, 3));
+                        e.insert(s.clone());
+                        naive.insert(s);
+                    }
+                    assert_meta_equals_rebuild(&e);
+                    let event = EventMessage::builder()
+                        .attr("a", rng.index(3) as i64)
+                        .attr("b", rng.index(4) as i64)
+                        .attr("c", rng.index(3) as i64)
+                        .build();
+                    proptest::prop_assert_eq!(
+                        e.match_event(&event),
+                        naive.match_event(&event),
+                        "{:?} seed {} step {}", analyze, seed, step
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -48,8 +48,8 @@ use crate::prefilter::{for_each_required_item, PreFilter, RequiredItem};
 use crate::probe::ProbePlan;
 use crate::{EngineReport, FilterStats, MatchSink, MatchingEngine};
 use pubsub_core::{
-    AttrId, EventBatch, EventMessage, NodeId, NodeKind, Predicate, Subscription, SubscriptionId,
-    SubscriptionTree, Value,
+    AttrId, EventBatch, EventMessage, NodeId, NodeKind, Predicate, SubscriberId, Subscription,
+    SubscriptionId, SubscriptionTree, Value,
 };
 use selectivity::DiscriminationHint;
 use std::collections::HashMap;
@@ -231,9 +231,9 @@ struct MatchScratch {
     /// Slots with at least one fulfilled predicate this event, in first-touch
     /// order.
     touched: Vec<u32>,
-    /// Reusable per-event match buffer used by `match_batch` to sort each
-    /// event's matches before emitting them to the sink.
-    match_buf: Vec<SubscriptionId>,
+    /// Reusable per-event match buffer: each event's `(id, subscriber)`
+    /// matches are sorted here before they are emitted.
+    match_buf: Vec<(SubscriptionId, SubscriberId)>,
     /// Generation stamp per slot recording "killed by the stage-0 pre-filter
     /// for the current event", so the kill test runs once per touched slot on
     /// the single-event path and later emissions take one branch.
@@ -528,7 +528,7 @@ impl CountingEngine {
         stats: &mut FilterStats,
         prefilter: &PreFilter,
         pairs: &[(AttrId, Value)],
-        matches: &mut Vec<SubscriptionId>,
+        matches: &mut Vec<(SubscriptionId, SubscriberId)>,
     ) {
         matches.clear();
         let resolved = || pairs.iter().map(|(attr, value)| (*attr, value));
@@ -588,7 +588,7 @@ impl CountingEngine {
         stats: &mut FilterStats,
         keys: &[PredicateKey],
         pairs: &[(AttrId, Value)],
-        matches: &mut Vec<SubscriptionId>,
+        matches: &mut Vec<(SubscriptionId, SubscriberId)>,
     ) {
         matches.clear();
         scratch.advance(slots.len());
@@ -617,7 +617,7 @@ impl CountingEngine {
         scratch: &mut MatchScratch,
         stats: &mut FilterStats,
         pairs: &[(AttrId, Value)],
-        matches: &mut Vec<SubscriptionId>,
+        matches: &mut Vec<(SubscriptionId, SubscriberId)>,
     ) {
         let MatchScratch {
             counts,
@@ -648,7 +648,7 @@ impl CountingEngine {
             }
             stats.trees_evaluated += 1;
             if evaluate(entry) {
-                matches.push(entry.subscription.id());
+                matches.push((entry.subscription.id(), entry.subscription.subscriber()));
             }
         }
         // Subscriptions with pmin == 0 (possible only with negations) are
@@ -666,14 +666,14 @@ impl CountingEngine {
                 .expect("zero-pmin slots are occupied");
             stats.trees_evaluated += 1;
             if evaluate(entry) {
-                matches.push(entry.subscription.id());
+                matches.push((entry.subscription.id(), entry.subscription.subscriber()));
             }
         }
 
         // Deterministic output: emit in subscription-id order, independent of
         // slot assignment and probe emission order — this is what makes the
         // staged batch path byte-identical to the per-event path.
-        matches.sort_unstable();
+        matches.sort_unstable_by_key(|&(id, _)| id);
         stats.matches += matches.len() as u64;
     }
 
@@ -826,8 +826,8 @@ impl MatchingEngine for CountingEngine {
                         batch.resolved_pairs(index_in_batch),
                         &mut buf,
                     );
-                    for &id in buf.iter() {
-                        sink.on_match(index_in_batch, id);
+                    for &(id, subscriber) in buf.iter() {
+                        sink.on_match(index_in_batch, id, subscriber);
                     }
                 }
             } else {
@@ -846,8 +846,8 @@ impl MatchingEngine for CountingEngine {
                         batch.resolved_pairs(index_in_batch),
                         &mut buf,
                     );
-                    for &id in buf.iter() {
-                        sink.on_match(index_in_batch, id);
+                    for &(id, subscriber) in buf.iter() {
+                        sink.on_match(index_in_batch, id, subscriber);
                     }
                 }
             }
@@ -868,6 +868,7 @@ impl MatchingEngine for CountingEngine {
         self.refresh_prefilter();
         let scratch_capacity_before = self.scratch.capacity();
 
+        let mut buf = std::mem::take(&mut self.scratch.match_buf);
         let Self {
             slots,
             zero_pmin,
@@ -885,8 +886,11 @@ impl MatchingEngine for CountingEngine {
             stats,
             prefilter,
             event.resolved_pairs(),
-            matches,
+            &mut buf,
         );
+        matches.clear();
+        matches.extend(buf.iter().map(|&(id, _)| id));
+        self.scratch.match_buf = buf;
 
         if self.scratch.capacity() > scratch_capacity_before {
             self.scratch.grows += 1;

@@ -46,7 +46,7 @@ impl EngineReport {
 ///
 /// The API is **batch-first**: [`match_batch`](Self::match_batch) is the
 /// primary entry point — it drives a whole [`EventBatch`] through the engine
-/// and streams every `(event index, subscription)` match into a
+/// and streams every `(event index, subscription, subscriber)` match into a
 /// [`MatchSink`]. The single-event methods
 /// [`match_event`](Self::match_event) /
 /// [`match_event_into`](Self::match_event_into) are provided as thin

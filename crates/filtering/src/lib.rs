@@ -39,8 +39,9 @@
 //!
 //! The primary entry point is [`MatchingEngine::match_batch`]: it drives a
 //! whole [`EventBatch`](pubsub_core::EventBatch) through the engine and
-//! streams every `(event index, subscription)` match into a [`MatchSink`]
-//! ([`VecSink`], [`CountSink`], and [`PerEventSink`] are provided). The
+//! streams every `(event index, subscription, subscriber)` match into a
+//! [`MatchSink`] ([`VecSink`], [`CountSink`], and [`PerEventSink`] are
+//! provided). The
 //! counting engine keeps its generation-stamped scratch hot across the
 //! batch, so steady-state batch matching performs no allocation at all. The
 //! single-event methods remain as thin wrappers for callers that genuinely

@@ -91,7 +91,7 @@ impl MatchingEngine for NaiveEngine {
                 self.stats.trees_evaluated += 1;
                 if sub.tree().evaluate_pairs(pairs) {
                     self.stats.matches += 1;
-                    sink.on_match(index, *id);
+                    sink.on_match(index, *id, sub.subscriber());
                 }
             }
         }

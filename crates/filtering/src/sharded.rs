@@ -18,11 +18,10 @@
 //! across batches, so a warmed-up sharded batch performs no steady-state
 //! allocation on any shard.
 
-use crate::sink::VecSink;
 use crate::{
     ATreeEngine, CountingEngine, EngineConfig, EngineReport, FilterStats, MatchSink, MatchingEngine,
 };
-use pubsub_core::{EventBatch, Subscription, SubscriptionId};
+use pubsub_core::{EventBatch, SubscriberId, Subscription, SubscriptionId};
 use selectivity::DiscriminationHint;
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
@@ -158,7 +157,8 @@ impl AnyEngine {
     }
 
     /// Iterates over the registered subscriptions (shard-major for the
-    /// sharded arms; callers that need a canonical order sort by id).
+    /// sharded arms, unspecified for the A-Tree ones; callers that need a
+    /// canonical order sort by id).
     pub fn subscriptions(&self) -> Box<dyn Iterator<Item = &Subscription> + '_> {
         match self {
             AnyEngine::Counting(e) => Box::new(e.subscriptions()),
@@ -341,6 +341,24 @@ impl ShardEngine for ATreeEngine {
     }
 }
 
+/// One shard's matches of the current batch as `(event index, id,
+/// subscriber)` triples in emission order — the input of the merge, which
+/// hands each subscriber on with its match. Reused across batches.
+#[derive(Debug, Default)]
+struct ShardSink {
+    matches: Vec<(usize, SubscriptionId, SubscriberId)>,
+}
+
+impl MatchSink for ShardSink {
+    fn begin_batch(&mut self, _batch_len: usize) {
+        self.matches.clear();
+    }
+
+    fn on_match(&mut self, event_index: usize, sub: SubscriptionId, subscriber: SubscriberId) {
+        self.matches.push((event_index, sub, subscriber));
+    }
+}
+
 /// The parallel matching engine: N shards of a [`ShardEngine`]
 /// ([`CountingEngine`] by default), one batch fan-out per
 /// [`match_batch`](MatchingEngine::match_batch) call, and a deterministic
@@ -364,7 +382,7 @@ impl ShardEngine for ATreeEngine {
 pub struct ShardedEngine<E: ShardEngine = CountingEngine> {
     shards: Vec<E>,
     /// Per-shard sink buffers the workers emit into; reused across batches.
-    shard_sinks: Vec<VecSink>,
+    shard_sinks: Vec<ShardSink>,
     /// Owning shard of each registered subscription.
     owner: HashMap<SubscriptionId, u32>,
     /// Reusable buffer for the single-event path (`match_event_into`), so
@@ -431,7 +449,7 @@ impl<E: ShardEngine> ShardedEngine<E> {
             shards: (0..shards)
                 .map(|_| E::shard_new(config, per_shard))
                 .collect(),
-            shard_sinks: (0..shards).map(|_| VecSink::new()).collect(),
+            shard_sinks: (0..shards).map(|_| ShardSink::default()).collect(),
             owner: HashMap::with_capacity(n),
             event_scratch: Vec::new(),
             stats: FilterStats::new(),
@@ -477,7 +495,8 @@ impl<E: ShardEngine> ShardedEngine<E> {
     }
 
     /// Iterates over the registered subscriptions, shard-major (shard 0's
-    /// slot order first, then shard 1's, …).
+    /// first, then shard 1's, …), each shard in its own order: slot order
+    /// for counting shards, unspecified for A-Tree ones.
     pub fn subscriptions(&self) -> impl Iterator<Item = &Subscription> {
         self.shards.iter().flat_map(|s| s.subscriptions())
     }
@@ -493,7 +512,7 @@ impl<E: ShardEngine> ShardedEngine<E> {
             + self
                 .shard_sinks
                 .iter()
-                .map(VecSink::capacity)
+                .map(|sink| sink.matches.capacity())
                 .sum::<usize>()
             + self.event_scratch.capacity()
     }
@@ -650,25 +669,26 @@ impl<E: ShardEngine> MatchingEngine for ShardedEngine<E> {
 
         // Deterministic merge: per-shard streams are sorted by
         // (event index, id) and disjoint, so a k-way min-merge reproduces
-        // the exact stream a single engine over the union would emit.
+        // the exact stream a single engine over the union would emit. (The
+        // pair is unique, so the subscriber never decides a comparison.)
         sink.begin_batch(batch.len());
         let mut cursors = vec![0usize; self.shard_sinks.len()];
         let mut matches = 0u64;
         loop {
-            let mut best: Option<(usize, (usize, SubscriptionId))> = None;
+            let mut best: Option<(usize, (usize, SubscriptionId, SubscriberId))> = None;
             for (shard, &cursor) in cursors.iter().enumerate() {
-                if let Some(&entry) = self.shard_sinks[shard].matches().get(cursor) {
+                if let Some(&entry) = self.shard_sinks[shard].matches.get(cursor) {
                     if best.map_or(true, |(_, b)| entry < b) {
                         best = Some((shard, entry));
                     }
                 }
             }
-            let Some((shard, (event_index, id))) = best else {
+            let Some((shard, (event_index, id, subscriber))) = best else {
                 break;
             };
             cursors[shard] += 1;
             matches += 1;
-            sink.on_match(event_index, id);
+            sink.on_match(event_index, id, subscriber);
         }
 
         self.stats.batches_filtered += 1;

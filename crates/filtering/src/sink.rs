@@ -1,12 +1,12 @@
 //! Match sinks: where batch matching delivers its results.
 //!
 //! [`MatchingEngine::match_batch`](crate::MatchingEngine::match_batch) does
-//! not return a collection; it streams every `(event index, subscription)`
-//! match into a caller-provided [`MatchSink`]. Decoupling matching from
-//! result consumption (the sink style Retina uses for its filtered network
-//! streams) means the engine never allocates on behalf of the caller, and a
-//! consumer that only needs a count, a forwarding decision, or per-event
-//! grouping pays exactly for what it uses.
+//! not return a collection; it streams every `(event index, subscription,
+//! subscriber)` match into a caller-provided [`MatchSink`]. Decoupling
+//! matching from result consumption (the sink style Retina uses for its
+//! filtered network streams) means the engine never allocates on behalf of
+//! the caller, and a consumer that only needs a count, a forwarding
+//! decision, or per-event grouping pays exactly for what it uses.
 //!
 //! Three sinks cover the common cases:
 //!
@@ -16,11 +16,15 @@
 //!
 //! All three are reusable: [`MatchSink::begin_batch`] resets them while
 //! retaining their allocations, so driving batch after batch through one
-//! sink is allocation-free in steady state. Custom sinks are first-class —
-//! the broker's routing table, for example, uses a private sink that only
-//! flags *whether* each event matched a neighbor's entries.
+//! sink is allocation-free in steady state. They store ids only and drop
+//! the subscriber: their readers (differential tests, the benchmark's
+//! oracle, per-event grouping) compare subscriptions, and a wider element
+//! would only cost them memory. Custom sinks are first-class: the broker's
+//! routing table writes its local deliveries straight from the subscriber
+//! argument, and flags *whether* each event matched a neighbor's entries
+//! with another.
 
-use pubsub_core::SubscriptionId;
+use pubsub_core::{SubscriberId, SubscriptionId};
 
 /// Consumer of batch-matching results.
 ///
@@ -38,8 +42,13 @@ pub trait MatchSink {
     }
 
     /// Called once per match: the event at `event_index` (position in the
-    /// batch) fulfilled subscription `sub`.
-    fn on_match(&mut self, event_index: usize, sub: SubscriptionId);
+    /// batch) fulfilled subscription `sub`, registered by `subscriber`.
+    ///
+    /// Every engine holds the subscriber where it decides a match (a slot
+    /// entry, a DAG root's subscriber list), so handing it over costs
+    /// nothing, while a consumer that delivers would otherwise have to look
+    /// each id up again.
+    fn on_match(&mut self, event_index: usize, sub: SubscriptionId, subscriber: SubscriberId);
 }
 
 /// A sink that collects every match as a flat `(event_index, id)` pair.
@@ -75,14 +84,6 @@ impl VecSink {
         self.matches.clear();
     }
 
-    /// Number of match entries the sink can hold without reallocating.
-    /// Exposed so scratch-reuse regression tests can observe that reused
-    /// sinks (e.g. the sharded engine's per-shard buffers) stop growing
-    /// after warmup.
-    pub fn capacity(&self) -> usize {
-        self.matches.capacity()
-    }
-
     /// Consumes the sink, returning the collected pairs.
     pub fn into_matches(self) -> Vec<(usize, SubscriptionId)> {
         self.matches
@@ -94,7 +95,7 @@ impl MatchSink for VecSink {
         self.matches.clear();
     }
 
-    fn on_match(&mut self, event_index: usize, sub: SubscriptionId) {
+    fn on_match(&mut self, event_index: usize, sub: SubscriptionId, _subscriber: SubscriberId) {
         self.matches.push((event_index, sub));
     }
 }
@@ -123,7 +124,7 @@ impl MatchSink for CountSink {
         self.count = 0;
     }
 
-    fn on_match(&mut self, _event_index: usize, _sub: SubscriptionId) {
+    fn on_match(&mut self, _event_index: usize, _sub: SubscriptionId, _subscriber: SubscriberId) {
         self.count += 1;
     }
 }
@@ -188,7 +189,7 @@ impl MatchSink for PerEventSink {
         self.len = batch_len;
     }
 
-    fn on_match(&mut self, event_index: usize, sub: SubscriptionId) {
+    fn on_match(&mut self, event_index: usize, sub: SubscriptionId, _subscriber: SubscriberId) {
         self.per_event[event_index].push(sub);
     }
 }
@@ -201,18 +202,22 @@ mod tests {
         SubscriptionId::from_raw(raw)
     }
 
+    fn who(raw: u64) -> SubscriberId {
+        SubscriberId::from_raw(raw)
+    }
+
     #[test]
     fn vec_sink_collects_pairs_and_resets() {
         let mut sink = VecSink::new();
         sink.begin_batch(2);
-        sink.on_match(0, id(3));
-        sink.on_match(1, id(1));
+        sink.on_match(0, id(3), who(0));
+        sink.on_match(1, id(1), who(0));
         assert_eq!(sink.matches(), &[(0, id(3)), (1, id(1))]);
         assert_eq!(sink.len(), 2);
         assert!(!sink.is_empty());
         sink.begin_batch(1);
         assert!(sink.is_empty());
-        sink.on_match(0, id(9));
+        sink.on_match(0, id(9), who(0));
         assert_eq!(sink.clone().into_matches(), vec![(0, id(9))]);
         sink.clear();
         assert!(sink.is_empty());
@@ -223,7 +228,7 @@ mod tests {
         let mut sink = CountSink::new();
         sink.begin_batch(4);
         for i in 0..5 {
-            sink.on_match(i % 4, id(i as u64));
+            sink.on_match(i % 4, id(i as u64), who(0));
         }
         assert_eq!(sink.count(), 5);
         sink.begin_batch(1);
@@ -234,9 +239,9 @@ mod tests {
     fn per_event_sink_groups_and_reuses_buffers() {
         let mut sink = PerEventSink::new();
         sink.begin_batch(3);
-        sink.on_match(0, id(1));
-        sink.on_match(2, id(2));
-        sink.on_match(2, id(5));
+        sink.on_match(0, id(1), who(0));
+        sink.on_match(2, id(2), who(0));
+        sink.on_match(2, id(5), who(0));
         assert_eq!(sink.len(), 3);
         assert_eq!(sink.for_event(0), &[id(1)]);
         assert!(sink.for_event(1).is_empty());
@@ -247,7 +252,7 @@ mod tests {
         // A smaller follow-up batch must not leak the previous batch's
         // matches.
         sink.begin_batch(1);
-        sink.on_match(0, id(7));
+        sink.on_match(0, id(7), who(0));
         assert_eq!(sink.len(), 1);
         assert_eq!(sink.for_event(0), &[id(7)]);
         assert_eq!(sink.total_matches(), 1);

@@ -10,13 +10,16 @@
 //! * Populations that mix subscriptions indexed under an access clause with
 //!   ungated ones agree with the baseline through churn that adds, moves and
 //!   removes access clauses, on every engine, path and pre-filter mode.
+//! * Every engine delivers each match with the subscriber the naive
+//!   baseline reports, batch and single-event, through churn and through
+//!   ids re-registered under another subscriber.
 //! * After warmup, repeated matching — per event or per batch — must not
 //!   allocate any new scratch: the generation-stamped counters, touched
 //!   lists, event view, and the batch match buffer are reused.
 
 use filtering::{
-    ATreeEngine, AnalyzeMode, CountingEngine, DiscriminationHint, EngineConfig, MatchingEngine,
-    NaiveEngine, PerEventSink, PrefilterMode, ShardedEngine,
+    ATreeEngine, AnalyzeMode, CountingEngine, DiscriminationHint, EngineConfig, MatchSink,
+    MatchingEngine, NaiveEngine, PerEventSink, PrefilterMode, ShardedEngine,
 };
 use proptest::prelude::*;
 use pubsub_core::{
@@ -404,6 +407,122 @@ proptest! {
                 atree_off.insert(s.clone());
                 for engine in &mut sharded {
                     engine.insert(s.clone());
+                }
+            }
+        }
+    }
+}
+
+/// A test-local sink that keeps every match whole: `(event index, id,
+/// subscriber)`. The library's sinks store ids only, so they cannot see an
+/// engine deliver the right id for the wrong subscriber.
+#[derive(Default)]
+struct TripleSink(Vec<(usize, SubscriptionId, SubscriberId)>);
+
+impl MatchSink for TripleSink {
+    fn begin_batch(&mut self, _batch_len: usize) {
+        self.0.clear();
+    }
+
+    fn on_match(&mut self, event_index: usize, sub: SubscriptionId, subscriber: SubscriberId) {
+        self.0.push((event_index, sub, subscriber));
+    }
+}
+
+proptest! {
+    // Nine engines, both paths, four rounds: sixteen seeds cover it.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every engine hands each match to its sink with the subscriber the
+    /// naive baseline reports for it, in the same `(event, id)` order: the
+    /// counting engine, the A-Tree with analysis on and off, and both
+    /// sharded over 1, 2 and 4 shards; on the batch path and on the
+    /// single-event one (a batch of one); through churn, and through
+    /// re-registering live ids under another subscriber — with their own
+    /// tree, so an A-Tree replacement lands on the root the id already
+    /// sits at, and with another subscription's tree.
+    #[test]
+    fn every_engine_delivers_the_naive_subscribers(seed in 0u64..16) {
+        let mut generator = WorkloadGenerator::new(WorkloadConfig::small().with_seed(seed));
+        let subscriptions = generator.subscriptions(140);
+
+        let analyze_off = EngineConfig::with_analyze(AnalyzeMode::Off);
+        let mut naive = NaiveEngine::new();
+        let mut engines: Vec<(String, Box<dyn MatchingEngine>)> = vec![
+            ("counting".into(), Box::new(CountingEngine::new())),
+            ("atree".into(), Box::new(ATreeEngine::new())),
+            ("atree analyze-off".into(), Box::new(ATreeEngine::with_config(analyze_off))),
+        ];
+        for shards in [1usize, 2, 4] {
+            engines.push((
+                format!("sharded counting x{shards}"),
+                Box::new(ShardedEngine::with_shards(shards)),
+            ));
+            engines.push((
+                format!("sharded atree x{shards}"),
+                Box::new(ShardedEngine::<ATreeEngine>::with_shard_engine(
+                    EngineConfig::default(),
+                    shards,
+                    0,
+                )),
+            ));
+        }
+        let register = |naive: &mut NaiveEngine,
+                            engines: &mut Vec<(String, Box<dyn MatchingEngine>)>,
+                            s: &Subscription| {
+            naive.insert(s.clone());
+            for (_, engine) in engines.iter_mut() {
+                engine.insert(s.clone());
+            }
+        };
+        for s in &subscriptions {
+            register(&mut naive, &mut engines, s);
+        }
+
+        let mut expected = TripleSink::default();
+        let mut got = TripleSink::default();
+        for round in 0..4u64 {
+            let events = generator.events(20);
+            let batch: EventBatch = events.iter().cloned().collect();
+            naive.match_batch(&batch, &mut expected);
+            for (name, engine) in engines.iter_mut() {
+                engine.match_batch(&batch, &mut got);
+                prop_assert_eq!(
+                    &got.0, &expected.0,
+                    "{} batch path, seed {} round {}", name, seed, round
+                );
+            }
+            for event in &events {
+                let one: EventBatch = std::iter::once(event.clone()).collect();
+                naive.match_batch(&one, &mut expected);
+                for (name, engine) in engines.iter_mut() {
+                    engine.match_batch(&one, &mut got);
+                    prop_assert_eq!(
+                        &got.0, &expected.0,
+                        "{} single-event path, seed {} round {}", name, seed, round
+                    );
+                }
+            }
+            // Churn, then move live ids to another subscriber: every fifth
+            // keeps its tree, every seventh takes its neighbour's.
+            for s in subscriptions.iter().step_by(3) {
+                naive.remove(s.id());
+                for (_, engine) in engines.iter_mut() {
+                    engine.remove(s.id());
+                }
+            }
+            for s in subscriptions.iter().step_by(6) {
+                register(&mut naive, &mut engines, s);
+            }
+            for (i, s) in subscriptions.iter().enumerate() {
+                let subscriber = SubscriberId::from_raw(1_000 + 100 * round + i as u64 % 100);
+                let tree = match (i % 5, i % 7) {
+                    (0, _) => s.tree().clone(),
+                    (_, 0) => subscriptions[(i + 1) % subscriptions.len()].tree().clone(),
+                    _ => continue,
+                };
+                if naive.get(s.id()).is_some() {
+                    register(&mut naive, &mut engines, &Subscription::new(s.id(), subscriber, tree));
                 }
             }
         }
