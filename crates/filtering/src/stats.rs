@@ -20,7 +20,8 @@ pub struct FilterStats {
     pub batches_filtered: u64,
     /// Total number of subscription matches produced.
     pub matches: u64,
-    /// Number of subscription trees actually evaluated.
+    /// Number of subscription trees actually evaluated. On the A-Tree, the
+    /// number of interior DAG nodes evaluated (counter or child scan).
     pub trees_evaluated: u64,
     /// Number of candidate subscriptions skipped because the number of
     /// fulfilled predicates stayed below the tree's `pmin`.
@@ -33,7 +34,9 @@ pub struct FilterStats {
     pub killed_by_prefilter: u64,
     /// Number of candidate subscriptions that survived into stage 2 (the
     /// counting/evaluation phase) — i.e. subscriptions with at least one
-    /// surviving fulfilled predicate for some event.
+    /// surviving fulfilled predicate for some event. On the A-Tree, the
+    /// number of rooted DAG nodes (nodes with subscribers) evaluated, a
+    /// fulfilled rooted leaf included.
     pub stage2_candidates: u64,
     /// Number of inserted subscriptions whose tree the registration-time
     /// analyzer rewrote (normalized) before indexing. Zero when analysis

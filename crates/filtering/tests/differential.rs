@@ -758,8 +758,9 @@ proptest! {
     /// clause — and prunes `title = T` away the way network-load pruning
     /// does, so an entry filed under its title is re-filed under another
     /// clause or loses gating altogether. Counting and sharded (1/2/4)
-    /// engines in every pre-filter mode, batch and single-event paths, equal
-    /// the naive engine's matches throughout.
+    /// engines in every pre-filter mode, and the A-Tree (whose Ands wait on
+    /// an access child) with analysis on and off, batch and single-event
+    /// paths, equal the naive engine's matches throughout.
     #[test]
     fn gated_and_ungated_populations_agree_with_naive(seed in 0u64..4096) {
         let mut rng = proptest::TestRng::deterministic(seed);
@@ -789,6 +790,12 @@ proptest! {
                 }
                 engines.push((format!("sharded({shards}) {mode:?}"), Box::new(sharded)));
             }
+        }
+        // The A-Tree gates an And on one default-false child; raw trees give
+        // it duplicated leaves and `NaN` equalities to choose among.
+        for analyze in [AnalyzeMode::Off, AnalyzeMode::On] {
+            let atree = ATreeEngine::with_config(EngineConfig::default().analyze(analyze));
+            engines.push((format!("atree analyze {analyze:?}"), Box::new(atree)));
         }
 
         let mut got = PerEventSink::new();
