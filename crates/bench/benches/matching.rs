@@ -8,9 +8,7 @@
 
 use bench::narrow_events;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use filtering::{
-    ATreeEngine, CountSink, CountingEngine, MatchingEngine, NaiveEngine, ShardedEngine,
-};
+use filtering::{ATreeEngine, CountSink, CountingEngine, MatchingEngine, NaiveEngine};
 use pruning::{Dimension, Pruner, PrunerConfig};
 use pubsub_core::{EventBatch, EventMessage, Subscription, SubscriptionId};
 use selectivity::SelectivityEstimator;
@@ -113,37 +111,6 @@ fn bench_batched_matching(c: &mut Criterion) {
                 });
             });
         }
-    }
-    group.finish();
-}
-
-/// The sharded parallel engine at rising shard counts, driven with large
-/// batches so the per-batch thread fan-out amortizes. The 1-shard cell
-/// measures the sharding machinery's overhead against the plain counting
-/// engine of `matching_batch`; whether the higher counts scale depends on
-/// the host's core count.
-fn bench_sharded_matching(c: &mut Criterion) {
-    let (all_subs, events) = workload(*SUBSCRIPTION_PANEL.iter().max().unwrap(), EVENTS);
-    let mut group = c.benchmark_group("matching_sharded");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    group.throughput(Throughput::Elements(EVENTS as u64));
-
-    let sub_count = *SUBSCRIPTION_PANEL.iter().max().unwrap();
-    let batch: pubsub_core::EventBatch = events.iter().cloned().collect();
-    for shards in [1usize, 2, 4, 8] {
-        let mut engine = ShardedEngine::with_shards_and_capacity(shards, sub_count);
-        for s in &all_subs[..sub_count] {
-            engine.insert(s.clone());
-        }
-        let mut sink = CountSink::new();
-        group.bench_function(format!("subs{sub_count}/shards{shards}"), |b| {
-            b.iter(|| {
-                engine.match_batch(&batch, &mut sink);
-                sink.count()
-            });
-        });
     }
     group.finish();
 }
@@ -252,7 +219,6 @@ criterion_group!(
     benches,
     bench_matching_panel,
     bench_batched_matching,
-    bench_sharded_matching,
     bench_atree_matching,
     bench_pruned_and_construction
 );

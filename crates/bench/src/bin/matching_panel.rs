@@ -74,14 +74,8 @@
 //! are identical before timing anything, so a recorded cell is also a
 //! correctness witness.
 //!
-//! A third series (`sharded_results`) drives the same workload through
-//! `ShardedEngine` at shard counts 1/2/4/8 (large batches, so the fan-out
-//! amortizes): the 1-shard cell measures the sharding machinery's fixed
-//! overhead (merge + dispatch) and the larger counts show the multi-core
-//! scaling. On a single-core host the >1-shard cells measure overhead only —
-//! the recorded `host_parallelism` field says which regime a recording is in.
 //! After the measurements a same-run comparison table (single vs. batch vs.
-//! sharded at the shared 10k-subscription/width-10 cell) is printed to
+//! wire+match at the shared 10k-subscription/width-10 cell) is printed to
 //! stderr, since host variance makes cross-run JSON diffing misleading.
 
 use bench::narrow_events;
@@ -93,7 +87,7 @@ use broker::{
 };
 use filtering::{
     ATreeEngine, AnalyzeMode, CountSink, CountingEngine, DiscriminationHint, EngineConfig,
-    MatchingEngine, NaiveEngine, PerEventSink, PrefilterMode, ShardedEngine,
+    MatchingEngine, NaiveEngine, PerEventSink, PrefilterMode,
 };
 use pubsub_core::{EventBatch, EventMessage, SubscriberId, Subscription, SubscriptionId};
 use std::time::Instant;
@@ -266,20 +260,6 @@ struct AtreePanelResult {
     shared_subtrees: u64,
     /// Node evaluations avoided by sharing across the timed passes.
     node_evals_saved: u64,
-}
-
-/// One measured cell of the sharded panel.
-struct ShardedPanelResult {
-    engine: &'static str,
-    subscriptions: usize,
-    event_width: usize,
-    shards: usize,
-    batch_size: usize,
-    events: usize,
-    passes: usize,
-    matches_per_pass: usize,
-    ns_per_event: f64,
-    events_per_sec: f64,
 }
 
 struct PanelConfig {
@@ -1090,39 +1070,7 @@ fn measure_atree(
     ]
 }
 
-/// Measures the sharded engine over pre-chunked batches at one shard count.
-fn measure_sharded(
-    subscriptions: &[Subscription],
-    events: &[EventMessage],
-    width: usize,
-    shards: usize,
-    batch_size: usize,
-    passes: usize,
-) -> ShardedPanelResult {
-    let batches: Vec<EventBatch> = events
-        .chunks(batch_size)
-        .map(|chunk| chunk.iter().cloned().collect())
-        .collect();
-    let mut engine = ShardedEngine::with_shards_and_capacity(shards, subscriptions.len());
-    for s in subscriptions {
-        engine.insert(s.clone());
-    }
-    let (matches_per_pass, ns_per_event) = time_engine_batched(&mut engine, &batches, passes);
-    ShardedPanelResult {
-        engine: "sharded",
-        subscriptions: subscriptions.len(),
-        event_width: width,
-        shards,
-        batch_size,
-        events: events.len(),
-        passes,
-        matches_per_pass,
-        ns_per_event,
-        events_per_sec: 1e9 / ns_per_event.max(1e-9),
-    }
-}
-
-/// Prints the same-run single-vs-batch-vs-sharded comparison table to
+/// Prints the same-run single-vs-batch-vs-wire comparison table to
 /// stderr. All compared cells share the subscription count, width, and
 /// event set of this run, so the ±20% run-to-run host variance (see
 /// ROADMAP) cancels out of the speedup columns — this replaces manually
@@ -1131,7 +1079,6 @@ fn print_comparison_table(
     results: &[PanelResult],
     batch_results: &[BatchPanelResult],
     wire_results: &[WirePanelResult],
-    sharded_results: &[ShardedPanelResult],
 ) {
     // The shared cell: the largest subscription count at full width, which
     // every series measures.
@@ -1188,16 +1135,6 @@ fn print_comparison_table(
             r.events_per_sec,
         );
     }
-    for r in sharded_results
-        .iter()
-        .filter(|r| r.subscriptions == subs && r.event_width == 10)
-    {
-        row(
-            format!("sharded shards={} batch={}", r.shards, r.batch_size),
-            r.ns_per_event,
-            r.events_per_sec,
-        );
-    }
 }
 
 #[allow(clippy::too_many_arguments)] // one parameter per JSON series
@@ -1208,7 +1145,6 @@ fn render_json(
     wire_results: &[WirePanelResult],
     reliable: &ReliablePanel,
     durability_results: &[DurabilityPanelResult],
-    sharded_results: &[ShardedPanelResult],
     prefilter_results: &[PrefilterPanelResult],
     analysis_results: &[AnalysisPanelResult],
     atree_results: &[AtreePanelResult],
@@ -1407,33 +1343,6 @@ fn render_json(
     out.push_str(&format!(
         "  \"durability_overhead_pct\": {durability_overhead_pct:.2},\n"
     ));
-    out.push_str("  \"sharded_results\": [\n");
-    for (i, r) in sharded_results.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"engine\": \"{}\", \"subscriptions\": {}, ",
-                "\"event_width\": {}, \"shards\": {}, \"batch_size\": {}, ",
-                "\"events\": {}, \"passes\": {}, \"matches_per_pass\": {}, ",
-                "\"ns_per_event\": {:.1}, \"events_per_sec\": {:.1}}}{}\n"
-            ),
-            r.engine,
-            r.subscriptions,
-            r.event_width,
-            r.shards,
-            r.batch_size,
-            r.events,
-            r.passes,
-            r.matches_per_pass,
-            r.ns_per_event,
-            r.events_per_sec,
-            if i + 1 == sharded_results.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    out.push_str("  ],\n");
     out.push_str("  \"prefilter_results\": [\n");
     for (i, r) in prefilter_results.iter().enumerate() {
         out.push_str(&format!(
@@ -1732,27 +1641,6 @@ fn main() {
         );
     }
 
-    // Sharded panel: the same workload through `ShardedEngine` at rising
-    // shard counts, chunked into large batches so the per-batch fan-out
-    // amortizes. The 1-shard cell is the sharding machinery's overhead
-    // floor; whether the higher counts scale depends on `host_parallelism`.
-    let (shard_counts, sharded_batch): (&[usize], usize) = if config.quick {
-        (&[1, 2], 16)
-    } else if config.wire_check {
-        (&[1, 2], 256)
-    } else {
-        (&[1, 2, 4, 8], 256)
-    };
-    let mut sharded_results = Vec::new();
-    for &shards in shard_counts {
-        let r = measure_sharded(batch_subs, &full_events, 10, shards, sharded_batch, passes);
-        eprintln!(
-            "{:>8} subs={:<6} shards={:<3} {:>11.0} ns/event {:>12.0} events/s",
-            r.engine, r.subscriptions, r.shards, r.ns_per_event, r.events_per_sec
-        );
-        sharded_results.push(r);
-    }
-
     // Pre-filter panel: the uniform cell reuses the panel's own workload at
     // the largest subscription count; the hot-key cell draws the skewed
     // workload (Zipf ~1.6 titles, title-watcher-heavy mix). Both are matched
@@ -1844,7 +1732,7 @@ fn main() {
         }
     }
 
-    print_comparison_table(&results, &batch_results, &wire_results, &sharded_results);
+    print_comparison_table(&results, &batch_results, &wire_results);
 
     let json = render_json(
         &config,
@@ -1853,7 +1741,6 @@ fn main() {
         &wire_results,
         &reliable,
         &durability_results,
-        &sharded_results,
         &prefilter_results,
         &analysis_results,
         &atree_results,

@@ -10,7 +10,7 @@ pub struct CliOptions {
     /// Which panel(s) to produce (`a`–`f`, `all`, or `summary`).
     pub panel: String,
     /// The matching engine the distributed brokers run
-    /// (`counting`, `sharded`, `atree`, or `sharded-atree`).
+    /// (`counting` or `atree`).
     pub engine: String,
     /// Number of subscriptions.
     pub subs: usize,
@@ -48,7 +48,7 @@ impl Default for CliOptions {
 pub const PANELS: [&str; 8] = ["a", "b", "c", "d", "e", "f", "all", "summary"];
 
 /// The engine names accepted by `--engine`.
-pub const ENGINES: [&str; 4] = ["counting", "sharded", "atree", "sharded-atree"];
+pub const ENGINES: [&str; 2] = ["counting", "atree"];
 
 /// Why parsing stopped: an explicit help request (exit 0, print to stdout)
 /// or an actual error (exit 2, print to stderr).
@@ -168,7 +168,7 @@ impl CliOptions {
         [
             "usage: <binary> [flags]",
             "  --panel <a|b|c|d|e|f|all|summary>   which figure panel(s) to produce (default all)",
-            "  --engine <counting|sharded|atree|sharded-atree>  broker matching engine (default counting)",
+            "  --engine <counting|atree>           broker matching engine (default counting)",
             "  --subs <n>                          number of subscriptions (default 20000)",
             "  --events <n>                        number of published events (default 10000)",
             "  --stats-sample <n>                  events sampled for selectivity statistics (default 2000)",
@@ -225,13 +225,10 @@ impl CliOptions {
         args
     }
 
-    /// The [`EngineKind`] implied by `--engine`. Shard counts are left at 0
-    /// ("use the host's available parallelism") for the sharded kinds.
+    /// The [`EngineKind`] implied by `--engine`.
     pub fn engine_kind(&self) -> EngineKind {
         match self.engine.as_str() {
-            "sharded" => EngineKind::Sharded(0),
             "atree" => EngineKind::ATree,
-            "sharded-atree" => EngineKind::ShardedATree(0),
             _ => EngineKind::Counting,
         }
     }
@@ -336,9 +333,7 @@ mod tests {
         assert_eq!(CliOptions::default().engine_kind(), EngineKind::Counting);
         let expected = [
             ("counting", EngineKind::Counting),
-            ("sharded", EngineKind::Sharded(0)),
             ("atree", EngineKind::ATree),
-            ("sharded-atree", EngineKind::ShardedATree(0)),
         ];
         for (name, kind) in expected {
             let options = CliOptions::parse(["--engine", name]).unwrap();

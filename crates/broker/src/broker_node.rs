@@ -77,8 +77,7 @@ impl MessageHandling {
 /// everything the broker wants sent in response comes back as wire messages
 /// addressed to neighbors. The broker does no I/O itself: a
 /// [`Transport`](crate::wire::Transport) (driven by the
-/// [`Simulation`](crate::Simulation) or the
-/// [`ParallelNetwork`](crate::ParallelNetwork)) moves the encoded frames,
+/// [`Simulation`](crate::Simulation)) moves the encoded frames,
 /// which keeps experiments deterministic and independent of the host's
 /// networking stack.
 #[derive(Debug)]
@@ -114,8 +113,8 @@ impl Broker {
     }
 
     /// Creates a broker whose routing-table engines are built as the given
-    /// [`EngineKind`] (e.g. `EngineKind::Sharded(4)` to match incoming
-    /// batches on four cores).
+    /// [`EngineKind`] (e.g. `EngineKind::ATree` to match incoming batches
+    /// through the shared-subexpression DAG).
     pub fn with_engine(id: BrokerId, neighbors: Vec<BrokerId>, engine: EngineKind) -> Self {
         Self::with_engine_config(id, neighbors, engine, EngineConfig::default())
     }
@@ -200,9 +199,7 @@ impl Broker {
     /// given neighbor.
     ///
     /// This is a bootstrap/snapshot helper (used when rebuilding a broker
-    /// from another broker's state, e.g. for
-    /// [`ParallelNetwork::from_brokers`](crate::ParallelNetwork::from_brokers));
-    /// live registration arrives as
+    /// from another broker's state); live registration arrives as
     /// [`WireMessage::Subscribe`] through
     /// [`handle_message`](Broker::handle_message), which records the arrival
     /// link as the next hop.

@@ -62,7 +62,6 @@ mod broker_node;
 pub mod durability;
 pub mod fault;
 mod metrics;
-mod parallel;
 pub mod reliable;
 mod routing_table;
 mod simulation;
@@ -80,7 +79,6 @@ pub use fault::{FaultPlan, FaultStats, FaultyTransport};
 // direct `filtering` dependency.
 pub use filtering::{AnalyzeMode, DiscriminationHint, EngineConfig, EngineKind, PrefilterMode};
 pub use metrics::{AnalysisStats, NetworkStats, RoutingMemoryReport, RunReport};
-pub use parallel::{ParallelNetwork, ParallelRunReport};
 pub use pubsub_core::BrokerId;
 pub use reliable::{ReliableConfig, ReliableSession, SendOutcome};
 pub use routing_table::RoutingTable;

@@ -142,9 +142,9 @@ impl Link {
 ///   pruning optimization may generalize, because any false positive they
 ///   admit is post-filtered closer to (or at) the home broker.
 ///
-/// Each destination is backed by its own matching engine (a
-/// single-threaded `CountingEngine` by default, or a sharded parallel engine
-/// — see [`RoutingTable::with_engine`] and [`EngineKind`]), so matching an
+/// Each destination is backed by its own matching engine (a `CountingEngine`
+/// by default, or an `ATreeEngine` — see [`RoutingTable::with_engine`] and
+/// [`EngineKind`]), so matching an
 /// event against the routing table answers both "which local subscribers get
 /// a notification" and "which neighbors need a copy of this event" — the
 /// latter mostly from the per-neighbor witness cache described in the
@@ -612,16 +612,16 @@ impl RoutingTable {
 }
 
 /// The entries of `engine` in the order [`RoutingTable::entries`] lists
-/// them: as the engine iterates them, sorted by id for the A-Tree arms,
+/// them: as the counting engine iterates them, sorted by id for the A-Tree,
 /// whose id map iterates in a different order on every run.
 fn deterministic_order(engine: &AnyEngine) -> Box<dyn Iterator<Item = &Subscription> + '_> {
     match engine {
-        AnyEngine::ATree(_) | AnyEngine::ShardedATree(_) => {
+        AnyEngine::Counting(_) => engine.subscriptions(),
+        AnyEngine::ATree(_) => {
             let mut subs: Vec<&Subscription> = engine.subscriptions().collect();
             subs.sort_unstable_by_key(|sub| sub.id());
             Box::new(subs.into_iter())
         }
-        _ => engine.subscriptions(),
     }
 }
 
@@ -1040,11 +1040,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_table_routes_and_matches_like_the_default_table() {
+    fn atree_table_routes_and_matches_like_the_default_table() {
         let mut counting = RoutingTable::new();
-        let mut sharded = RoutingTable::with_engine(EngineKind::Sharded(2));
-        assert_eq!(sharded.engine_kind(), EngineKind::Sharded(2));
-        for table in [&mut counting, &mut sharded] {
+        let mut atree = RoutingTable::with_engine(EngineKind::ATree);
+        assert_eq!(atree.engine_kind(), EngineKind::ATree);
+        for table in [&mut counting, &mut atree] {
             table.add_local(sub(1, 10, &Expr::eq("category", "books")));
             table.add_local(sub(2, 20, &Expr::le("price", 3i64)));
             table.add_remote(sub(3, 30, &Expr::eq("category", "books")), b(1));
@@ -1057,17 +1057,17 @@ mod tests {
         let mut expected_local = Vec::new();
         counting.match_local_batch(&batch, &mut expected_local);
         let mut got_local = Vec::new();
-        sharded.match_local_batch(&batch, &mut got_local);
+        atree.match_local_batch(&batch, &mut got_local);
         assert_eq!(got_local, expected_local);
         let mut expected_forward = Vec::new();
         counting.forward_batch(&batch, None, &mut expected_forward);
         let mut got_forward = Vec::new();
-        sharded.forward_batch(&batch, None, &mut got_forward);
+        atree.forward_batch(&batch, None, &mut got_forward);
         assert_eq!(got_forward, expected_forward);
-        // Removal and listings work through the sharded engines too.
-        assert!(sharded.remove(SubscriptionId::from_raw(3)).is_some());
-        assert_eq!(sharded.remote_len(), 1);
-        assert_eq!(sharded.local_subscriptions().len(), 2);
+        // Removal and listings work through the A-Tree engines too.
+        assert!(atree.remove(SubscriptionId::from_raw(3)).is_some());
+        assert_eq!(atree.remote_len(), 1);
+        assert_eq!(atree.local_subscriptions().len(), 2);
     }
 
     #[test]

@@ -23,10 +23,8 @@ pub struct SimulationConfig {
     /// systems; kept configurable for micro-benchmarks of pure forwarding).
     pub deliver_at_origin: bool,
     /// The matching-engine kind every broker's routing table is built with
-    /// ([`EngineKind::Counting`] by default; `EngineKind::Sharded(n)`
-    /// matches each hop's batch on `n` cores; `EngineKind::ATree` /
-    /// `EngineKind::ShardedATree(n)` match through the shared-subexpression
-    /// DAG engine).
+    /// ([`EngineKind::Counting`] by default; `EngineKind::ATree` matches
+    /// through the shared-subexpression DAG engine).
     pub engine: EngineKind,
     /// The staged-pipeline configuration (stage-0 pre-filter mode) every
     /// broker's destination engines run with.
@@ -1421,52 +1419,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_engine_simulation_matches_counting_simulation() {
+    fn atree_engine_simulation_matches_counting_simulation() {
         // The whole distributed pipeline — deliveries, copy counts, exact
         // frame bytes, per-link traffic — must be identical whether the
-        // brokers match with the single-threaded or the sharded engine.
-        let subs = vec![
-            sub(1, 0, &Expr::eq("category", "books")),
-            sub(
-                2,
-                3,
-                &Expr::and(vec![
-                    Expr::eq("category", "books"),
-                    Expr::le("price", 10i64),
-                ]),
-            ),
-            sub(3, 9, &Expr::gt("price", 40i64)),
-            sub(4, 4, &Expr::not(Expr::eq("category", "books"))),
-        ];
-        let events: Vec<EventMessage> = (0..30).map(|i| books((i * 5) % 60)).collect();
-        let batch: pubsub_core::EventBatch = events.iter().cloned().collect();
-
-        let mut counting = line_simulation();
-        counting.register_all(subs.clone());
-        let reference = counting.publish_batch(&batch);
-
-        let config = SimulationConfig::new(Topology::line(5)).with_engine(EngineKind::Sharded(3));
-        let mut sharded = Simulation::new(config);
-        assert_eq!(
-            sharded.broker(b(0)).unwrap().engine_kind(),
-            EngineKind::Sharded(3)
-        );
-        sharded.register_all(subs);
-        let report = sharded.publish_batch(&batch);
-
-        assert_eq!(report.deliveries, reference.deliveries);
-        assert_eq!(report.network.messages, reference.network.messages);
-        assert_eq!(report.network.frames, reference.network.frames);
-        assert_eq!(report.network.bytes, reference.network.bytes);
-        assert_eq!(report.network.per_link, reference.network.per_link);
-        assert_eq!(report.filter_stats.matches, reference.filter_stats.matches);
-    }
-
-    #[test]
-    fn atree_engine_simulation_matches_counting_simulation() {
-        // Same whole-pipeline equivalence as the sharded test, but for the
-        // shared-subexpression engine — alone and sharded. The workload is
-        // deliberately redundant so the DAG actually shares subtrees, and
+        // brokers match with the counting or the shared-subexpression
+        // engine. The workload is deliberately redundant so the DAG actually shares subtrees, and
         // the per-broker DAG gauges must surface in the merged report.
         let common = Expr::and(vec![
             Expr::eq("category", "books"),
@@ -1492,22 +1449,20 @@ mod tests {
         counting.register_all(subs.clone());
         let reference = counting.publish_batch(&batch);
 
-        for kind in [EngineKind::ATree, EngineKind::ShardedATree(3)] {
-            let config = SimulationConfig::new(Topology::line(5)).with_engine(kind);
-            let mut atree = Simulation::new(config);
-            assert_eq!(atree.broker(b(0)).unwrap().engine_kind(), kind);
-            atree.register_all(subs.clone());
-            let report = atree.publish_batch(&batch);
+        let config = SimulationConfig::new(Topology::line(5)).with_engine(EngineKind::ATree);
+        let mut atree = Simulation::new(config);
+        assert_eq!(atree.broker(b(0)).unwrap().engine_kind(), EngineKind::ATree);
+        atree.register_all(subs);
+        let report = atree.publish_batch(&batch);
 
-            assert_eq!(report.deliveries, reference.deliveries, "{kind:?}");
-            assert_eq!(report.network.messages, reference.network.messages);
-            assert_eq!(report.network.frames, reference.network.frames);
-            assert_eq!(report.network.bytes, reference.network.bytes);
-            assert_eq!(report.network.per_link, reference.network.per_link);
-            assert_eq!(report.filter_stats.matches, reference.filter_stats.matches);
-            assert!(report.filter_stats.dag_nodes > 0, "{kind:?}");
-            assert!(report.filter_stats.shared_subtrees > 0, "{kind:?}");
-        }
+        assert_eq!(report.deliveries, reference.deliveries);
+        assert_eq!(report.network.messages, reference.network.messages);
+        assert_eq!(report.network.frames, reference.network.frames);
+        assert_eq!(report.network.bytes, reference.network.bytes);
+        assert_eq!(report.network.per_link, reference.network.per_link);
+        assert_eq!(report.filter_stats.matches, reference.filter_stats.matches);
+        assert!(report.filter_stats.dag_nodes > 0);
+        assert!(report.filter_stats.shared_subtrees > 0);
     }
 
     #[test]

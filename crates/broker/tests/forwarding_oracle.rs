@@ -183,16 +183,6 @@ fn counting_line_agrees_with_the_oracle_after_churn() {
 }
 
 #[test]
-fn sharded_line_agrees_with_the_oracle_after_churn() {
-    churned_line_agrees_with_the_oracle(EngineKind::Sharded(2));
-}
-
-#[test]
 fn atree_line_agrees_with_the_oracle_after_churn() {
     churned_line_agrees_with_the_oracle(EngineKind::ATree);
-}
-
-#[test]
-fn sharded_atree_line_agrees_with_the_oracle_after_churn() {
-    churned_line_agrees_with_the_oracle(EngineKind::ShardedATree(2));
 }

@@ -28,12 +28,7 @@ const OPERATORS: &[Operator] = &[
     Operator::Ge,
 ];
 const BATCH_SIZES: &[usize] = &[1, 2, 64];
-const KINDS: &[EngineKind] = &[
-    EngineKind::Counting,
-    EngineKind::Sharded(2),
-    EngineKind::ATree,
-    EngineKind::ShardedATree(2),
-];
+const KINDS: &[EngineKind] = &[EngineKind::Counting, EngineKind::ATree];
 
 #[derive(Debug, Clone)]
 enum Op {

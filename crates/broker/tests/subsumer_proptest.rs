@@ -21,12 +21,7 @@ use pubsub_core::{
 const ATTRS: &[&str] = &["sp_a", "sp_b", "sp_c"];
 const IDS: u64 = 16;
 const NEIGHBORS: u32 = 3;
-const KINDS: &[EngineKind] = &[
-    EngineKind::Counting,
-    EngineKind::Sharded(2),
-    EngineKind::ATree,
-    EngineKind::ShardedATree(2),
-];
+const KINDS: &[EngineKind] = &[EngineKind::Counting, EngineKind::ATree];
 
 #[derive(Debug, Clone)]
 enum Op {

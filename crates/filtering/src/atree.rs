@@ -437,7 +437,7 @@ impl ATreeEngine {
 
     /// Always `false`: the per-subscription stage-0 pre-filter does not
     /// apply to shared leaves (kept for API parity with the counting
-    /// engine, which the sharded fan-out calls through).
+    /// engine, which `AnyEngine` calls through).
     pub fn prefilter_enabled(&mut self) -> bool {
         false
     }

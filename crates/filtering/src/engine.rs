@@ -1,7 +1,9 @@
-//! The common interface of all matching engines.
+//! The common interface of all matching engines, and the configuration-time
+//! choice between the two production engines.
 
-use crate::{FilterStats, MatchSink, VecSink};
+use crate::{ATreeEngine, CountingEngine, EngineConfig, FilterStats, MatchSink, VecSink};
 use pubsub_core::{EventBatch, EventMessage, Subscription, SubscriptionId};
+use selectivity::DiscriminationHint;
 
 /// A point-in-time summary of an engine's contents, used by the memory
 /// experiments (Figures 1(c) and 1(f) of the paper).
@@ -124,9 +126,237 @@ pub trait MatchingEngine {
     fn report(&self) -> EngineReport;
 }
 
+/// Which matching engine a component should construct.
+///
+/// The broker stack (`RoutingTable`, `Broker`, `Simulation` in the `broker`
+/// crate) accepts an `EngineKind` so experiments can switch between the
+/// counting engine and the shared-subexpression engine without code changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum EngineKind {
+    /// The [`CountingEngine`].
+    #[default]
+    Counting,
+    /// The shared-subexpression [`ATreeEngine`].
+    ATree,
+}
+
+impl EngineKind {
+    /// Builds an empty engine of this kind.
+    pub fn build(self) -> AnyEngine {
+        self.build_with_capacity(0)
+    }
+
+    /// Builds an empty engine of this kind with capacity for roughly `n`
+    /// subscriptions.
+    pub fn build_with_capacity(self, n: usize) -> AnyEngine {
+        self.build_with_config_and_capacity(EngineConfig::default(), n)
+    }
+
+    /// Builds an empty engine of this kind with the given pipeline
+    /// configuration.
+    pub fn build_with_config(self, config: EngineConfig) -> AnyEngine {
+        self.build_with_config_and_capacity(config, 0)
+    }
+
+    /// Builds an empty engine of this kind with the given pipeline
+    /// configuration and capacity for roughly `n` subscriptions.
+    pub fn build_with_config_and_capacity(self, config: EngineConfig, n: usize) -> AnyEngine {
+        match self {
+            EngineKind::Counting => {
+                AnyEngine::Counting(CountingEngine::with_config_and_capacity(config, n))
+            }
+            EngineKind::ATree => AnyEngine::ATree(ATreeEngine::with_config_and_capacity(config, n)),
+        }
+    }
+}
+
+/// A [`MatchingEngine`] built from an [`EngineKind`]: a [`CountingEngine`] or
+/// an [`ATreeEngine`], with the non-trait accessors (configuration,
+/// subscription iteration) available on both arms.
+// Both variants are large engine structs, and the enum is held once per
+// routing-table destination — never in bulk arrays — so the per-value
+// footprint difference does not matter and boxing would only add an
+// indirection to every dispatch.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub enum AnyEngine {
+    /// The counting engine.
+    Counting(CountingEngine),
+    /// The shared-subexpression engine.
+    ATree(ATreeEngine),
+}
+
+impl Default for AnyEngine {
+    fn default() -> Self {
+        EngineKind::default().build()
+    }
+}
+
+macro_rules! delegate {
+    ($self:ident, $e:ident => $body:expr) => {
+        match $self {
+            AnyEngine::Counting($e) => $body,
+            AnyEngine::ATree($e) => $body,
+        }
+    };
+}
+
+impl AnyEngine {
+    /// The kind this engine was built as.
+    pub fn kind(&self) -> EngineKind {
+        match self {
+            AnyEngine::Counting(_) => EngineKind::Counting,
+            AnyEngine::ATree(_) => EngineKind::ATree,
+        }
+    }
+
+    /// Iterates over the registered subscriptions (slot order for the
+    /// counting arm, unspecified for the A-Tree; callers that need a
+    /// canonical order sort by id).
+    pub fn subscriptions(&self) -> Box<dyn Iterator<Item = &Subscription> + '_> {
+        match self {
+            AnyEngine::Counting(e) => Box::new(e.subscriptions()),
+            AnyEngine::ATree(e) => Box::new(e.subscriptions()),
+        }
+    }
+
+    /// The pipeline configuration the engine is running with.
+    pub fn config(&self) -> EngineConfig {
+        delegate!(self, e => e.config())
+    }
+
+    /// Replaces the pipeline configuration.
+    pub fn set_config(&mut self, config: EngineConfig) {
+        delegate!(self, e => e.set_config(config))
+    }
+
+    /// Installs (or clears) the selectivity hint that steers the choice of
+    /// access clauses and stage-0 keys.
+    pub fn set_discrimination_hint(&mut self, hint: Option<DiscriminationHint>) {
+        delegate!(self, e => e.set_discrimination_hint(hint))
+    }
+
+    /// Whether the stage-0 pre-filter is active for the current
+    /// configuration and subscription population (never, for the A-Tree).
+    pub fn prefilter_enabled(&mut self) -> bool {
+        delegate!(self, e => e.prefilter_enabled())
+    }
+}
+
+impl MatchingEngine for AnyEngine {
+    fn insert(&mut self, subscription: Subscription) {
+        delegate!(self, e => e.insert(subscription))
+    }
+
+    fn remove(&mut self, id: SubscriptionId) -> Option<Subscription> {
+        delegate!(self, e => e.remove(id))
+    }
+
+    fn get(&self, id: SubscriptionId) -> Option<&Subscription> {
+        delegate!(self, e => e.get(id))
+    }
+
+    fn match_batch(&mut self, batch: &EventBatch, sink: &mut dyn MatchSink) {
+        delegate!(self, e => e.match_batch(batch, sink))
+    }
+
+    fn match_event_into(&mut self, event: &EventMessage, matches: &mut Vec<SubscriptionId>) {
+        delegate!(self, e => e.match_event_into(event, matches))
+    }
+
+    fn len(&self) -> usize {
+        delegate!(self, e => e.len())
+    }
+
+    fn stats(&self) -> &FilterStats {
+        delegate!(self, e => e.stats())
+    }
+
+    fn reset_stats(&mut self) {
+        delegate!(self, e => e.reset_stats())
+    }
+
+    fn report(&self) -> EngineReport {
+        delegate!(self, e => e.report())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PrefilterMode;
+    use pubsub_core::{Expr, SubscriberId};
+
+    fn sub(id: u64, expr: &Expr) -> Subscription {
+        Subscription::from_expr(
+            SubscriptionId::from_raw(id),
+            SubscriberId::from_raw(id),
+            expr,
+        )
+    }
+
+    fn book_event(category: &str, price: i64) -> EventMessage {
+        EventMessage::builder()
+            .attr("category", category)
+            .attr("price", price)
+            .build()
+    }
+
+    #[test]
+    fn engine_kind_builds_the_requested_engine() {
+        assert_eq!(EngineKind::default(), EngineKind::Counting);
+        let engine = EngineKind::Counting.build();
+        assert!(matches!(engine, AnyEngine::Counting(_)));
+        assert_eq!(engine.kind(), EngineKind::Counting);
+        let engine = EngineKind::ATree.build_with_capacity(100);
+        assert!(matches!(engine, AnyEngine::ATree(_)));
+        assert_eq!(engine.kind(), EngineKind::ATree);
+    }
+
+    #[test]
+    fn config_and_hint_reach_the_engine() {
+        let config = EngineConfig::with_prefilter(PrefilterMode::On);
+        // Forced on: the counting engine runs stage 0 even while empty.
+        let mut any = EngineKind::Counting.build_with_config(config);
+        assert_eq!(any.config().prefilter, PrefilterMode::On);
+        assert!(any.prefilter_enabled());
+        any.set_config(EngineConfig::with_prefilter(PrefilterMode::Off));
+        assert_eq!(any.config().prefilter, PrefilterMode::Off);
+        assert!(!any.prefilter_enabled());
+        any.set_discrimination_hint(None);
+        // The A-Tree carries the config but never runs the stage-0
+        // pre-filter (the DAG evaluates every touched node exactly).
+        let mut any = EngineKind::ATree.build_with_config(config);
+        assert_eq!(any.config().prefilter, PrefilterMode::On);
+        assert!(!any.prefilter_enabled());
+        any.set_config(EngineConfig::with_prefilter(PrefilterMode::Off));
+        assert_eq!(any.config().prefilter, PrefilterMode::Off);
+        any.set_discrimination_hint(None);
+    }
+
+    #[test]
+    fn any_engine_delegates_the_full_engine_api() {
+        for kind in [EngineKind::Counting, EngineKind::ATree] {
+            let mut engine = kind.build();
+            engine.insert(sub(1, &Expr::eq("category", "books")));
+            engine.insert(sub(2, &Expr::le("price", 10i64)));
+            assert_eq!(engine.len(), 2, "{kind:?}");
+            assert!(engine.get(SubscriptionId::from_raw(1)).is_some());
+            assert_eq!(engine.subscriptions().count(), 2);
+            let hits = engine.match_event(&book_event("books", 5));
+            assert_eq!(
+                hits,
+                vec![SubscriptionId::from_raw(1), SubscriptionId::from_raw(2)],
+                "{kind:?}"
+            );
+            assert_eq!(engine.report().subscription_count, 2);
+            assert!(engine.stats().matches > 0);
+            engine.reset_stats();
+            assert_eq!(engine.stats().matches, 0);
+            assert!(engine.remove(SubscriptionId::from_raw(1)).is_some());
+            assert_eq!(engine.len(), 1);
+        }
+    }
 
     #[test]
     fn association_reduction_is_proportional() {

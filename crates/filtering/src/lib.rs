@@ -2,7 +2,7 @@
 //!
 //! Event-filtering engines for Boolean subscriptions.
 //!
-//! Four engines are provided behind the common [`MatchingEngine`] trait:
+//! Three engines are provided behind the common [`MatchingEngine`] trait:
 //!
 //! * [`CountingEngine`] — the production engine. Predicate leaves are
 //!   indexed per attribute (hash index for equalities, interval index for
@@ -20,17 +20,12 @@
 //!   hash-consed into one slab-backed DAG, identical subtrees across
 //!   subscriptions become a single node with a subscriber list, and matching
 //!   evaluates each shared node at most once per event.
-//! * [`ShardedEngine`] — a base engine partitioned over N shards, one per
-//!   core by default: `match_batch` fans the batch out to all shards on
-//!   scoped worker threads and merges the per-shard streams id-sorted, so the
-//!   output is byte-identical to the single-shard engine while the matching
-//!   work scales with the available cores. Generic over the per-shard engine
-//!   ([`CountingEngine`] by default, [`ATreeEngine`] optionally);
-//!   [`EngineKind`] / [`AnyEngine`] let components pick an engine at
-//!   configuration time.
 //! * [`NaiveEngine`] — a brute-force baseline that evaluates every
 //!   subscription tree against every event. Used for differential testing and
 //!   as the unindexed baseline in benchmarks.
+//!
+//! [`EngineKind`] / [`AnyEngine`] let components pick the counting or the
+//! A-Tree engine at configuration time.
 //!
 //! Both engines expose the *predicate/subscription association count*, the
 //! memory metric reported in the paper's Figures 1(c) and 1(f).
@@ -85,19 +80,17 @@ mod index;
 mod naive;
 mod prefilter;
 mod probe;
-mod sharded;
 mod sink;
 mod stats;
 
 pub use atree::{ATreeEngine, AtreeMemory};
 pub use config::{AnalyzeMode, EngineConfig, PrefilterMode};
 pub use counting::CountingEngine;
-pub use engine::{EngineReport, MatchingEngine};
+pub use engine::{AnyEngine, EngineKind, EngineReport, MatchingEngine};
 pub use index::{AttributeIndex, PredicateKey, SubSlot};
 pub use naive::NaiveEngine;
 pub use prefilter::PreFilter;
 pub use probe::ProbePlan;
-pub use sharded::{AnyEngine, EngineKind, ShardEngine, ShardedEngine};
 pub use sink::{CountSink, MatchSink, PerEventSink, VecSink};
 pub use stats::FilterStats;
 

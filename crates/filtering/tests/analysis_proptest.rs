@@ -3,7 +3,7 @@
 //! Analysis is a semantics-preserving registration-time rewrite, so an
 //! engine with `AnalyzeMode::On` must produce byte-identical match sets to
 //! the same engine with `AnalyzeMode::Off` — on `CountingEngine`,
-//! `ShardedEngine`, and `NaiveEngine`, through both the batch and the
+//! `ATreeEngine`, and `NaiveEngine`, through both the batch and the
 //! single-event path, and across subscription churn. The strategies are
 //! deliberately redundancy-heavy: duplicated subtrees, absorbable
 //! disjuncts, contradictory conjuncts (unsatisfiable trees), NaN
@@ -11,8 +11,8 @@
 //! exercised against the unanalyzed baseline.
 
 use filtering::{
-    AnalyzeMode, CountingEngine, EngineConfig, FilterStats, MatchingEngine, NaiveEngine,
-    PerEventSink, ShardedEngine,
+    ATreeEngine, AnalyzeMode, CountingEngine, EngineConfig, FilterStats, MatchingEngine,
+    NaiveEngine, PerEventSink,
 };
 use proptest::prelude::*;
 use pubsub_core::{
@@ -127,9 +127,9 @@ fn engine_pairs() -> Vec<EnginePair> {
             off: Box::new(CountingEngine::with_config(off)),
         },
         EnginePair {
-            name: "sharded",
-            on: Box::new(ShardedEngine::with_config_shards_and_capacity(on, 3, 0)),
-            off: Box::new(ShardedEngine::with_config_shards_and_capacity(off, 3, 0)),
+            name: "atree",
+            on: Box::new(ATreeEngine::with_config(on)),
+            off: Box::new(ATreeEngine::with_config(off)),
         },
         EnginePair {
             name: "naive",

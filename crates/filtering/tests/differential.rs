@@ -19,7 +19,7 @@
 
 use filtering::{
     ATreeEngine, AnalyzeMode, CountingEngine, DiscriminationHint, EngineConfig, MatchSink,
-    MatchingEngine, NaiveEngine, PerEventSink, PrefilterMode, ShardedEngine,
+    MatchingEngine, NaiveEngine, PerEventSink, PrefilterMode,
 };
 use proptest::prelude::*;
 use pubsub_core::{
@@ -155,8 +155,7 @@ proptest! {
     /// The stage-0 pre-filter is a pure work-avoidance optimization: with the
     /// pre-filter forced on (with a sampled discrimination hint installed),
     /// forced off, and on the naive baseline, the match streams must be
-    /// byte-identical — on the counting engine *and* the sharded engine,
-    /// across subscription churn, empty batches, and events missing some or
+    /// byte-identical on the counting engine, across subscription churn, empty batches, and events missing some or
     /// all of the schema's attributes (the pre-filter's kill condition).
     #[test]
     fn prefilter_on_off_and_naive_agree(seed in 0u64..16) {
@@ -168,17 +167,12 @@ proptest! {
         let off = EngineConfig::with_prefilter(PrefilterMode::Off);
         let mut naive = NaiveEngine::new();
         let mut counting_on = CountingEngine::with_config(on);
-        counting_on.set_discrimination_hint(Some(hint.clone()));
+        counting_on.set_discrimination_hint(Some(hint));
         let mut counting_off = CountingEngine::with_config(off);
-        let mut sharded_on = ShardedEngine::with_config_shards_and_capacity(on, 3, 0);
-        sharded_on.set_discrimination_hint(Some(hint));
-        let mut sharded_off = ShardedEngine::with_config_shards_and_capacity(off, 3, 0);
         for s in &subscriptions {
             naive.insert(s.clone());
             counting_on.insert(s.clone());
             counting_off.insert(s.clone());
-            sharded_on.insert(s.clone());
-            sharded_off.insert(s.clone());
         }
         prop_assert!(counting_on.prefilter_enabled());
         prop_assert!(!counting_off.prefilter_enabled());
@@ -207,8 +201,6 @@ proptest! {
             for (name, engine) in [
                 ("counting on", &mut counting_on as &mut dyn MatchingEngine),
                 ("counting off", &mut counting_off),
-                ("sharded on", &mut sharded_on),
-                ("sharded off", &mut sharded_off),
             ] {
                 engine.match_batch(&batch, &mut got_sink);
                 prop_assert_eq!(got_sink.len(), reference_sink.len());
@@ -238,85 +230,18 @@ proptest! {
                 naive.remove(s.id());
                 counting_on.remove(s.id());
                 counting_off.remove(s.id());
-                sharded_on.remove(s.id());
-                sharded_off.remove(s.id());
             }
             for s in subscriptions.iter().step_by(6) {
                 naive.insert(s.clone());
                 counting_on.insert(s.clone());
                 counting_off.insert(s.clone());
-                sharded_on.insert(s.clone());
-                sharded_off.insert(s.clone());
-            }
-        }
-    }
-
-    /// The sharded engine is byte-identical to the counting engine on
-    /// identical workloads, for 1, 2, and 4 shards, including subscription
-    /// churn between batches (slot reuse inside every shard's slab) and the
-    /// empty-batch edge case. Determinism of the merged output is what makes
-    /// `EngineKind::Sharded` a drop-in routing-table engine.
-    #[test]
-    fn sharded_agrees_with_counting_across_shard_counts(seed in 0u64..16) {
-        let mut generator = WorkloadGenerator::new(WorkloadConfig::small().with_seed(seed));
-        let subscriptions = generator.subscriptions(140);
-
-        let mut reference = CountingEngine::new();
-        let mut sharded: Vec<ShardedEngine> = [1usize, 2, 4]
-            .iter()
-            .map(|&n| ShardedEngine::with_shards(n))
-            .collect();
-        for s in &subscriptions {
-            reference.insert(s.clone());
-            for engine in &mut sharded {
-                engine.insert(s.clone());
-            }
-        }
-
-        let mut expected_sink = PerEventSink::new();
-        let mut got_sink = PerEventSink::new();
-        for round in 0..3usize {
-            // Round 2 exercises the empty batch explicitly.
-            let batch: EventBatch = if round == 2 {
-                EventBatch::new()
-            } else {
-                generator.events(25).into_iter().collect()
-            };
-            reference.match_batch(&batch, &mut expected_sink);
-            for engine in &mut sharded {
-                engine.match_batch(&batch, &mut got_sink);
-                prop_assert_eq!(got_sink.len(), expected_sink.len());
-                for i in 0..batch.len() {
-                    prop_assert_eq!(
-                        got_sink.for_event(i),
-                        expected_sink.for_event(i),
-                        "divergence on seed {} round {} shards {} event {}",
-                        seed, round, engine.shard_count(), i
-                    );
-                }
-            }
-            // Churn between batches: remove every third subscription, then
-            // re-register every sixth with the same id — shard assignment
-            // and slot reuse must not leak into the match results.
-            for s in subscriptions.iter().step_by(3) {
-                reference.remove(s.id());
-                for engine in &mut sharded {
-                    engine.remove(s.id());
-                }
-            }
-            for s in subscriptions.iter().step_by(6) {
-                reference.insert(s.clone());
-                for engine in &mut sharded {
-                    engine.insert(s.clone());
-                }
             }
         }
     }
 
     /// The A-Tree engine is byte-identical to the counting engine and the
     /// naive baseline on random workloads — batch and single-event paths,
-    /// registration-time analysis on and off, alone and sharded over 1, 2,
-    /// and 4 shards — including churn between batches (DAG reference-count
+    /// registration-time analysis on and off — including churn between batches (DAG reference-count
     /// release, interning-slab slot reuse, and the empty-batch edge case).
     #[test]
     fn atree_agrees_with_counting_and_naive(seed in 0u64..16) {
@@ -329,18 +254,11 @@ proptest! {
         let mut counting = CountingEngine::new();
         let mut atree_on = ATreeEngine::with_config(analyze_on);
         let mut atree_off = ATreeEngine::with_config(analyze_off);
-        let mut sharded: Vec<ShardedEngine<ATreeEngine>> = [1usize, 2, 4]
-            .iter()
-            .map(|&n| ShardedEngine::<ATreeEngine>::with_shard_engine(analyze_on, n, 0))
-            .collect();
         for s in &subscriptions {
             naive.insert(s.clone());
             counting.insert(s.clone());
             atree_on.insert(s.clone());
             atree_off.insert(s.clone());
-            for engine in &mut sharded {
-                engine.insert(s.clone());
-            }
         }
 
         let mut reference_sink = PerEventSink::new();
@@ -354,15 +272,11 @@ proptest! {
                 generator.events(25).into_iter().collect()
             };
             counting.match_batch(&batch, &mut reference_sink);
-            let mut engines: Vec<(&str, &mut dyn MatchingEngine)> = vec![
-                ("naive", &mut naive),
+            for (name, engine) in [
+                ("naive", &mut naive as &mut dyn MatchingEngine),
                 ("atree analyze-on", &mut atree_on),
                 ("atree analyze-off", &mut atree_off),
-            ];
-            for engine in &mut sharded {
-                engines.push(("sharded atree", engine));
-            }
-            for (name, engine) in engines {
+            ] {
                 engine.match_batch(&batch, &mut got_sink);
                 prop_assert_eq!(got_sink.len(), reference_sink.len());
                 for (i, event) in batch.iter().enumerate() {
@@ -396,18 +310,12 @@ proptest! {
                 counting.remove(s.id());
                 atree_on.remove(s.id());
                 atree_off.remove(s.id());
-                for engine in &mut sharded {
-                    engine.remove(s.id());
-                }
             }
             for s in subscriptions.iter().step_by(6) {
                 naive.insert(s.clone());
                 counting.insert(s.clone());
                 atree_on.insert(s.clone());
                 atree_off.insert(s.clone());
-                for engine in &mut sharded {
-                    engine.insert(s.clone());
-                }
             }
         }
     }
@@ -430,14 +338,13 @@ impl MatchSink for TripleSink {
 }
 
 proptest! {
-    // Nine engines, both paths, four rounds: sixteen seeds cover it.
+    // Three engines, both paths, four rounds: sixteen seeds cover it.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Every engine hands each match to its sink with the subscriber the
     /// naive baseline reports for it, in the same `(event, id)` order: the
-    /// counting engine, the A-Tree with analysis on and off, and both
-    /// sharded over 1, 2 and 4 shards; on the batch path and on the
-    /// single-event one (a batch of one); through churn, and through
+    /// counting engine and the A-Tree with analysis on and off; on the batch
+    /// path and on the single-event one (a batch of one); through churn, and through
     /// re-registering live ids under another subscriber — with their own
     /// tree, so an A-Tree replacement lands on the root the id already
     /// sits at, and with another subscription's tree.
@@ -448,27 +355,13 @@ proptest! {
 
         let analyze_off = EngineConfig::with_analyze(AnalyzeMode::Off);
         let mut naive = NaiveEngine::new();
-        let mut engines: Vec<(String, Box<dyn MatchingEngine>)> = vec![
-            ("counting".into(), Box::new(CountingEngine::new())),
-            ("atree".into(), Box::new(ATreeEngine::new())),
-            ("atree analyze-off".into(), Box::new(ATreeEngine::with_config(analyze_off))),
+        let mut engines: Vec<(&str, Box<dyn MatchingEngine>)> = vec![
+            ("counting", Box::new(CountingEngine::new())),
+            ("atree", Box::new(ATreeEngine::new())),
+            ("atree analyze-off", Box::new(ATreeEngine::with_config(analyze_off))),
         ];
-        for shards in [1usize, 2, 4] {
-            engines.push((
-                format!("sharded counting x{shards}"),
-                Box::new(ShardedEngine::with_shards(shards)),
-            ));
-            engines.push((
-                format!("sharded atree x{shards}"),
-                Box::new(ShardedEngine::<ATreeEngine>::with_shard_engine(
-                    EngineConfig::default(),
-                    shards,
-                    0,
-                )),
-            ));
-        }
         let register = |naive: &mut NaiveEngine,
-                            engines: &mut Vec<(String, Box<dyn MatchingEngine>)>,
+                            engines: &mut Vec<(&str, Box<dyn MatchingEngine>)>,
                             s: &Subscription| {
             naive.insert(s.clone());
             for (_, engine) in engines.iter_mut() {
@@ -757,8 +650,9 @@ proptest! {
     /// churn that replaces bodies at random — which adds or removes an access
     /// clause — and prunes `title = T` away the way network-load pruning
     /// does, so an entry filed under its title is re-filed under another
-    /// clause or loses gating altogether. Counting and sharded (1/2/4)
-    /// engines in every pre-filter mode, and the A-Tree (whose Ands wait on
+    /// clause or loses gating altogether. Counting engines in every
+    /// pre-filter mode, over raw trees and over the analyzer's normal form,
+    /// and the A-Tree (whose Ands wait on
     /// an access child) with analysis on and off, batch and single-event
     /// paths, equal the naive engine's matches throughout.
     #[test]
@@ -771,25 +665,19 @@ proptest! {
         let mut naive = NaiveEngine::new();
         let mut engines: Vec<(String, Box<dyn MatchingEngine>)> = Vec::new();
         for mode in [PrefilterMode::On, PrefilterMode::Off, PrefilterMode::Auto] {
-            // Raw trees reach the counting index (`NaN`, duplicates, twins);
-            // the sharded engines see the analyzer's normal form.
+            // Raw trees reach one counting index (`NaN`, duplicates, twins);
+            // the other sees the analyzer's normal form.
             let raw = EngineConfig::with_prefilter(mode).analyze(AnalyzeMode::Off);
             let mut counting = CountingEngine::with_config(raw);
             if mode == PrefilterMode::On {
                 counting.set_discrimination_hint(Some(hint.clone()));
             }
             engines.push((format!("counting {mode:?}"), Box::new(counting)));
-            for shards in [1usize, 2, 4] {
-                let mut sharded = ShardedEngine::with_config_shards_and_capacity(
-                    EngineConfig::with_prefilter(mode),
-                    shards,
-                    0,
-                );
-                if mode == PrefilterMode::Auto {
-                    sharded.set_discrimination_hint(Some(hint.clone()));
-                }
-                engines.push((format!("sharded({shards}) {mode:?}"), Box::new(sharded)));
+            let mut analyzed = CountingEngine::with_config(EngineConfig::with_prefilter(mode));
+            if mode == PrefilterMode::Auto {
+                analyzed.set_discrimination_hint(Some(hint.clone()));
             }
+            engines.push((format!("counting analyzed {mode:?}"), Box::new(analyzed)));
         }
         // The A-Tree gates an And on one default-false child; raw trees give
         // it duplicated leaves and `NaN` equalities to choose among.
@@ -868,34 +756,6 @@ proptest! {
         prop_assert!(pruned > 0, "no title clause was pruned");
         let (name, counting_on) = &engines[0];
         prop_assert!(counting_on.stats().killed_by_prefilter > 0, "{} killed nothing", name);
-    }
-}
-
-/// Sharded matching on an engine with no subscriptions at all (every shard's
-/// slab empty) and on empty batches: no matches, correct batch bookkeeping,
-/// no panics.
-#[test]
-fn sharded_empty_slab_and_empty_batch_edge_cases() {
-    let mut generator = WorkloadGenerator::new(WorkloadConfig::small());
-    for shards in [1usize, 2, 4] {
-        let mut engine = ShardedEngine::with_shards(shards);
-        let mut sink = PerEventSink::new();
-        // Empty slab, real batch.
-        let batch: EventBatch = generator.events(10).into_iter().collect();
-        engine.match_batch(&batch, &mut sink);
-        assert_eq!(sink.len(), batch.len());
-        assert_eq!(sink.total_matches(), 0, "{shards} shards");
-        // Empty slab, empty batch.
-        engine.match_batch(&EventBatch::new(), &mut sink);
-        assert_eq!(sink.len(), 0);
-        // Empty batch with a populated slab.
-        for s in generator.subscriptions(20) {
-            engine.insert(s);
-        }
-        engine.match_batch(&EventBatch::new(), &mut sink);
-        assert_eq!(sink.len(), 0);
-        assert_eq!(engine.stats().batches_filtered, 3);
-        assert_eq!(engine.stats().events_filtered, batch.len() as u64);
     }
 }
 
@@ -981,54 +841,6 @@ fn steady_state_batch_matching_allocates_no_new_scratch() {
     );
     assert_eq!(engine.scratch_capacity(), engine_capacity);
     assert_eq!(batch.capacity(), batch_capacity, "batch arena reallocated");
-}
-
-/// The sharded analogue of the batch scratch-reuse acceptance test: after a
-/// warm-up batch, repeated `match_batch` calls grow no scratch on *any*
-/// shard — every shard's generation-stamped counters, event view, and
-/// match buffer, and the engine's per-shard merge sinks, are all reused.
-#[test]
-fn sharded_steady_state_matching_reuses_scratch_on_every_shard() {
-    let mut generator = WorkloadGenerator::new(WorkloadConfig::small());
-    let subscriptions = generator.subscriptions(2_000);
-
-    let mut engine = ShardedEngine::with_shards_and_capacity(4, subscriptions.len());
-    for s in &subscriptions {
-        engine.insert(s.clone());
-    }
-
-    // Warm-up: a few refill/match cycles size every shard's buffers (the
-    // per-shard match buffers and touch lists grow to the *per-shard*
-    // maxima, which a single random batch does not necessarily reach).
-    let mut batch = EventBatch::new();
-    let mut sink = PerEventSink::new();
-    for _ in 0..4 {
-        generator.fill_event_batch(128, &mut batch);
-        engine.match_batch(&batch, &mut sink);
-    }
-
-    let grows_after_warmup = engine.scratch_grows();
-    let total_capacity = engine.scratch_capacity();
-    let per_shard_capacity = engine.shard_scratch_capacities();
-    assert_eq!(per_shard_capacity.len(), 4);
-    assert!(
-        per_shard_capacity.iter().all(|&c| c > 0),
-        "warmup should allocate scratch on every shard: {per_shard_capacity:?}"
-    );
-
-    // Steady state: refilling and re-matching must keep every shard's
-    // scratch capacity — and the merge sinks — exactly stable.
-    for _ in 0..5 {
-        generator.fill_event_batch(128, &mut batch);
-        engine.match_batch(&batch, &mut sink);
-    }
-    assert_eq!(
-        engine.scratch_grows(),
-        grows_after_warmup,
-        "a shard grew scratch after warmup"
-    );
-    assert_eq!(engine.shard_scratch_capacities(), per_shard_capacity);
-    assert_eq!(engine.scratch_capacity(), total_capacity);
 }
 
 /// Match output is sorted by subscription id, making results reproducible

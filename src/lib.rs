@@ -6,8 +6,8 @@
 //! workspace crate so that applications can depend on a single crate:
 //!
 //! * [`model`] — events, predicates, Boolean subscription trees (`pubsub-core`).
-//! * [`matching`] — counting matcher with predicate indexes, the sharded
-//!   multi-core engine, and the naive baseline (`filtering`).
+//! * [`matching`] — counting matcher with predicate indexes, the
+//!   shared-subexpression A-Tree engine, and the naive baseline (`filtering`).
 //! * [`estimate`] — histogram-based selectivity estimation (`selectivity`).
 //! * [`prune`] — dimension-based pruning: heuristics, priority queue, pruner
 //!   (`pruning`).
@@ -97,7 +97,7 @@ pub mod prelude {
     pub use crate::estimate::{EventStatistics, SelectivityEstimate, SelectivityEstimator};
     pub use crate::matching::{
         ATreeEngine, AnyEngine, CountSink, CountingEngine, EngineKind, MatchSink, MatchingEngine,
-        NaiveEngine, PerEventSink, ShardedEngine, VecSink,
+        NaiveEngine, PerEventSink, VecSink,
     };
     pub use crate::model::{
         BrokerId, EventBatch, EventMessage, Expr, Operator, Predicate, SubscriberId, Subscription,

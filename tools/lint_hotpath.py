@@ -25,7 +25,7 @@ HOT_PATH_FILES = [
     "crates/filtering/src/index.rs",
     "crates/filtering/src/prefilter.rs",
     "crates/filtering/src/probe.rs",
-    "crates/filtering/src/sharded.rs",
+    "crates/filtering/src/engine.rs",
     "crates/broker/src/broker_node.rs",
     "crates/broker/src/routing_table.rs",
     "crates/broker/src/subsumption.rs",
