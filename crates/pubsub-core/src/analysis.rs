@@ -477,8 +477,13 @@ pub fn implies(stronger: &Expr, weaker: &Expr) -> bool {
         // Universal decompositions first — these lose no precision.
         (_, Expr::And(ws)) => ws.iter().all(|w| implies(stronger, w)),
         (Expr::Or(ss), _) => ss.iter().all(|s| implies(s, weaker)),
-        // Existential decompositions: sufficient, not necessary.
-        (Expr::And(ss), _) => ss.iter().any(|s| implies(s, weaker)),
+        // Existential decompositions: sufficient, not necessary. An `And`
+        // against an `Or` tries both: one conjunct implies the whole `Or`,
+        // or the whole `And` implies one disjunct.
+        (Expr::And(ss), _) => {
+            ss.iter().any(|s| implies(s, weaker))
+                || matches!(weaker, Expr::Or(ws) if ws.iter().any(|w| implies(stronger, w)))
+        }
         (_, Expr::Or(ws)) => ws.iter().any(|w| implies(stronger, w)),
         (Expr::Pred(sp), Expr::Pred(wp)) => wp.covers(sp),
         // ¬a → ¬b iff b → a.

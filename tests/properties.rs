@@ -3,15 +3,19 @@
 //!
 //! * the counting matcher agrees with direct tree evaluation;
 //! * every valid pruning generalizes the subscription (no lost matches);
+//! * every pruning candidate is entailed by its original, as `implies`
+//!   decides it;
 //! * `pmin` never increases under pruning;
 //! * every built and every pruned tree keeps the preorder node layout;
 //! * selectivity estimates bracket the measured selectivity;
 //! * the distributed simulation delivers exactly the centralized matches.
 
 use dimension_pruning::matching::MatchingEngine;
+use dimension_pruning::model::analysis::implies;
 use dimension_pruning::model::NodeId;
 use dimension_pruning::net::{Simulation, SimulationConfig, Topology};
 use dimension_pruning::prelude::*;
+use dimension_pruning::prune::{enumerate_candidates, ScoreContext};
 use proptest::prelude::*;
 
 const ATTRIBUTES: [&str; 5] = ["price", "bids", "rating", "category", "condition"];
@@ -141,6 +145,60 @@ fn check_preorder_layout(
     Ok(())
 }
 
+/// The trees of every candidate `enumerate_candidates` yields for `tree`,
+/// in both `bottom_up_only` settings, each with the setting it came from.
+fn candidate_trees(tree: &SubscriptionTree, events: &[EventMessage]) -> Vec<(bool, Expr)> {
+    let estimator = SelectivityEstimator::from_events(events);
+    let context = ScoreContext::new(tree, &estimator);
+    let mut trees = Vec::new();
+    for bottom_up_only in [false, true] {
+        let id = SubscriptionId::from_raw(1);
+        for candidate in enumerate_candidates(id, tree, &context, &estimator, bottom_up_only) {
+            let pruned = tree
+                .prune(candidate.node)
+                .expect("candidates are valid prunings");
+            trees.push((bottom_up_only, pruned.to_expr()));
+        }
+    }
+    trees
+}
+
+/// The case that found an `implies` gap: `¬(¬p ∨ (a ∧ b))` pruned to
+/// `¬(a ∧ b)` needs `a ∧ b` to imply the disjunction `¬p ∨ (a ∧ b)`, which
+/// only its second disjunct gives.
+#[test]
+fn negated_disjunction_candidate_is_entailed() {
+    let p = Expr::eq("category", "books");
+    let a = Expr::gt("price", 10i64);
+    let b = Expr::lt("bids", 5i64);
+    let ab = Expr::and(vec![a, b]);
+    let original = Expr::not(Expr::or(vec![Expr::not(p), ab.clone()]));
+    let tree = SubscriptionTree::from_expr(&original);
+    let events: Vec<EventMessage> = (0..8)
+        .map(|i| {
+            EventMessage::builder()
+                .attr("category", CATEGORIES[i % CATEGORIES.len()])
+                .attr("price", 4 * i as i64)
+                .attr("bids", i as i64)
+                .build()
+        })
+        .collect();
+    let candidates = candidate_trees(&tree, &events);
+    let expected = Expr::not(ab);
+    for bottom_up_only in [false, true] {
+        assert!(
+            candidates.contains(&(bottom_up_only, expected.clone())),
+            "{expected} is not a candidate (bottom_up_only {bottom_up_only}): {candidates:?}"
+        );
+    }
+    for (bottom_up_only, pruned) in &candidates {
+        assert!(
+            implies(&tree.to_expr(), pruned),
+            "{original} does not imply {pruned} (bottom_up_only {bottom_up_only})"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -193,6 +251,21 @@ proptest! {
                     prop_assert!(pruned.evaluate(event), "pruning lost a match");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn every_candidate_is_entailed_by_its_original(
+        expr in expr_strategy(),
+        events in prop::collection::vec(event_strategy(), 1..8),
+    ) {
+        let tree = SubscriptionTree::from_expr(&expr);
+        let original = tree.to_expr();
+        for (bottom_up_only, pruned) in candidate_trees(&tree, &events) {
+            prop_assert!(
+                implies(&original, &pruned),
+                "{} does not imply {} (bottom_up_only {})", original, pruned, bottom_up_only
+            );
         }
     }
 
