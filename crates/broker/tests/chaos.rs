@@ -6,11 +6,12 @@
 //! subscription)` deliveries under any fault plan — including losing a
 //! broker and recovering it — must equal the fault-free run exactly. This
 //! suite drives that end to end with the auction workload generator and
-//! compares full delivery logs, not just counts.
+//! compares full delivery logs, not just counts. Every scenario runs once
+//! with the counting engine and once with the A-Tree.
 
 use broker::{
-    BrokerId, ChannelTransport, DurabilityConfig, FaultPlan, FaultyTransport, Simulation,
-    SimulationConfig, StorageFaultPlan, Topology,
+    BrokerId, ChannelTransport, DurabilityConfig, EngineKind, FaultPlan, FaultyTransport,
+    Simulation, SimulationConfig, StorageFaultPlan, Topology,
 };
 use pubsub_core::{EventBatch, EventId, SubscriberId, Subscription, SubscriptionId};
 use workload::{AuctionSchema, ClassMix, EventGenerator, SubscriptionGenerator};
@@ -40,12 +41,12 @@ fn sorted_log(sim: &mut Simulation) -> Vec<(EventId, SubscriberId, SubscriptionI
     log
 }
 
-/// The ground truth: same topology, same subscriptions, same batches, a
+/// The ground truth: same engine, topology, subscriptions and batches, a
 /// lossless transport, and no crash.
-fn baseline() -> (Vec<(EventId, SubscriberId, SubscriptionId)>, u64) {
+fn baseline(kind: EngineKind) -> (Vec<(EventId, SubscriberId, SubscriptionId)>, u64) {
     let (subs, batches) = workload();
     let topology = Topology::balanced_tree(BROKERS, FANOUT);
-    let mut sim = Simulation::new(SimulationConfig::new(topology));
+    let mut sim = Simulation::new(SimulationConfig::new(topology).with_engine(kind));
     sim.enable_delivery_log();
     sim.register_all(subs);
     for batch in &batches {
@@ -57,7 +58,16 @@ fn baseline() -> (Vec<(EventId, SubscriberId, SubscriptionId)>, u64) {
 
 #[test]
 fn chaos_soak_delivers_exactly_the_fault_free_set() {
-    let (expected_log, expected_deliveries) = baseline();
+    chaos_soak(EngineKind::Counting);
+}
+
+#[test]
+fn atree_chaos_soak_delivers_exactly_the_fault_free_set() {
+    chaos_soak(EngineKind::ATree);
+}
+
+fn chaos_soak(kind: EngineKind) {
+    let (expected_log, expected_deliveries) = baseline(kind);
     assert!(
         expected_deliveries > 0,
         "the workload must produce deliveries for the comparison to mean anything"
@@ -79,7 +89,9 @@ fn chaos_soak_delivers_exactly_the_fault_free_set() {
                 .with_corrupt(0.02),
         );
     }
-    let config = SimulationConfig::new(topology).with_reliability(true);
+    let config = SimulationConfig::new(topology)
+        .with_engine(kind)
+        .with_reliability(true);
     let mut sim = Simulation::with_transport(config, Box::new(transport));
     sim.enable_delivery_log();
     // Even the subscription flood crosses the lossy links: reliability must
@@ -120,6 +132,15 @@ fn chaos_soak_delivers_exactly_the_fault_free_set() {
 
 #[test]
 fn chaos_outage_events_survive_via_publisher_failover_and_link_queues() {
+    outage_failover(EngineKind::Counting);
+}
+
+#[test]
+fn atree_chaos_outage_events_survive_via_publisher_failover_and_link_queues() {
+    outage_failover(EngineKind::ATree);
+}
+
+fn outage_failover(kind: EngineKind) {
     // Focused variant: ONLY the outage (no link faults). Every event
     // published while the internal broker is down must still arrive —
     // publishers fail over to live brokers, and traffic routed toward the
@@ -128,11 +149,13 @@ fn chaos_outage_events_survive_via_publisher_failover_and_link_queues() {
     let (subs, _) = workload();
     let mut events = EventGenerator::new(AuctionSchema::default(), 47);
 
-    let mut plain = Simulation::new(SimulationConfig::new(topology.clone()));
+    let mut plain = Simulation::new(SimulationConfig::new(topology.clone()).with_engine(kind));
     plain.enable_delivery_log();
     plain.register_all(subs.clone());
 
-    let config = SimulationConfig::new(topology).with_reliability(true);
+    let config = SimulationConfig::new(topology)
+        .with_engine(kind)
+        .with_reliability(true);
     let mut faulty = Simulation::new(config);
     faulty.enable_delivery_log();
     faulty.register_all(subs);
@@ -170,11 +193,20 @@ const CLUSTER_CRASH_AFTER: usize = 4;
 /// compaction).
 #[test]
 fn whole_cluster_restart_is_equivalent_under_every_storage_fault_plan() {
+    whole_cluster_restart(EngineKind::Counting);
+}
+
+#[test]
+fn atree_whole_cluster_restart_is_equivalent_under_every_storage_fault_plan() {
+    whole_cluster_restart(EngineKind::ATree);
+}
+
+fn whole_cluster_restart(kind: EngineKind) {
     let (subs, batches) = workload();
     let topology = Topology::balanced_tree(BROKERS, FANOUT);
 
     // Fault-free, crash-free ground truth over the same batch subset.
-    let mut clean = Simulation::new(SimulationConfig::new(topology.clone()));
+    let mut clean = Simulation::new(SimulationConfig::new(topology.clone()).with_engine(kind));
     clean.enable_delivery_log();
     clean.register_all(subs.clone());
     for batch in &batches[..DURABILITY_BATCHES] {
@@ -211,6 +243,7 @@ fn whole_cluster_restart_is_equivalent_under_every_storage_fault_plan() {
 
     for (name, plan) in variants {
         let config = SimulationConfig::new(topology.clone())
+            .with_engine(kind)
             .with_reliability(true)
             .with_durability(DurabilityConfig::new().with_compact_every(16));
         let mut sim = Simulation::new(config);

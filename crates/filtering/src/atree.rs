@@ -27,8 +27,7 @@
 //!   lists, the subscribers and the fingerprint.
 //! * **Leaves reuse the existing machinery.** Each distinct predicate leaf is
 //!   registered once in the [`AttributeIndex`], keyed by its DAG node id, so
-//!   the single-event probe and the batch-aware [`ProbePlan`] (which groups a
-//!   whole batch's probes by attribute run) work unchanged.
+//!   the index's per-event probe serves both engines unchanged.
 //! * **Counter evaluation, at most once per node per event.** Matching
 //!   touches the fulfilled leaves, then sweeps scheduled interior nodes
 //!   bottom-up in level order. A node whose value leaves its default adds
@@ -70,21 +69,18 @@
 //!
 //! The stage-0 pre-filter is per-*subscription* (kill a subscription before
 //! counting); a shared leaf has no single owning subscription, so this engine
-//! keeps a permanently disabled [`PreFilter`] purely to drive the probe plan.
-//! The lazy default-value scheduling plays the same role: untouched regions
-//! of the DAG cost nothing.
+//! has none. The lazy default-value scheduling plays the same role: untouched
+//! regions of the DAG cost nothing.
 
 use crate::config::EngineConfig;
 use crate::index::{AttributeIndex, PredicateKey, SubSlot};
-use crate::prefilter::PreFilter;
-use crate::probe::ProbePlan;
 use crate::{EngineReport, FilterStats, MatchSink, MatchingEngine};
 use pubsub_core::analysis::{
     and_fingerprint, not_fingerprint, or_fingerprint, predicate_fingerprint,
 };
 use pubsub_core::{
-    EventBatch, EventMessage, Expr, NodeId, Operator, Predicate, SubscriberId, Subscription,
-    SubscriptionId,
+    AttrId, EventBatch, EventMessage, Expr, NodeId, Operator, Predicate, SubscriberId,
+    Subscription, SubscriptionId, Value,
 };
 use selectivity::DiscriminationHint;
 use std::collections::HashMap;
@@ -376,12 +372,6 @@ pub struct ATreeEngine {
     /// `FilterStats::shared_subtrees`).
     shared_count: u64,
     index: AttributeIndex,
-    /// Permanently disabled; exists to drive [`ProbePlan::run`], which
-    /// applies stage-0 kills at emission time for the counting engine. The
-    /// per-subscription kill model does not fit shared leaves.
-    prefilter: PreFilter,
-    /// Batch-probing scratch (shared with the counting engine's stage 1).
-    probe: ProbePlan,
     scratch: AtreeScratch,
     stats: FilterStats,
     config: EngineConfig,
@@ -435,13 +425,6 @@ impl ATreeEngine {
         self.hint = hint;
     }
 
-    /// Always `false`: the per-subscription stage-0 pre-filter does not
-    /// apply to shared leaves (kept for API parity with the counting
-    /// engine, which `AnyEngine` calls through).
-    pub fn prefilter_enabled(&mut self) -> bool {
-        false
-    }
-
     /// Iterates over the registered subscriptions in unspecified order
     /// (that of the id map; callers that need a canonical order sort by
     /// id).
@@ -454,11 +437,11 @@ impl ATreeEngine {
         &self.index
     }
 
-    /// Size of the reusable per-event/per-batch scratch currently allocated
-    /// (an opaque grow-only figure). Constant across match calls once the
-    /// engine has warmed up.
+    /// Size of the reusable per-event scratch currently allocated (an opaque
+    /// grow-only figure). Constant across match calls once the engine has
+    /// warmed up.
     pub fn scratch_capacity(&self) -> usize {
-        self.scratch.capacity() + self.probe.capacity_bytes()
+        self.scratch.capacity()
     }
 
     /// Number of times the per-event scratch had to grow since construction.
@@ -772,13 +755,59 @@ impl ATreeEngine {
         }
     }
 
-    /// The per-event core shared by the batch and single-event paths.
+    /// Matches `events`, each given as its resolved pairs, one after the
+    /// other as one batch, handing each event's id-sorted
+    /// `(id, subscriber)` matches to `emit` with the event's position.
+    fn match_events<'a>(
+        &mut self,
+        events: impl ExactSizeIterator<Item = &'a [(AttrId, Value)]>,
+        mut emit: impl FnMut(usize, &[(SubscriptionId, SubscriberId)]),
+    ) {
+        let start = Instant::now();
+        let count = events.len() as u64;
+        self.index.ensure_built();
+        let scratch_capacity_before = self.scratch.capacity();
+
+        let Self {
+            nodes,
+            meta,
+            max_level,
+            default_true_roots,
+            index,
+            scratch,
+            stats,
+            ..
+        } = self;
+        for (i, pairs) in events.enumerate() {
+            Self::match_event_core(
+                nodes,
+                meta,
+                *max_level,
+                default_true_roots,
+                scratch,
+                stats,
+                index,
+                pairs,
+            );
+            emit(i, &scratch.match_buf);
+        }
+
+        if self.scratch.capacity() > scratch_capacity_before {
+            self.scratch.grows += 1;
+        }
+        self.stats.batches_filtered += 1;
+        self.stats.events_filtered += count;
+        self.stats.filter_time += start.elapsed();
+    }
+
+    /// The per-event core of `match_events`.
     ///
-    /// `feed` delivers the event's fulfilled leaf nodes (from the probe
-    /// plan's CSR slice or a live index probe); the core then sweeps the
-    /// scheduled interior nodes bottom-up in level order, evaluating each
-    /// from its counter or, if gated, from its children, and leaves the
-    /// id-sorted `(id, subscriber)` matches in `scratch.match_buf`.
+    /// The index probe of the event's resolved `pairs` delivers its
+    /// fulfilled leaf nodes; the core then sweeps the scheduled interior
+    /// nodes bottom-up in level order, evaluating each from its counter or,
+    /// if gated, from its children, and leaves the id-sorted
+    /// `(id, subscriber)` matches in `scratch.match_buf`.
+    #[allow(clippy::too_many_arguments)] // engine fields passed piecewise
     fn match_event_core(
         nodes: &[Option<DagNode>],
         meta: &[NodeMeta],
@@ -786,7 +815,8 @@ impl ATreeEngine {
         default_true_roots: &[u32],
         scratch: &mut AtreeScratch,
         stats: &mut FilterStats,
-        feed: impl FnOnce(&mut dyn FnMut(u32)),
+        index: &AttributeIndex,
+        pairs: &[(AttrId, Value)],
     ) {
         scratch.advance(nodes.len(), max_level);
         let gen = scratch.current_gen;
@@ -818,7 +848,7 @@ impl ATreeEngine {
                 }
                 scratch.schedule(&node.parents, 1, meta);
             };
-            feed(&mut touch);
+            index.fulfilled_pairs(pairs.iter().map(|(a, v)| (*a, v)), |key| touch(key.slot.0));
         }
 
         // Stage 2: bottom-up level sweep. A node is only ever scheduled by a
@@ -937,100 +967,19 @@ impl MatchingEngine for ATreeEngine {
     }
 
     fn match_batch(&mut self, batch: &EventBatch, sink: &mut dyn MatchSink) {
-        let start = Instant::now();
         sink.begin_batch(batch.len());
-        self.index.ensure_built();
-        let scratch_capacity_before = self.scratch.capacity() + self.probe.capacity_bytes();
-
-        let Self {
-            nodes,
-            meta,
-            max_level,
-            default_true_roots,
-            index,
-            prefilter,
-            probe,
-            scratch,
-            stats,
-            ..
-        } = self;
-        if batch.len() >= 2 {
-            // Batch path: probe the whole batch attribute-group by
-            // attribute-group, then run the DAG sweep per event over the
-            // plan's CSR slices.
-            let mut killed = 0u64;
-            probe.run(batch, index, prefilter, &mut killed);
-            stats.killed_by_prefilter += killed;
-        }
-        for index_in_batch in 0..batch.len() {
-            let probed = batch.len() >= 2;
-            Self::match_event_core(
-                nodes,
-                meta,
-                *max_level,
-                default_true_roots,
-                scratch,
-                stats,
-                |touch| {
-                    if probed {
-                        for key in probe.emitted(index_in_batch) {
-                            touch(key.slot.0);
-                        }
-                    } else {
-                        index.fulfilled_pairs(batch.resolved(index_in_batch), |key| {
-                            touch(key.slot.0)
-                        });
-                    }
-                },
-            );
-            for &(id, subscriber) in &scratch.match_buf {
-                sink.on_match(index_in_batch, id, subscriber);
+        self.match_events(batch.iter().map(|e| e.resolved_pairs()), |i, matches| {
+            for &(id, subscriber) in matches {
+                sink.on_match(i, id, subscriber);
             }
-        }
-
-        if self.scratch.capacity() + self.probe.capacity_bytes() > scratch_capacity_before {
-            self.scratch.grows += 1;
-        }
-        self.stats.batches_filtered += 1;
-        self.stats.events_filtered += batch.len() as u64;
-        self.stats.filter_time += start.elapsed();
+        });
     }
 
     fn match_event_into(&mut self, event: &EventMessage, matches: &mut Vec<SubscriptionId>) {
-        let start = Instant::now();
-        self.index.ensure_built();
-        let scratch_capacity_before = self.scratch.capacity();
-
-        let Self {
-            nodes,
-            meta,
-            max_level,
-            default_true_roots,
-            index,
-            scratch,
-            stats,
-            ..
-        } = self;
-        Self::match_event_core(
-            nodes,
-            meta,
-            *max_level,
-            default_true_roots,
-            scratch,
-            stats,
-            |touch| {
-                index.fulfilled_pairs(event.iter_resolved(), |key| touch(key.slot.0));
-            },
-        );
-        matches.clear();
-        matches.extend(scratch.match_buf.iter().map(|&(id, _)| id));
-
-        if self.scratch.capacity() > scratch_capacity_before {
-            self.scratch.grows += 1;
-        }
-        self.stats.batches_filtered += 1;
-        self.stats.events_filtered += 1;
-        self.stats.filter_time += start.elapsed();
+        self.match_events(std::iter::once(event.resolved_pairs()), |_, found| {
+            matches.clear();
+            matches.extend(found.iter().map(|&(id, _)| id));
+        });
     }
 
     fn len(&self) -> usize {

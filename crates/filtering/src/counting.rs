@@ -2,11 +2,10 @@
 //! shortcut, organised as a staged pipeline:
 //!
 //! * **Stage 1 — index probing**: fulfilled predicates are resolved through
-//!   the [`AttributeIndex`] — per event on the single-event path, per
-//!   *attribute group* across a whole batch via [`ProbePlan`]. A subscription
-//!   with an access clause (see below) is registered under that clause alone,
-//!   so it is emitted only for events that fulfil it; every other
-//!   subscription has all its leaves registered.
+//!   the [`AttributeIndex`], one event at a time (a batch is a loop over its
+//!   events). A subscription with an access clause (see below) is registered
+//!   under that clause alone, so it is emitted only for events that fulfil
+//!   it; every other subscription has all its leaves registered.
 //! * **Stage 0 — pre-filter** ([`PreFilter`]), applied to each emission:
 //!   candidates that provably cannot match (a required attribute absent, the
 //!   secondary equality key mismatched, the numeric bound failed) are killed
@@ -45,7 +44,6 @@
 use crate::config::EngineConfig;
 use crate::index::{equality_key, AttributeIndex, EqKey, PredicateKey, SubSlot};
 use crate::prefilter::{for_each_required_item, PreFilter, RequiredItem};
-use crate::probe::ProbePlan;
 use crate::{EngineReport, FilterStats, MatchSink, MatchingEngine};
 use pubsub_core::{
     AttrId, EventBatch, EventMessage, NodeId, NodeKind, Predicate, SubscriberId, Subscription,
@@ -222,7 +220,9 @@ impl EventView {
 #[derive(Debug, Default)]
 struct MatchScratch {
     /// Fulfilled-predicate count per slot, valid only where `gen` carries
-    /// the current generation.
+    /// the current generation; `KILLED` once the stage-0 pre-filter killed
+    /// the slot for the current event, so the kill test runs once per
+    /// touched slot and later emissions take one branch.
     counts: Vec<u32>,
     /// Generation stamp per slot; stamping replaces clearing the counters.
     gen: Vec<u32>,
@@ -234,12 +234,7 @@ struct MatchScratch {
     /// Reusable per-event match buffer: each event's `(id, subscriber)`
     /// matches are sorted here before they are emitted.
     match_buf: Vec<(SubscriptionId, SubscriberId)>,
-    /// Generation stamp per slot recording "killed by the stage-0 pre-filter
-    /// for the current event", so the kill test runs once per touched slot on
-    /// the single-event path and later emissions take one branch.
-    dead_gen: Vec<u32>,
-    /// Stage-0 fingerprint of the event being matched (single-event path;
-    /// the batch path keeps per-event fingerprints in the probe plan).
+    /// Stage-0 fingerprint of the event being matched.
     fingerprint: Vec<(u32, f64)>,
     /// The event gated candidates are evaluated against.
     view: EventView,
@@ -248,24 +243,25 @@ struct MatchScratch {
     grows: u64,
 }
 
+/// The `MatchScratch::counts` entry of a slot killed by stage 0.
+const KILLED: u32 = u32::MAX;
+
 impl MatchScratch {
     /// Starts a new event: bumps the generation and sizes the per-slot
     /// buffers to cover `slots` entries.
     fn advance(&mut self, slots: usize) {
         if self.counts.len() < slots {
-            // Growth is accounted for centrally in `match_event_into` via the
+            // Growth is accounted for centrally in `match_events` via the
             // before/after capacity comparison, not here, so one reallocation
             // is never counted twice.
             self.counts.resize(slots, 0);
             self.gen.resize(slots, 0);
-            self.dead_gen.resize(slots, 0);
         }
         self.current_gen = self.current_gen.wrapping_add(1);
         if self.current_gen == 0 {
             // Generation wrap (once per 2³² events): physically reset the
             // stamps so ancient generations cannot alias the new one.
             self.gen.fill(0);
-            self.dead_gen.fill(0);
             self.current_gen = 1;
         }
         self.touched.clear();
@@ -277,30 +273,9 @@ impl MatchScratch {
             + self.gen.capacity()
             + self.touched.capacity()
             + self.match_buf.capacity()
-            + self.dead_gen.capacity()
             + self.fingerprint.capacity()
             + self.view.positions.capacity()
     }
-}
-
-/// Hands one surviving stage-1 emission to stage 2: stamps the slot as a
-/// candidate on first touch and counts the fulfilled leaf. (The index emits
-/// a leaf at most once per event: an event carries each attribute once.)
-#[inline]
-fn record(
-    slot: SubSlot,
-    current_gen: u32,
-    gen: &mut [u32],
-    counts: &mut [u32],
-    touched: &mut Vec<u32>,
-) {
-    let s = slot.index();
-    if gen[s] != current_gen {
-        gen[s] = current_gen;
-        counts[s] = 0;
-        touched.push(slot.0);
-    }
-    counts[s] += 1;
 }
 
 /// The production matching engine.
@@ -367,8 +342,6 @@ pub struct CountingEngine {
     /// [`refresh_prefilter`](Self::refresh_prefilter) rebuilds it in full at
     /// the start of a match when it says it is not.
     prefilter: PreFilter,
-    /// Batch-probing scratch (stage 1 of `match_batch`).
-    probe: ProbePlan,
 }
 
 impl CountingEngine {
@@ -463,11 +436,11 @@ impl CountingEngine {
     }
 
     /// Size of the reusable scratch currently allocated for the per-event
-    /// and per-batch match state (per-slot elements plus batch-probe bytes;
-    /// an opaque grow-only figure). Constant across match calls once the
-    /// engine has warmed up (no subscriptions added in between).
+    /// match state (per-slot elements; an opaque grow-only figure). Constant
+    /// across match calls once the engine has warmed up (no subscriptions
+    /// added in between).
     pub fn scratch_capacity(&self) -> usize {
-        self.scratch.capacity() + self.probe.capacity_bytes()
+        self.scratch.capacity()
     }
 
     /// Number of times the per-event scratch had to grow since construction.
@@ -513,12 +486,12 @@ impl CountingEngine {
     /// Matches one event — given as its resolved `(AttrId, Value)` pairs —
     /// into `matches` (replacing its contents, id-sorted).
     ///
-    /// This is the per-event core of the single-event path (and of
-    /// single-event batches); it takes the engine's fields piecewise so a
-    /// caller loop can hold the borrows across events. The stage-0 kill is
-    /// applied inline: the event is fingerprinted once up front, and each
-    /// slot's kill verdict is memoised in a generation-stamped array so it
-    /// costs one branch after first touch.
+    /// This is the per-event core of `match_events`; it takes the engine's
+    /// fields piecewise so the loop there can hold the borrows across
+    /// events. The stage-0 kill is applied inline: the event is
+    /// fingerprinted once up front, and each slot's kill verdict is memoised
+    /// in a generation-stamped array so it costs one branch after first
+    /// touch.
     #[allow(clippy::too_many_arguments)] // engine fields passed piecewise, see above
     fn match_one(
         slots: &[Option<SlotEntry>],
@@ -541,8 +514,8 @@ impl CountingEngine {
             gen,
             current_gen,
             touched,
-            dead_gen,
             fingerprint,
+            view,
             ..
         } = scratch;
         let current_gen = *current_gen;
@@ -553,80 +526,37 @@ impl CountingEngine {
             0
         };
 
-        // Stage 1: resolve fulfilled predicates through the index and hand
-        // the survivors to stage 2's flat generation-stamped arrays.
+        // Stage 1: resolve fulfilled predicates through the index and count
+        // them per slot in flat generation-stamped arrays. On a slot's first
+        // touch stage 0 decides its fate for the whole event: killed, or a
+        // stage-2 candidate. (The index emits a leaf at most once per event:
+        // an event carries each attribute once.)
         let mut fulfilled_count = 0u64;
         let mut killed_count = 0u64;
         index.fulfilled_pairs(resolved(), |key: PredicateKey| {
             let s = key.slot.index();
-            if pf_on {
-                if dead_gen[s] == current_gen {
+            if gen[s] != current_gen {
+                gen[s] = current_gen;
+                if pf_on && prefilter.kills(s, ev_mask, fingerprint) {
+                    counts[s] = KILLED;
                     killed_count += 1;
                     return;
                 }
-                if gen[s] != current_gen && prefilter.kills(s, ev_mask, fingerprint) {
-                    dead_gen[s] = current_gen;
-                    killed_count += 1;
-                    return;
-                }
+                counts[s] = 0;
+                touched.push(key.slot.0);
+            } else if counts[s] == KILLED {
+                killed_count += 1;
+                return;
             }
-            record(key.slot, current_gen, gen, counts, touched);
+            counts[s] += 1;
             fulfilled_count += 1;
         });
         stats.predicates_fulfilled += fulfilled_count;
         stats.killed_by_prefilter += killed_count;
 
-        Self::finish_event(slots, zero_pmin, scratch, stats, pairs, matches);
-    }
-
-    /// Matches one event whose fulfilled predicate keys were already probed
-    /// (and stage-0-filtered) by a [`ProbePlan`] — the batch path's stage 2.
-    fn match_keys(
-        slots: &[Option<SlotEntry>],
-        zero_pmin: &[u32],
-        scratch: &mut MatchScratch,
-        stats: &mut FilterStats,
-        keys: &[PredicateKey],
-        pairs: &[(AttrId, Value)],
-        matches: &mut Vec<(SubscriptionId, SubscriberId)>,
-    ) {
-        matches.clear();
-        scratch.advance(slots.len());
-        let MatchScratch {
-            counts,
-            gen,
-            current_gen,
-            touched,
-            ..
-        } = scratch;
-        for key in keys {
-            record(key.slot, *current_gen, gen, counts, touched);
-        }
-        stats.predicates_fulfilled += keys.len() as u64;
-
-        Self::finish_event(slots, zero_pmin, scratch, stats, pairs, matches);
-    }
-
-    /// Stage 2, shared by every probe front-end: evaluate the candidate
-    /// subscriptions (ungated ones only once they reach their `pmin`) and
-    /// the always-evaluated zero-`pmin` subscriptions against the event
-    /// `pairs`, and emit id-sorted matches.
-    fn finish_event(
-        slots: &[Option<SlotEntry>],
-        zero_pmin: &[u32],
-        scratch: &mut MatchScratch,
-        stats: &mut FilterStats,
-        pairs: &[(AttrId, Value)],
-        matches: &mut Vec<(SubscriptionId, SubscriberId)>,
-    ) {
-        let MatchScratch {
-            counts,
-            gen,
-            current_gen,
-            touched,
-            view,
-            ..
-        } = scratch;
+        // Stage 2: evaluate the candidate subscriptions (ungated ones only
+        // once they reach their `pmin`) and the always-evaluated zero-`pmin`
+        // subscriptions against the event, and emit id-sorted matches.
         stats.stage2_candidates += touched.len() as u64;
         // The event view is loaded for the first tree evaluated, at most
         // once per event: an event without candidates never pays for it.
@@ -658,7 +588,7 @@ impl CountingEngine {
         // never gated, nor killed by stage 0: a required leaf implies
         // pmin ≥ 1.)
         for &slot in zero_pmin.iter() {
-            if gen[slot as usize] == *current_gen {
+            if gen[slot as usize] == current_gen {
                 continue;
             }
             let entry = slots[slot as usize]
@@ -671,10 +601,58 @@ impl CountingEngine {
         }
 
         // Deterministic output: emit in subscription-id order, independent of
-        // slot assignment and probe emission order — this is what makes the
-        // staged batch path byte-identical to the per-event path.
+        // slot assignment and probe emission order.
         matches.sort_unstable_by_key(|&(id, _)| id);
         stats.matches += matches.len() as u64;
+    }
+
+    /// Matches `events`, each given as its resolved pairs, one after the
+    /// other as one batch, handing each event's id-sorted
+    /// `(id, subscriber)` matches to `emit` with the event's position.
+    fn match_events<'a>(
+        &mut self,
+        events: impl ExactSizeIterator<Item = &'a [(AttrId, Value)]>,
+        mut emit: impl FnMut(usize, &[(SubscriptionId, SubscriberId)]),
+    ) {
+        let start = Instant::now();
+        let count = events.len() as u64;
+        // Close the mutation epoch: merge pending interval insertions once,
+        // so every probe of the batch takes the sorted fast path, and rebuild
+        // the stage-0 pre-filter if it is due.
+        self.index.ensure_built();
+        self.refresh_prefilter();
+        let scratch_capacity_before = self.scratch.capacity();
+
+        // The match buffer is taken out of the scratch so the remaining
+        // scratch can be borrowed mutably alongside it; it is restored (with
+        // its possibly grown allocation) before the capacity check below.
+        let mut buf = std::mem::take(&mut self.scratch.match_buf);
+        let Self {
+            slots,
+            zero_pmin,
+            index,
+            scratch,
+            stats,
+            prefilter,
+            ..
+        } = self;
+        // One generation bump per event; every other piece of scratch —
+        // counters, stamps, touch list, event view, match buffer — stays hot
+        // across the whole batch, so a warmed-up batch allocates nothing.
+        for (i, pairs) in events.enumerate() {
+            Self::match_one(
+                slots, zero_pmin, index, scratch, stats, prefilter, pairs, &mut buf,
+            );
+            emit(i, &buf);
+        }
+        self.scratch.match_buf = buf;
+
+        if self.scratch.capacity() > scratch_capacity_before {
+            self.scratch.grows += 1;
+        }
+        self.stats.batches_filtered += 1;
+        self.stats.events_filtered += count;
+        self.stats.filter_time += start.elapsed();
     }
 
     /// O(1) removal from the zero-pmin list via the position map and
@@ -784,120 +762,19 @@ impl MatchingEngine for CountingEngine {
     }
 
     fn match_batch(&mut self, batch: &EventBatch, sink: &mut dyn MatchSink) {
-        let start = Instant::now();
         sink.begin_batch(batch.len());
-        // Close the mutation epoch: merge pending interval insertions once,
-        // so every probe of the batch takes the sorted fast path, and rebuild
-        // the stage-0 pre-filter if it is due.
-        self.index.ensure_built();
-        self.refresh_prefilter();
-        let scratch_capacity_before = self.scratch.capacity() + self.probe.capacity_bytes();
-
-        // The match buffer is taken out of the scratch so the remaining
-        // scratch can be borrowed mutably alongside it; it is restored (with
-        // its possibly grown allocation) before the capacity check below.
-        let mut buf = std::mem::take(&mut self.scratch.match_buf);
-        {
-            let Self {
-                slots,
-                zero_pmin,
-                index,
-                scratch,
-                stats,
-                prefilter,
-                probe,
-                ..
-            } = self;
-            if batch.len() >= 2 {
-                // Staged batch path: probe the whole batch attribute-group
-                // by attribute-group (stage 1, with the stage-0 kill applied
-                // at emission time), then run stage 2 per event over the
-                // plan's CSR slices.
-                let mut killed = 0u64;
-                probe.run(batch, index, prefilter, &mut killed);
-                stats.killed_by_prefilter += killed;
-                for index_in_batch in 0..batch.len() {
-                    Self::match_keys(
-                        slots,
-                        zero_pmin,
-                        scratch,
-                        stats,
-                        probe.emitted(index_in_batch),
-                        batch.resolved_pairs(index_in_batch),
-                        &mut buf,
-                    );
-                    for &(id, subscriber) in buf.iter() {
-                        sink.on_match(index_in_batch, id, subscriber);
-                    }
-                }
-            } else {
-                // One generation bump per event; every other piece of
-                // scratch — counters, stamps, touch list, event view, match
-                // buffer — stays hot across the whole batch, so a warmed-up
-                // batch allocates nothing.
-                for index_in_batch in 0..batch.len() {
-                    Self::match_one(
-                        slots,
-                        zero_pmin,
-                        index,
-                        scratch,
-                        stats,
-                        prefilter,
-                        batch.resolved_pairs(index_in_batch),
-                        &mut buf,
-                    );
-                    for &(id, subscriber) in buf.iter() {
-                        sink.on_match(index_in_batch, id, subscriber);
-                    }
-                }
+        self.match_events(batch.iter().map(|e| e.resolved_pairs()), |i, matches| {
+            for &(id, subscriber) in matches {
+                sink.on_match(i, id, subscriber);
             }
-        }
-        self.scratch.match_buf = buf;
-
-        if self.scratch.capacity() + self.probe.capacity_bytes() > scratch_capacity_before {
-            self.scratch.grows += 1;
-        }
-        self.stats.batches_filtered += 1;
-        self.stats.events_filtered += batch.len() as u64;
-        self.stats.filter_time += start.elapsed();
+        });
     }
 
     fn match_event_into(&mut self, event: &EventMessage, matches: &mut Vec<SubscriptionId>) {
-        let start = Instant::now();
-        self.index.ensure_built();
-        self.refresh_prefilter();
-        let scratch_capacity_before = self.scratch.capacity();
-
-        let mut buf = std::mem::take(&mut self.scratch.match_buf);
-        let Self {
-            slots,
-            zero_pmin,
-            index,
-            scratch,
-            stats,
-            prefilter,
-            ..
-        } = self;
-        Self::match_one(
-            slots,
-            zero_pmin,
-            index,
-            scratch,
-            stats,
-            prefilter,
-            event.resolved_pairs(),
-            &mut buf,
-        );
-        matches.clear();
-        matches.extend(buf.iter().map(|&(id, _)| id));
-        self.scratch.match_buf = buf;
-
-        if self.scratch.capacity() > scratch_capacity_before {
-            self.scratch.grows += 1;
-        }
-        self.stats.batches_filtered += 1;
-        self.stats.events_filtered += 1;
-        self.stats.filter_time += start.elapsed();
+        self.match_events(std::iter::once(event.resolved_pairs()), |_, found| {
+            matches.clear();
+            matches.extend(found.iter().map(|&(id, _)| id));
+        });
     }
 
     fn len(&self) -> usize {

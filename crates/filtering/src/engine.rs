@@ -235,12 +235,6 @@ impl AnyEngine {
     pub fn set_discrimination_hint(&mut self, hint: Option<DiscriminationHint>) {
         delegate!(self, e => e.set_discrimination_hint(hint))
     }
-
-    /// Whether the stage-0 pre-filter is active for the current
-    /// configuration and subscription population (never, for the A-Tree).
-    pub fn prefilter_enabled(&mut self) -> bool {
-        delegate!(self, e => e.prefilter_enabled())
-    }
 }
 
 impl MatchingEngine for AnyEngine {
@@ -316,19 +310,22 @@ mod tests {
     #[test]
     fn config_and_hint_reach_the_engine() {
         let config = EngineConfig::with_prefilter(PrefilterMode::On);
+        let stage0_on = |any: &mut AnyEngine| match any {
+            AnyEngine::Counting(e) => e.prefilter_enabled(),
+            AnyEngine::ATree(_) => unreachable!("built as a counting engine"),
+        };
         // Forced on: the counting engine runs stage 0 even while empty.
         let mut any = EngineKind::Counting.build_with_config(config);
         assert_eq!(any.config().prefilter, PrefilterMode::On);
-        assert!(any.prefilter_enabled());
+        assert!(stage0_on(&mut any));
         any.set_config(EngineConfig::with_prefilter(PrefilterMode::Off));
         assert_eq!(any.config().prefilter, PrefilterMode::Off);
-        assert!(!any.prefilter_enabled());
+        assert!(!stage0_on(&mut any));
         any.set_discrimination_hint(None);
-        // The A-Tree carries the config but never runs the stage-0
-        // pre-filter (the DAG evaluates every touched node exactly).
+        // The A-Tree carries the config but has no stage-0 pre-filter (the
+        // DAG evaluates every touched node exactly).
         let mut any = EngineKind::ATree.build_with_config(config);
         assert_eq!(any.config().prefilter, PrefilterMode::On);
-        assert!(!any.prefilter_enabled());
         any.set_config(EngineConfig::with_prefilter(PrefilterMode::Off));
         assert_eq!(any.config().prefilter, PrefilterMode::Off);
         any.set_discrimination_hint(None);

@@ -93,9 +93,9 @@ impl PredicateKey {
 
 /// Key for the equality hash index.
 ///
-/// Crate-visible because the stage-0 pre-filter and the batch probe plan
-/// must intern event values with **exactly** these semantics (including the
-/// `Int -> Float` widening) to stay byte-identical with the per-event probe.
+/// Crate-visible because the stage-0 pre-filter must intern event values
+/// with **exactly** these semantics (including the `Int -> Float` widening)
+/// to agree with the equality index.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum EqKey {
     Bool(bool),
@@ -145,7 +145,7 @@ pub(crate) fn exact_threshold(predicate: &Predicate) -> Option<f64> {
 /// `≤ t` predicates, …): flat parallel arrays sorted by `(threshold, key)`
 /// plus the unsorted tail of entries inserted since the last merge.
 #[derive(Debug, Default)]
-pub(crate) struct IntervalClass {
+struct IntervalClass {
     /// Thresholds in ascending order (`f64::total_cmp`; NaN is rejected at
     /// registration). Parallel to `keys`.
     thresholds: Vec<f64>,
@@ -276,40 +276,28 @@ impl IntervalClass {
 
     /// Index of the first sorted threshold for which `pred` is false.
     #[inline]
-    pub(crate) fn partition(&self, pred: impl Fn(f64) -> bool) -> usize {
+    fn partition(&self, pred: impl Fn(f64) -> bool) -> usize {
         self.thresholds.partition_point(|&t| pred(t))
-    }
-
-    /// The merged keys in threshold order. Complete only after
-    /// [`AttributeIndex::ensure_built`]; the batch probe plan slices this
-    /// directly to emit a whole run of events against one partition point.
-    #[inline]
-    pub(crate) fn sorted_keys(&self) -> &[PredicateKey] {
-        &self.keys
     }
 }
 
 /// The per-attribute sub-indexes.
-///
-/// Crate-visible so the batch probe plan ([`crate::probe`]) can walk one
-/// attribute's sub-indexes for a whole batch at a time instead of going
-/// through the per-event [`AttributeIndex::fulfilled_pairs`] entry point.
 #[derive(Debug, Default)]
-pub(crate) struct AttributeBuckets {
+struct AttributeBuckets {
     /// `attribute = constant` predicates, keyed by the constant.
-    pub(crate) equality: HashMap<EqKey, Vec<PredicateKey>>,
+    equality: HashMap<EqKey, Vec<PredicateKey>>,
     /// `attribute < t` predicates: fulfilled by event values strictly below
     /// the threshold (suffix of the sorted thresholds).
-    pub(crate) lt: IntervalClass,
+    lt: IntervalClass,
     /// `attribute <= t` predicates (suffix).
-    pub(crate) le: IntervalClass,
+    le: IntervalClass,
     /// `attribute > t` predicates: fulfilled by event values strictly above
     /// the threshold (prefix of the sorted thresholds).
-    pub(crate) gt: IntervalClass,
+    gt: IntervalClass,
     /// `attribute >= t` predicates (prefix).
-    pub(crate) ge: IntervalClass,
+    ge: IntervalClass,
     /// Everything else, checked by direct evaluation against the event value.
-    pub(crate) scan: Vec<(Predicate, PredicateKey)>,
+    scan: Vec<(Predicate, PredicateKey)>,
     /// Set while this attribute is listed in
     /// [`AttributeIndex::pending_attributes`].
     interval_pending: bool,
@@ -363,7 +351,7 @@ impl AttributeIndex {
         })
     }
 
-    pub(crate) fn buckets(&self, id: AttrId) -> Option<&AttributeBuckets> {
+    fn buckets(&self, id: AttrId) -> Option<&AttributeBuckets> {
         self.attributes.get(id.index())?.as_deref()
     }
 
@@ -455,9 +443,10 @@ impl AttributeIndex {
         }
     }
 
-    /// Whether every interval insertion has been merged, i.e. whether
-    /// [`IntervalClass::sorted_keys`] is the whole class.
-    pub(crate) fn is_built(&self) -> bool {
+    /// Whether every interval insertion has been merged into the sorted
+    /// arrays.
+    #[cfg(test)]
+    fn is_built(&self) -> bool {
         self.pending_attributes.is_empty()
     }
 
@@ -964,10 +953,7 @@ mod tests {
 
     mod interleavings {
         use super::*;
-        use crate::prefilter::PreFilter;
-        use crate::probe::ProbePlan;
         use proptest::prelude::*;
-        use pubsub_core::EventBatch;
 
         /// Thresholds and probe values: duplicates are the norm, `3`/`3.0`
         /// and `7`/`7.0` are `Int`/`Float` twins, and both zeros appear.
@@ -1014,8 +1000,8 @@ mod tests {
 
             /// Any interleaving of insert / remove / probe / merge: every
             /// probe — taken over a pending tail or not — equals a
-            /// brute-force evaluation of the live predicates, and after the
-            /// final merge the batch plan equals the per-event probe.
+            /// brute-force evaluation of the live predicates, and so does
+            /// every probe after the final merge.
             #[test]
             fn probes_equal_brute_force(
                 steps in prop::collection::vec((0usize..10, 0usize..64, 0usize..10), 1..120),
@@ -1052,22 +1038,11 @@ mod tests {
                 }
 
                 idx.ensure_built();
-                let mut batch = EventBatch::new();
-                let events: Vec<EventMessage> = pool.iter().map(probe_event).collect();
-                for ev in &events {
-                    batch.push(ev.clone());
-                }
-                let mut plan = ProbePlan::new();
-                let mut killed = 0u64;
-                plan.run(&batch, &idx, &PreFilter::new(), &mut killed);
-                for (i, ev) in events.iter().enumerate() {
-                    let expected = brute_force(&live, ev);
-                    let mut single = idx.fulfilled_keys(ev);
-                    single.sort();
-                    prop_assert_eq!(&single, &expected);
-                    let mut batched = plan.emitted(i).to_vec();
-                    batched.sort();
-                    prop_assert_eq!(&batched, &expected);
+                for v in &pool {
+                    let ev = probe_event(v);
+                    let mut got = idx.fulfilled_keys(&ev);
+                    got.sort();
+                    prop_assert_eq!(got, brute_force(&live, &ev));
                 }
             }
         }

@@ -79,7 +79,6 @@ mod engine;
 mod index;
 mod naive;
 mod prefilter;
-mod probe;
 mod sink;
 mod stats;
 
@@ -90,7 +89,6 @@ pub use engine::{AnyEngine, EngineKind, EngineReport, MatchingEngine};
 pub use index::{AttributeIndex, PredicateKey, SubSlot};
 pub use naive::NaiveEngine;
 pub use prefilter::PreFilter;
-pub use probe::ProbePlan;
 pub use sink::{CountSink, MatchSink, PerEventSink, VecSink};
 pub use stats::FilterStats;
 

@@ -186,12 +186,6 @@ impl PreFilter {
         self.bits as usize - self.free_bits.len()
     }
 
-    /// Length of the fingerprint [`fingerprint`](Self::fingerprint) fills:
-    /// one entry per presence bit handed out, free or not.
-    pub(crate) fn key_width(&self) -> usize {
-        self.bits as usize
-    }
-
     /// Whether the compiled state reflects the engine's population; when
     /// `false` the engine runs [`rebuild`](Self::rebuild) before matching.
     pub(crate) fn is_built(&self) -> bool {

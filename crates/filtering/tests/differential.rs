@@ -811,11 +811,8 @@ fn steady_state_batch_matching_allocates_no_new_scratch() {
         engine.insert(s.clone());
     }
 
-    // Warm-up: a few refill/match cycles size every buffer. (One batch is
-    // not enough since the staged pipeline: the batch-probe scratch tracks
-    // the batch's arena width and emission count, which vary slightly from
-    // batch to batch, so the amortized buffers need a couple of
-    // representative batches to reach their plateau.)
+    // Warm-up: a few refill/match cycles size every buffer, including the
+    // batch arena, whose width varies slightly from batch to batch.
     let mut batch = EventBatch::new();
     let mut sink = PerEventSink::new();
     for _ in 0..3 {

@@ -220,22 +220,10 @@ impl EventBatch {
         (0..self.len()).map(|index| self.event(index))
     }
 
-    /// Iterates over the pre-resolved `(AttrId, &Value)` pairs of the event
-    /// at `index`, reading the flat arena.
-    ///
-    /// This is what batch matching consumes: the pairs of consecutive events
-    /// are adjacent in memory, so a whole-batch match walks the arena front
-    /// to back.
-    ///
-    /// # Panics
-    /// Panics if `index >= len()`.
-    #[inline]
-    pub fn resolved(&self, index: usize) -> impl Iterator<Item = (AttrId, &Value)> + Clone {
-        self.resolved_pairs(index).iter().map(|(id, v)| (*id, v))
-    }
-
     /// The arena slice holding the resolved pairs of the event at `index` —
-    /// the borrowed form matching and the wire codec's encoder consume.
+    /// the borrowed form matching and the wire codec's encoder consume. The
+    /// pairs of consecutive events are adjacent in memory, so a whole-batch
+    /// match walks the arena front to back.
     ///
     /// # Panics
     /// Panics if `index >= len()`.
@@ -261,9 +249,7 @@ impl EventBatch {
     }
 
     /// The whole resolved-pair arena: every event's `(AttrId, Value)` pairs
-    /// concatenated in push order. [`AttrGroups`] entries index into this
-    /// slice, so batch-aware consumers can look a pair up by its arena
-    /// position without re-walking the per-event spans.
+    /// concatenated in push order.
     #[inline]
     pub fn arena_pairs(&self) -> &[(AttrId, Value)] {
         &self.arena
@@ -299,140 +285,6 @@ impl Extend<EventMessage> for EventBatch {
         for event in iter {
             self.push(event);
         }
-    }
-}
-
-/// The batch arena regrouped by attribute: `pairs_by_attr` for batch-aware
-/// index probing.
-///
-/// A [`EventBatch`] stores pairs event-major (all of event 0's attributes,
-/// then event 1's, …). Staged matching wants the transpose — *all* of the
-/// batch's `price` pairs, then all of its `title` pairs — so each attribute
-/// sub-index is probed once per batch instead of once per event.
-/// `AttrGroups` builds that transpose as a CSR layout over `(event index,
-/// arena index)` entries with a two-pass counting sort: one pass to count
-/// pairs per distinct attribute, one to scatter entries into place. Both
-/// passes are linear in the arena and allocation-free once the scratch has
-/// warmed up; the per-attribute slot table is reset through the list of
-/// attributes actually touched, not by scanning the whole interner range.
-///
-/// Attribute groups appear in **first-seen order** (the order the attributes
-/// first occur in the arena), which is deterministic for a deterministic
-/// batch stream.
-#[derive(Debug, Default)]
-pub struct AttrGroups {
-    /// Distinct attributes of the batch, in first-seen order.
-    attrs: Vec<AttrId>,
-    /// CSR offsets into `entries`; `attrs.len() + 1` entries.
-    offsets: Vec<u32>,
-    /// `(event index, arena index)` pairs grouped by attribute.
-    entries: Vec<(u32, u32)>,
-    /// Scratch: slot of each `AttrId::index()` while grouping, `NO_SLOT`
-    /// otherwise. Sized to the largest attribute index seen; reset via
-    /// `attrs`.
-    attr_slot: Vec<u32>,
-    /// Scratch: write cursor per group during the scatter pass.
-    cursors: Vec<u32>,
-}
-
-/// Sentinel marking an attribute without a slot in [`AttrGroups::attr_slot`].
-const NO_SLOT: u32 = u32::MAX;
-
-impl AttrGroups {
-    /// Creates an empty grouping.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Rebuilds the grouping from `batch`, reusing all internal buffers.
-    pub fn group(&mut self, batch: &EventBatch) {
-        // Reset the slot table through the previously-touched attributes.
-        for attr in self.attrs.drain(..) {
-            self.attr_slot[attr.index()] = NO_SLOT;
-        }
-        self.entries.clear();
-        self.offsets.clear();
-        self.cursors.clear();
-
-        // Pass 1: count pairs per distinct attribute (slots assigned in
-        // first-seen order). `cursors` doubles as the per-slot counter.
-        for &(attr, _) in &batch.arena {
-            let index = attr.index();
-            if index >= self.attr_slot.len() {
-                self.attr_slot.resize(index + 1, NO_SLOT);
-            }
-            let slot = self.attr_slot[index];
-            if slot == NO_SLOT {
-                let slot = u32::try_from(self.attrs.len()).expect("attr count exceeds u32");
-                self.attr_slot[index] = slot;
-                self.attrs.push(attr);
-                self.cursors.push(1);
-            } else {
-                self.cursors[slot as usize] += 1;
-            }
-        }
-
-        // Prefix-sum the counts into CSR offsets; `cursors` becomes the
-        // write cursor of each group.
-        let mut total = 0u32;
-        self.offsets.push(0);
-        for count in &mut self.cursors {
-            total += *count;
-            *count = total - *count;
-            self.offsets.push(total);
-        }
-        self.entries.resize(total as usize, (0, 0));
-
-        // Pass 2: scatter `(event, arena index)` entries into their groups.
-        for (event, &(start, len)) in batch.spans.iter().enumerate() {
-            let event = event as u32;
-            for arena_index in start..start + len {
-                let slot = self.attr_slot[batch.arena[arena_index as usize].0.index()];
-                let cursor = &mut self.cursors[slot as usize];
-                self.entries[*cursor as usize] = (event, arena_index);
-                *cursor += 1;
-            }
-        }
-    }
-
-    /// The distinct attributes of the grouped batch, in first-seen order.
-    #[inline]
-    pub fn attrs(&self) -> &[AttrId] {
-        &self.attrs
-    }
-
-    /// Number of distinct attributes in the grouped batch.
-    pub fn len(&self) -> usize {
-        self.attrs.len()
-    }
-
-    /// Returns `true` if the grouped batch had no attribute pairs.
-    pub fn is_empty(&self) -> bool {
-        self.attrs.is_empty()
-    }
-
-    /// The `(event index, arena index)` entries of group `group` (an index
-    /// into [`attrs`](Self::attrs)). Arena indexes point into
-    /// [`EventBatch::arena_pairs`] of the batch the grouping was built from.
-    ///
-    /// # Panics
-    /// Panics if `group >= len()`.
-    #[inline]
-    pub fn entries(&self, group: usize) -> &[(u32, u32)] {
-        let start = self.offsets[group] as usize;
-        let end = self.offsets[group + 1] as usize;
-        &self.entries[start..end]
-    }
-
-    /// Total number of elements currently allocated across the grouping's
-    /// internal buffers. Constant across `group` calls over similarly-shaped
-    /// batches; the scratch-reuse regression tests assert on it.
-    pub fn capacity(&self) -> usize {
-        self.attrs.capacity()
-            + self.offsets.capacity()
-            + self.entries.capacity()
-            + self.attr_slot.capacity()
-            + self.cursors.capacity()
     }
 }
 
@@ -485,9 +337,7 @@ mod tests {
         let messages = [ev(1, 10), ev(2, 20)];
         assert_eq!(batch.iter().len(), 2);
         for (i, (event, message)) in batch.iter().zip(&messages).enumerate() {
-            let from_arena: Vec<(AttrId, &Value)> = batch.resolved(i).collect();
-            let from_event: Vec<(AttrId, &Value)> = message.iter_resolved().collect();
-            assert_eq!(from_arena, from_event);
+            assert_eq!(batch.resolved_pairs(i), message.resolved_pairs());
             assert_eq!(event.resolved_pairs(), message.resolved_pairs());
             assert_eq!(&event.to_message(), message);
             for (id, value) in message.iter_resolved() {
@@ -593,98 +443,11 @@ mod tests {
     }
 
     #[test]
-    fn attr_groups_transpose_the_arena() {
-        let mut batch = EventBatch::new();
-        batch.push(ev(1, 10)); // category, price
-        batch.push(EventMessage::builder().attr("price", 20i64).build());
-        batch.push(
-            EventMessage::builder()
-                .attr("seller", "s-1")
-                .attr("price", 30i64)
-                .build(),
-        );
-        let mut groups = AttrGroups::new();
-        groups.group(&batch);
-
-        // First-seen order: category (event 0), price (event 0), seller
-        // (event 2).
-        let names: Vec<&str> = groups
-            .attrs()
-            .iter()
-            .map(|&a| crate::attr::name(a))
-            .collect();
-        assert_eq!(names, ["category", "price", "seller"]);
-        assert_eq!(groups.len(), 3);
-        assert!(!groups.is_empty());
-
-        // Every entry resolves to a pair of the named attribute, entries
-        // cover the arena exactly once, and events appear in order.
-        let arena = batch.arena_pairs();
-        let mut covered = vec![false; arena.len()];
-        for (group, &attr) in groups.attrs().iter().enumerate() {
-            let mut last_event = 0;
-            for &(event, arena_index) in groups.entries(group) {
-                assert!(event >= last_event, "entries out of event order");
-                last_event = event;
-                assert_eq!(arena[arena_index as usize].0, attr);
-                assert!(batch
-                    .resolved_pairs(event as usize)
-                    .iter()
-                    .any(|(id, v)| *id == attr && *v == arena[arena_index as usize].1));
-                assert!(!covered[arena_index as usize], "arena pair grouped twice");
-                covered[arena_index as usize] = true;
-            }
-        }
-        assert!(covered.iter().all(|&c| c), "arena pair missing from groups");
-        assert_eq!(groups.entries(1).len(), 3, "price occurs in all 3 events");
-    }
-
-    #[test]
-    fn attr_groups_reuse_scratch_across_batches() {
-        let mut groups = AttrGroups::new();
-        let mut batch = EventBatch::new();
-        for round in 0..6 {
-            batch.clear();
-            for i in 0..32 {
-                batch.push(ev(i, (i + round) as i64));
-            }
-            groups.group(&batch);
-            assert_eq!(groups.len(), 2);
-        }
-        let capacity = groups.capacity();
-        for round in 0..6 {
-            batch.clear();
-            for i in 0..32 {
-                batch.push(ev(i, (i * round) as i64));
-            }
-            groups.group(&batch);
-        }
-        assert_eq!(groups.capacity(), capacity, "steady-state grouping grew");
-    }
-
-    #[test]
-    fn attr_groups_handle_empty_batches_and_empty_events() {
-        let mut groups = AttrGroups::new();
-        groups.group(&EventBatch::new());
-        assert!(groups.is_empty());
-        let mut batch = EventBatch::new();
-        batch.push(EventMessage::empty(EventId::from_raw(1)));
-        groups.group(&batch);
-        assert!(groups.is_empty());
-        // Regrouping after a non-empty batch resets cleanly.
-        batch.push(ev(2, 5));
-        groups.group(&batch);
-        assert_eq!(groups.len(), 2);
-        groups.group(&EventBatch::new());
-        assert!(groups.is_empty());
-    }
-
-    #[test]
     fn empty_events_keep_spans_consistent() {
         let mut batch = EventBatch::new();
         batch.push(EventMessage::empty(EventId::from_raw(7)));
         batch.push(ev(8, 1));
-        assert_eq!(batch.resolved(0).count(), 0);
-        assert_eq!(batch.resolved(1).count(), 2);
+        assert_eq!(batch.resolved_pairs(0).len(), 0);
+        assert_eq!(batch.resolved_pairs(1).len(), 2);
     }
 }

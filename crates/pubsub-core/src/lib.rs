@@ -68,7 +68,7 @@ mod value;
 
 pub use analysis::{Analysis, AnalysisReport, Analyzer};
 pub use attr::AttrId;
-pub use batch::{AttrGroups, EventBatch, EventBatchBuilder, EventRef, PairWriter};
+pub use batch::{EventBatch, EventBatchBuilder, EventRef, PairWriter};
 pub use error::CoreError;
 pub use event::{EventBuilder, EventMessage};
 pub use expr::Expr;

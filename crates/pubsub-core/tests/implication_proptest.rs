@@ -9,10 +9,14 @@
 //! conjunctions and their conjuncts, disjuncts and their disjunctions,
 //! negations the other way round, permuted and widened disjunctions, and
 //! contradictory conjunctions such as `x = A ∧ x = B`.
+//!
+//! A semantic oracle checks `implies` itself on comparison-only pairs over
+//! four attributes: it evaluates both sides on one event per combination of
+//! value regions, which decides implication exactly for such expressions.
 
 use proptest::prelude::*;
 use pubsub_core::analysis::{implies, ImplicationProfile, ImplicationSummary};
-use pubsub_core::{Expr, Operator, Predicate, Value};
+use pubsub_core::{EventMessage, Expr, Operator, Predicate, Value};
 
 /// Four attributes nearly every predicate uses, and seventy more so that
 /// some pairs of attribute ids agree modulo 64 (the interner is
@@ -59,12 +63,18 @@ fn expr() -> BoxedStrategy<Expr> {
 
 /// A `(stronger, weaker)` candidate pair.
 fn pair() -> BoxedStrategy<(Expr, Expr)> {
+    pair_of(expr(), attr_name().boxed())
+}
+
+/// A `(stronger, weaker)` candidate pair built from `expr` sub-expressions
+/// and equalities on `attr`.
+fn pair_of(expr: BoxedStrategy<Expr>, attr: BoxedStrategy<String>) -> BoxedStrategy<(Expr, Expr)> {
     (
-        expr(),
-        expr(),
-        expr(),
+        expr.clone(),
+        expr.clone(),
+        expr,
         0usize..10,
-        attr_name(),
+        attr,
         value(),
         value(),
     )
@@ -141,6 +151,180 @@ proptest! {
                 prop_assert!(!bound.filing_keys().is_empty());
                 prop_assert!(bound.probe_keys().iter().any(|key| bound.filing_keys().contains(key)));
             }
+        }
+    }
+}
+
+/// The four attributes of the oracle's pairs.
+fn oracle_attr() -> BoxedStrategy<String> {
+    (0usize..4).prop_map(|i| format!("io_{i}")).boxed()
+}
+
+/// `=`, `≠`, `<`, `≤`, `>` or `≥`.
+fn comparison() -> BoxedStrategy<Operator> {
+    (0usize..6).prop_map(|i| Operator::ALL[i]).boxed()
+}
+
+/// A comparison on one of `io_0..io_3`.
+fn comparison_leaf() -> BoxedStrategy<Predicate> {
+    (oracle_attr(), comparison(), value())
+        .prop_map(|(name, operator, value)| Predicate::new(name, operator, value))
+        .boxed()
+}
+
+/// Expressions over `io_0..io_3` using only `=`, `≠`, `<`, `≤`, `>`, `≥`.
+fn comparison_expr() -> BoxedStrategy<Expr> {
+    let leaf = comparison_leaf().prop_map(Expr::Pred);
+    leaf.boxed().prop_recursive(3, 12, 3, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 1..=3).prop_map(Expr::And),
+            prop::collection::vec(inner.clone(), 1..=3).prop_map(Expr::Or),
+            inner.prop_map(Expr::not),
+        ]
+    })
+}
+
+fn leaves_mut<'a>(expr: &'a mut Expr, out: &mut Vec<&'a mut Predicate>) {
+    match expr {
+        Expr::Pred(p) => out.push(p),
+        Expr::And(children) | Expr::Or(children) => {
+            children.iter_mut().for_each(|c| leaves_mut(c, out))
+        }
+        Expr::Not(child) => leaves_mut(child, out),
+    }
+}
+
+/// Pairs for the oracle: the shapes `implies` decomposes, the same with
+/// one leaf of either side changed (near misses, where an unsound rule
+/// would show), and two leaves on one attribute (the `covers` table).
+/// Half are negated and swapped: `¬w ⇒ ¬s` exactly when `s ⇒ w`.
+fn oracle_pair() -> BoxedStrategy<(Expr, Expr)> {
+    let shaped = pair_of(comparison_expr(), oracle_attr());
+    let near_miss = (
+        shaped.clone(),
+        prop::bool::ANY,
+        0usize..16,
+        comparison(),
+        value(),
+    )
+        .prop_map(|((mut s, mut w), on_weaker, index, operator, constant)| {
+            let mut leaves = Vec::new();
+            leaves_mut(if on_weaker { &mut w } else { &mut s }, &mut leaves);
+            let n = leaves.len();
+            let leaf = &mut leaves[index % n];
+            **leaf = Predicate::new(leaf.attribute(), operator, constant);
+            (s, w)
+        });
+    let leaves = (comparison_leaf(), comparison(), value()).prop_map(|(p, operator, constant)| {
+        let other = Predicate::new(p.attribute(), operator, constant);
+        (Expr::Pred(p), Expr::Pred(other))
+    });
+    (prop_oneof![shaped, near_miss, leaves], prop::bool::ANY)
+        .prop_map(|((s, w), flip)| {
+            if flip {
+                (Expr::not(w), Expr::not(s))
+            } else {
+                (s, w)
+            }
+        })
+        .boxed()
+}
+
+/// One value per region of an attribute's value line, cut at `constants`,
+/// for every value type a constant has, and `None` for "absent". A value
+/// of a type no constant has fails every comparison, as an absent one does.
+fn representatives(constants: &[&Value]) -> Vec<Option<Value>> {
+    let mut numbers: Vec<f64> = constants.iter().filter_map(|c| c.as_f64()).collect();
+    numbers.retain(|x| !x.is_nan());
+    numbers.sort_by(f64::total_cmp);
+    // Constants stay far inside ±2^53, so an `Int` compares exactly as its
+    // `f64` image and `Float`s stand for both numeric types.
+    let mut reps: Vec<Value> = numbers.iter().map(|&x| Value::Float(x)).collect();
+    reps.extend(
+        numbers
+            .windows(2)
+            .map(|w| Value::Float((w[0] + w[1]) / 2.0)),
+    );
+    if let (Some(lo), Some(hi)) = (numbers.first(), numbers.last()) {
+        reps.extend([Value::Float(lo - 1.0), Value::Float(hi + 1.0)]);
+    }
+    // `""` is the least string, and `s + "\0"` the least one above `s`.
+    let strings: Vec<&str> = constants.iter().filter_map(|c| c.as_str()).collect();
+    if !strings.is_empty() {
+        reps.push(Value::from(""));
+    }
+    for s in strings {
+        reps.extend([Value::from(s), Value::from(format!("{s}\0"))]);
+    }
+    if constants.iter().any(|c| c.as_bool().is_some()) {
+        reps.extend([Value::Bool(false), Value::Bool(true)]);
+    }
+    std::iter::once(None)
+        .chain(reps.into_iter().map(Some))
+        .collect()
+}
+
+/// Whether `holds` is true of every event giving each attribute of `axes`
+/// one of its values, the attributes before them fixed by `chosen`.
+fn every_event<'a>(
+    axes: &'a [(&str, Vec<Option<Value>>)],
+    chosen: &mut Vec<(&'a str, &'a Value)>,
+    holds: &impl Fn(&EventMessage) -> bool,
+) -> bool {
+    let Some(((attr, values), rest)) = axes.split_first() else {
+        let builder = EventMessage::builder();
+        return holds(
+            &chosen
+                .iter()
+                .fold(builder, |b, &(a, v)| b.attr(a, v.clone()))
+                .build(),
+        );
+    };
+    values.iter().all(|value| {
+        let fixed = chosen.len();
+        chosen.extend(value.as_ref().map(|v| (*attr, v)));
+        let all = every_event(rest, chosen, holds);
+        chosen.truncate(fixed);
+        all
+    })
+}
+
+/// Whether every event that fulfils `stronger` fulfils `weaker`, decided
+/// over one event per combination of the attributes' regions.
+fn semantically_implies(stronger: &Expr, weaker: &Expr) -> bool {
+    let mut predicates = stronger.predicates();
+    predicates.extend(weaker.predicates());
+    let mut attrs: Vec<&str> = predicates.iter().map(|p| p.attribute()).collect();
+    attrs.sort_unstable();
+    attrs.dedup();
+    let axes: Vec<(&str, Vec<Option<Value>>)> = attrs
+        .into_iter()
+        .map(|attr| {
+            let on_attr = predicates.iter().filter(|p| p.attribute() == attr);
+            let constants: Vec<&Value> = on_attr.map(|p| p.constant()).collect();
+            (attr, representatives(&constants))
+        })
+        .collect();
+    every_event(&axes, &mut Vec::new(), &|event| {
+        !stronger.evaluate(event) || weaker.evaluate(event)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// `implies` is sound: it never accepts a pair that some event tells
+    /// apart.
+    #[test]
+    fn implies_agrees_with_the_region_oracle(
+        pair in oracle_pair(),
+    ) {
+        let (stronger, weaker) = pair;
+        if implies(&stronger, &weaker) {
+            prop_assert!(
+                semantically_implies(&stronger, &weaker),
+                "implies({:?}, {:?}) but an event fulfils only the first", stronger, weaker
+            );
         }
     }
 }
