@@ -18,13 +18,20 @@
 //!   commutative-stable form, maximizing hits — become **one node** carrying
 //!   an id-sorted list of `(subscription, subscriber)` pairs, so a match is
 //!   delivered straight from the node that decided it.
-//! * **Hot facts beside the slab.** A node's children never change after it
-//!   is created, so its operator, arity, level, default value (its value
-//!   under "no predicate fulfilled") and `base` — how many of its child
-//!   edges are default-true, duplicates counted — are fixed then. They live
-//!   in one array parallel to the slab, with the node's reference count and
-//!   whether it has subscribers; the slab keeps the predicate, the edge
-//!   lists, the subscribers and the fingerprint.
+//! * **Hot facts beside the slab, edge lists in arenas.** A node's children
+//!   never change after it is created, so its operator, arity, level,
+//!   default value (its value under "no predicate fulfilled") and `base` —
+//!   how many of its child edges are default-true, duplicates counted — are
+//!   fixed then. They live in one array parallel to the slab, with the
+//!   node's reference count and whether it has subscribers. Its children,
+//!   parent edges and subscribers live in three engine-owned arenas, each
+//!   holding every node's list back to back in one vector, addressed by a
+//!   span per slab slot. Matching reads that array, the spans and the
+//!   arenas, never the slab, which keeps only the predicate and the
+//!   fingerprint. A list that outgrows its span moves to the end of its
+//!   arena at double capacity; a freed node's span becomes garbage, and once
+//!   garbage passes an eighth of an arena its live lists are rewritten in
+//!   slot order.
 //! * **Leaves reuse the existing machinery.** Each distinct predicate leaf is
 //!   registered once in the [`AttributeIndex`], keyed by its DAG node id, so
 //!   the index's per-event probe serves both engines unchanged.
@@ -145,25 +152,218 @@ impl NodeMeta {
     }
 }
 
-/// One live DAG node: what interning, propagation and emission read.
+/// The cold facts of one live DAG node, read by interning and removal.
 #[derive(Debug)]
 struct DagNode {
     /// The predicate of a leaf; `None` for an interior node.
     pred: Option<Predicate>,
-    /// Child node ids, **sorted** (duplicates retained so arity is
-    /// preserved). Sorting makes structural equality a plain `Vec` compare
-    /// and absorbs `And(a, b)` vs `And(b, a)`, matching the commutative
-    /// fingerprint.
-    children: Vec<u32>,
-    /// One entry per parent *edge* (duplicates allowed when an ungated
-    /// parent lists this child twice; a gated And has one edge, on its
-    /// access child). Used to propagate non-default values upward.
-    parents: Vec<u32>,
-    /// Subscriptions rooted at this node with their subscribers, sorted by
-    /// id.
-    subscribers: Vec<(SubscriptionId, SubscriberId)>,
     /// Structural fingerprint — the hash-consing key.
     fp: u64,
+}
+
+/// An [`Arena`] rewrites its live lists once more than
+/// `1 / GARBAGE_DIVISOR` of its data is garbage. Building the
+/// 100k-subscription benchmark population (seed 42, 2-core x86-64 host),
+/// a trigger at one half ran no compaction and left 149k of the subscriber
+/// arena's 308k elements garbage, 1.2 MiB more peak RSS than one heap
+/// vector per list; one at an eighth ran 42 compactions and 0.4 MiB less.
+/// At an eighth with exactly sized lists, every compacted list relocated on
+/// its next push: 801 compactions copied 15M elements and inserting took
+/// 40 % longer.
+const GARBAGE_DIVISOR: usize = 8;
+
+/// Where one slab slot's list sits in its [`Arena`]: `len` elements from
+/// `start`, inside room for `cap`. A freed slot's span is the default.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Span {
+    start: usize,
+    len: u32,
+    cap: u32,
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start..self.start + self.len as usize
+    }
+}
+
+/// One list per slab slot, every list stored back to back in one vector,
+/// so reading a node's list touches its span and its elements rather than a
+/// heap block of its own. A push onto a full list moves it to the end of
+/// `data` at double capacity (or grows it in place when it already ends
+/// there); removal is in place. Lists moved away and lists of freed slots
+/// are garbage, and compaction rewrites the live lists in slot order once
+/// garbage exceeds `1 / GARBAGE_DIVISOR` of `data`.
+#[derive(Debug)]
+struct Arena<T> {
+    data: Vec<T>,
+    /// One span per slab slot, parallel to `ATreeEngine::meta`.
+    spans: Vec<Span>,
+    /// Elements of `data` inside no live span.
+    garbage: usize,
+    /// Compactions run so far; the structure tests read it.
+    #[cfg_attr(not(test), allow(dead_code))]
+    compactions: u64,
+}
+
+impl<T> Default for Arena<T> {
+    fn default() -> Self {
+        Self {
+            data: Vec::new(),
+            spans: Vec::new(),
+            garbage: 0,
+            compactions: 0,
+        }
+    }
+}
+
+impl<T: Copy> Arena<T> {
+    /// Adds an empty list for a new slab slot.
+    fn push_slot(&mut self) {
+        self.spans.push(Span::default());
+    }
+
+    /// The list of `slot`; empty for a slot out of range.
+    #[inline]
+    fn get(&self, slot: u32) -> &[T] {
+        self.spans
+            .get(slot as usize)
+            .and_then(|s| self.data.get(s.range()))
+            .unwrap_or_default()
+    }
+
+    /// Gives the empty list of `slot` the elements `items`, exactly sized,
+    /// at the end of `data`.
+    fn fill(&mut self, slot: u32, items: &[T]) {
+        let Some(span) = self.spans.get_mut(slot as usize) else {
+            return;
+        };
+        // A list's length is counted in u32, as a node's arity is.
+        let len = u32::try_from(items.len()).unwrap_or(u32::MAX);
+        *span = Span {
+            start: self.data.len(),
+            len,
+            cap: len,
+        };
+        self.data.extend_from_slice(&items[..len as usize]);
+    }
+
+    /// Appends `value` to the list of `slot`.
+    fn push(&mut self, slot: u32, value: T) {
+        self.insert(slot, self.get(slot).len(), value);
+    }
+
+    /// Inserts `value` at position `pos` (at most the length) of the list
+    /// of `slot`, first making room if the list is full.
+    fn insert(&mut self, slot: u32, pos: usize, value: T) {
+        let Some(&old) = self.spans.get(slot as usize) else {
+            return;
+        };
+        let mut span = old;
+        if span.len == span.cap {
+            if span.start + span.cap as usize != self.data.len() {
+                span.start = self.data.len();
+                self.data.extend_from_within(old.range());
+                self.garbage += old.cap as usize;
+            }
+            span.cap = span.cap.saturating_mul(2).max(1);
+            self.data.resize(span.start + span.cap as usize, value);
+        }
+        let at = span.start + pos;
+        self.data
+            .copy_within(at..span.start + span.len as usize, at + 1);
+        self.data[at] = value;
+        span.len += 1;
+        self.spans[slot as usize] = span;
+        self.compact_if_wasteful();
+    }
+
+    /// Removes the element at `pos` of the list of `slot`, keeping the
+    /// order of the rest.
+    fn remove(&mut self, slot: u32, pos: usize) {
+        let Some(span) = self.spans.get_mut(slot as usize) else {
+            return;
+        };
+        if pos < span.len as usize {
+            let at = span.start + pos;
+            self.data
+                .copy_within(at + 1..span.start + span.len as usize, at);
+            span.len -= 1;
+        }
+    }
+
+    /// Drops the list of `slot`, whose node is freed: its span becomes
+    /// garbage.
+    fn free(&mut self, slot: u32) {
+        let Some(span) = self.spans.get_mut(slot as usize) else {
+            return;
+        };
+        self.garbage += span.cap as usize;
+        *span = Span::default();
+        self.compact_if_wasteful();
+    }
+
+    fn compact_if_wasteful(&mut self) {
+        if self.garbage > self.data.len() / GARBAGE_DIVISOR {
+            self.compact();
+        }
+    }
+
+    /// Rewrites the live lists into a fresh `data`, in slot order, each
+    /// keeping its room up to the next power of two of its length (the room
+    /// pushing alone would have given it); an empty list gets the default
+    /// span.
+    fn compact(&mut self) {
+        let room = |s: &Span| s.cap.min(s.len.next_power_of_two());
+        let total = self
+            .spans
+            .iter()
+            .filter(|s| s.len > 0)
+            .map(|s| room(s) as usize)
+            .sum();
+        let mut data = Vec::with_capacity(total);
+        for span in &mut self.spans {
+            let old = std::mem::take(span);
+            let list = &self.data[old.range()];
+            let Some(&last) = list.last() else {
+                continue;
+            };
+            *span = Span {
+                start: data.len(),
+                len: old.len,
+                cap: room(&old),
+            };
+            data.extend_from_slice(list);
+            data.resize(span.start + span.cap as usize, last);
+        }
+        self.data = data;
+        self.garbage = 0;
+        self.compactions += 1;
+    }
+
+    /// Total number of list elements, live ones only.
+    fn live_len(&self) -> usize {
+        self.spans.iter().map(|s| s.len as usize).sum()
+    }
+
+    /// Bytes allocated for the data (garbage and spare room included) and
+    /// the spans.
+    fn bytes(&self) -> usize {
+        self.data.capacity() * size_of::<T>() + self.spans.capacity() * size_of::<Span>()
+    }
+}
+
+/// One node's per-event scratch. The two fields are read and written
+/// together, so they share a cache line.
+#[derive(Debug, Clone, Copy, Default)]
+struct Stamp {
+    /// The generation of the event that last fulfilled the node (a leaf) or
+    /// scheduled it (an interior node).
+    gen: u32,
+    /// Per scheduled counter node, its child edges that left their default
+    /// for true minus those that left it for false; per swept gated node,
+    /// its value (0 or 1). Valid only where `gen` is current.
+    count: i32,
 }
 
 /// Reusable per-event scratch, indexed by DAG node id. Generation-stamped:
@@ -171,13 +371,8 @@ struct DagNode {
 /// matching performs no heap allocation here.
 #[derive(Debug, Default)]
 struct AtreeScratch {
-    /// Generation stamp per node: a leaf fulfilled, or an interior node
-    /// scheduled, by the current event.
-    sched_gen: Vec<u32>,
-    /// Per scheduled counter node, its child edges that left their default
-    /// for true minus those that left it for false; per swept gated node,
-    /// its value (0 or 1). Valid only where `sched_gen` is current.
-    count: Vec<i32>,
+    /// One stamp per node.
+    stamps: Vec<Stamp>,
     /// The generation of the event currently being matched.
     current_gen: u32,
     /// Scheduled interior nodes, bucketed by DAG level; swept ascending.
@@ -198,9 +393,8 @@ impl AtreeScratch {
     /// Starts a new event: bumps the generation and sizes the per-node
     /// buffers to cover `nodes` slab entries and `max_level` levels.
     fn advance(&mut self, nodes: usize, max_level: u32) {
-        if self.sched_gen.len() < nodes {
-            self.sched_gen.resize(nodes, 0);
-            self.count.resize(nodes, 0);
+        if self.stamps.len() < nodes {
+            self.stamps.resize(nodes, Stamp::default());
         }
         let want_levels = max_level as usize + 1;
         if self.pending.len() < want_levels {
@@ -210,7 +404,7 @@ impl AtreeScratch {
         if self.current_gen == 0 {
             // Generation wrap (once per 2³² events): physically reset the
             // stamps so ancient generations cannot alias the new one.
-            self.sched_gen.fill(0);
+            self.stamps.fill(Stamp::default());
             self.current_gen = 1;
         }
         self.true_roots.clear();
@@ -224,12 +418,12 @@ impl AtreeScratch {
         let gen = self.current_gen;
         for &p in parents {
             let i = p as usize;
-            if self.sched_gen[i] != gen {
-                self.sched_gen[i] = gen;
-                self.count[i] = 0;
+            let stamp = &mut self.stamps[i];
+            if stamp.gen != gen {
+                *stamp = Stamp { gen, count: 0 };
                 self.pending[meta[i].level as usize].push(p);
             }
-            self.count[i] += delta;
+            stamp.count += delta;
         }
     }
 
@@ -238,20 +432,20 @@ impl AtreeScratch {
     fn value_of(&self, c: u32, meta: &[NodeMeta]) -> bool {
         let i = c as usize;
         let m = meta[i];
-        if self.sched_gen[i] != self.current_gen {
+        let stamp = self.stamps[i];
+        if stamp.gen != self.current_gen {
             return m.default;
         }
         match m.op {
             Op::Leaf => true,
-            _ if m.gated => self.count[i] != 0,
-            _ => m.value(m.base.wrapping_add_signed(self.count[i])),
+            _ if m.gated => stamp.count != 0,
+            _ => m.value(m.base.wrapping_add_signed(stamp.count)),
         }
     }
 
     /// Total number of scratch elements currently allocated.
     fn capacity(&self) -> usize {
-        self.sched_gen.capacity()
-            + self.count.capacity()
+        self.stamps.capacity()
             + self.pending.capacity()
             + self.pending.iter().map(Vec::capacity).sum::<usize>()
             + self.true_roots.capacity()
@@ -325,8 +519,8 @@ fn sort_by_id(
 
 /// Point-in-time memory footprint of the DAG, for the benchmark panel's
 /// per-engine accounting. `slab_bytes` covers the matching structure itself —
-/// node slab and its parallel per-node arrays, child/parent/subscriber edge
-/// lists, string-constant heap of the leaf predicates, the interning table,
+/// node slab and its parallel per-node arrays, the child/parent/subscriber
+/// arenas, string-constant heap of the leaf predicates, the interning table,
 /// and the id → root mapping — and deliberately excludes the engine-API
 /// `Subscription` storage, which is identical across engines and never
 /// touched while matching.
@@ -336,7 +530,9 @@ pub struct AtreeMemory {
     pub node_count: usize,
     /// Parent→child edges (sum of child-list lengths).
     pub edge_count: usize,
-    /// Bytes held by the DAG slab and its side tables.
+    /// Bytes held by the DAG slab and its side tables. The child, parent
+    /// and subscriber arenas count at their allocated capacity, so garbage
+    /// not yet compacted away and room for growth are included.
     pub slab_bytes: usize,
 }
 
@@ -348,7 +544,21 @@ pub struct ATreeEngine {
     nodes: Vec<Option<DagNode>>,
     /// The hot per-node facts, parallel to `nodes`.
     meta: Vec<NodeMeta>,
+    /// Each node's child ids, **sorted** (duplicates retained so arity is
+    /// preserved). Sorting makes structural equality a plain slice compare
+    /// and absorbs `And(a, b)` vs `And(b, a)`, matching the commutative
+    /// fingerprint.
+    children: Arena<u32>,
+    /// Each node's parent *edges* (duplicates allowed when an ungated
+    /// parent lists the node twice; a gated And has one edge, on its access
+    /// child). Used to propagate non-default values upward.
+    parents: Arena<u32>,
+    /// The subscriptions rooted at each node with their subscribers, sorted
+    /// by id.
+    subscribers: Arena<(SubscriptionId, SubscriberId)>,
     free_nodes: Vec<u32>,
+    /// The work stack of [`release`](Self::release), kept between calls.
+    release_work: Vec<u32>,
     /// Highest level currently in the DAG (monotone; slots keep it simple).
     max_level: u32,
     /// Hash-consing table: fingerprint → candidate node ids (verified
@@ -451,18 +661,18 @@ impl ATreeEngine {
 
     /// Point-in-time memory footprint of the DAG (see [`AtreeMemory`]).
     pub fn memory(&self) -> AtreeMemory {
-        let mut edge_count = 0usize;
         let mut bytes = self.nodes.capacity() * size_of::<Option<DagNode>>()
-            + self.meta.capacity() * size_of::<NodeMeta>();
+            + self.meta.capacity() * size_of::<NodeMeta>()
+            + self.children.bytes()
+            + self.parents.bytes()
+            + self.subscribers.bytes();
         for node in self.nodes.iter().flatten() {
-            edge_count += node.children.len();
-            bytes += (node.children.capacity() + node.parents.capacity()) * size_of::<u32>()
-                + node.subscribers.capacity() * size_of::<(SubscriptionId, SubscriberId)>();
             if let Some(p) = &node.pred {
                 bytes += p.size_bytes();
             }
         }
         bytes += (self.free_nodes.capacity()
+            + self.release_work.capacity()
             + self.default_true_pos.capacity()
             + self.default_true_roots.capacity())
             * size_of::<u32>()
@@ -475,7 +685,7 @@ impl ATreeEngine {
             + self.subs.capacity() * size_of::<(SubscriptionId, u32)>();
         AtreeMemory {
             node_count: self.live_nodes as usize,
-            edge_count,
+            edge_count: self.children.live_len(),
             slab_bytes: bytes,
         }
     }
@@ -493,6 +703,9 @@ impl ATreeEngine {
         let n = u32::try_from(self.nodes.len()).expect("DAG node slab exceeds u32 range");
         self.nodes.push(None);
         self.meta.push(NodeMeta::default());
+        self.children.push_slot();
+        self.parents.push_slot();
+        self.subscribers.push_slot();
         self.default_true_pos.push(NOT_IN_LIST);
         n
     }
@@ -522,15 +735,16 @@ impl ATreeEngine {
     /// candidate is exactly the child we interned — fresh children are never
     /// orphaned by a hit (a live candidate cannot reference a just-allocated
     /// id).
-    fn intern(&mut self, fp: u64, op: Op, pred: Option<&Predicate>, children: Vec<u32>) -> u32 {
+    fn intern(&mut self, fp: u64, op: Op, pred: Option<&Predicate>, children: &[u32]) -> u32 {
         if let Some(bucket) = self.interned.get(&fp) {
             for &cand in bucket {
                 let hit = self.meta.get(cand as usize).is_some_and(|m| m.op == op)
+                    && self.children.get(cand) == children
                     && self
                         .nodes
                         .get(cand as usize)
                         .and_then(|e| e.as_ref())
-                        .is_some_and(|n| n.children == children && n.pred.as_ref() == pred);
+                        .is_some_and(|n| n.pred.as_ref() == pred);
                 if hit {
                     return cand;
                 }
@@ -539,20 +753,14 @@ impl ATreeEngine {
         self.create_node(fp, op, pred, children)
     }
 
-    fn create_node(
-        &mut self,
-        fp: u64,
-        op: Op,
-        pred: Option<&Predicate>,
-        children: Vec<u32>,
-    ) -> u32 {
+    fn create_node(&mut self, fp: u64, op: Op, pred: Option<&Predicate>, children: &[u32]) -> u32 {
         let mut meta = NodeMeta {
             op,
             ..NodeMeta::default()
         };
         if op != Op::Leaf {
             let mut child_level = 0;
-            for &c in &children {
+            for &c in children {
                 let child = self.meta.get(c as usize).copied().unwrap_or_default();
                 child_level = child_level.max(child.level);
                 meta.arity += 1;
@@ -561,15 +769,13 @@ impl ATreeEngine {
             meta.level = child_level + 1;
             meta.default = meta.value(meta.base);
         }
-        let access = self.access_child(op, &children);
+        let access = self.access_child(op, children);
         meta.gated = access.is_some();
         let id = self.alloc_node();
-        for &c in access.as_ref().map_or(&children[..], std::slice::from_ref) {
-            if let Some(child) = self.nodes.get_mut(c as usize).and_then(|e| e.as_mut()) {
-                child.parents.push(id);
-            }
+        for &c in access.as_ref().map_or(children, std::slice::from_ref) {
+            self.parents.push(c, id);
         }
-        for &c in &children {
+        for &c in children {
             self.bump_ref(c);
         }
         if let Some(p) = pred {
@@ -579,11 +785,9 @@ impl ATreeEngine {
         let i = id as usize;
         self.meta[i] = meta;
         self.max_level = self.max_level.max(meta.level);
+        self.children.fill(id, children);
         self.nodes[i] = Some(DagNode {
             pred: pred.cloned(),
-            children,
-            parents: Vec::new(),
-            subscribers: Vec::new(),
             fp,
         });
         self.interned.entry(fp).or_default().push(id);
@@ -623,25 +827,25 @@ impl ATreeEngine {
     /// Interns `expr` bottom-up, returning its DAG node.
     fn intern_expr(&mut self, expr: &Expr) -> u32 {
         match expr {
-            Expr::Pred(p) => self.intern(predicate_fingerprint(p), Op::Leaf, Some(p), Vec::new()),
+            Expr::Pred(p) => self.intern(predicate_fingerprint(p), Op::Leaf, Some(p), &[]),
             Expr::And(children) => {
                 let mut kids: Vec<u32> = children.iter().map(|c| self.intern_expr(c)).collect();
                 let fps: Vec<u64> = kids.iter().map(|&k| self.node_fp(k)).collect();
                 let fp = and_fingerprint(&fps);
                 kids.sort_unstable();
-                self.intern(fp, Op::And, None, kids)
+                self.intern(fp, Op::And, None, &kids)
             }
             Expr::Or(children) => {
                 let mut kids: Vec<u32> = children.iter().map(|c| self.intern_expr(c)).collect();
                 let fps: Vec<u64> = kids.iter().map(|&k| self.node_fp(k)).collect();
                 let fp = or_fingerprint(&fps);
                 kids.sort_unstable();
-                self.intern(fp, Op::Or, None, kids)
+                self.intern(fp, Op::Or, None, &kids)
             }
             Expr::Not(child) => {
                 let k = self.intern_expr(child);
                 let fp = not_fingerprint(self.node_fp(k));
-                self.intern(fp, Op::Not, None, vec![k])
+                self.intern(fp, Op::Not, None, &[k])
             }
         }
     }
@@ -673,12 +877,18 @@ impl ATreeEngine {
         }
     }
 
+    /// Whether slab slot `n` holds a live node.
+    fn is_live(&self, n: u32) -> bool {
+        self.nodes.get(n as usize).is_some_and(Option::is_some)
+    }
+
     fn add_subscriber(&mut self, root: u32, id: SubscriptionId, subscriber: SubscriberId) {
-        let Some(node) = self.nodes.get_mut(root as usize).and_then(|e| e.as_mut()) else {
+        if !self.is_live(root) {
             return;
-        };
-        if let Err(pos) = node.subscribers.binary_search_by_key(&id, |&(s, _)| s) {
-            node.subscribers.insert(pos, (id, subscriber));
+        }
+        let list = self.subscribers.get(root);
+        if let Err(pos) = list.binary_search_by_key(&id, |&(s, _)| s) {
+            self.subscribers.insert(root, pos, (id, subscriber));
         }
         let m = &mut self.meta[root as usize];
         let first = !m.has_subscribers;
@@ -690,13 +900,14 @@ impl ATreeEngine {
     }
 
     fn remove_subscriber(&mut self, root: u32, id: SubscriptionId) {
-        let Some(node) = self.nodes.get_mut(root as usize).and_then(|e| e.as_mut()) else {
+        if !self.is_live(root) {
             return;
-        };
-        if let Ok(pos) = node.subscribers.binary_search_by_key(&id, |&(s, _)| s) {
-            node.subscribers.remove(pos);
         }
-        if node.subscribers.is_empty() {
+        let list = self.subscribers.get(root);
+        if let Ok(pos) = list.binary_search_by_key(&id, |&(s, _)| s) {
+            self.subscribers.remove(root, pos);
+        }
+        if self.subscribers.get(root).is_empty() {
             self.meta[root as usize].has_subscribers = false;
             self.default_true_remove(root);
         }
@@ -706,10 +917,11 @@ impl ATreeEngine {
     /// Drops one reference from `node`, freeing it (and cascading to its
     /// children) when the last reference goes away.
     fn release(&mut self, node: u32) {
-        let mut work = vec![node];
+        let mut work = std::mem::take(&mut self.release_work);
+        work.push(node);
         while let Some(n) = work.pop() {
             let i = n as usize;
-            if self.nodes.get(i).and_then(|e| e.as_ref()).is_none() {
+            if !self.is_live(n) {
                 continue;
             }
             let m = &mut self.meta[i];
@@ -725,7 +937,7 @@ impl ATreeEngine {
             let Some(entry) = self.nodes[i].take() else {
                 continue;
             };
-            let access = self.access_child(op, &entry.children);
+            let access = self.access_child(op, self.children.get(n));
             if let Some(bucket) = self.interned.get_mut(&entry.fp) {
                 if let Some(pos) = bucket.iter().position(|&x| x == n) {
                     bucket.swap_remove(pos);
@@ -741,18 +953,20 @@ impl ATreeEngine {
             self.default_true_remove(n);
             for &c in access
                 .as_ref()
-                .map_or(&entry.children[..], std::slice::from_ref)
+                .map_or(self.children.get(n), std::slice::from_ref)
             {
-                if let Some(child) = self.nodes.get_mut(c as usize).and_then(|e| e.as_mut()) {
-                    if let Some(pos) = child.parents.iter().position(|&x| x == n) {
-                        child.parents.swap_remove(pos);
-                    }
+                if let Some(pos) = self.parents.get(c).iter().position(|&x| x == n) {
+                    self.parents.remove(c, pos);
                 }
             }
-            work.extend_from_slice(&entry.children);
+            work.extend_from_slice(self.children.get(n));
+            self.children.free(n);
+            self.parents.free(n);
+            self.subscribers.free(n);
             self.free_nodes.push(n);
             self.live_nodes = self.live_nodes.saturating_sub(1);
         }
+        self.release_work = work;
     }
 
     /// Matches `events`, each given as its resolved pairs, one after the
@@ -769,8 +983,10 @@ impl ATreeEngine {
         let scratch_capacity_before = self.scratch.capacity();
 
         let Self {
-            nodes,
             meta,
+            children,
+            parents,
+            subscribers,
             max_level,
             default_true_roots,
             index,
@@ -780,8 +996,10 @@ impl ATreeEngine {
         } = self;
         for (i, pairs) in events.enumerate() {
             Self::match_event_core(
-                nodes,
                 meta,
+                children,
+                parents,
+                subscribers,
                 *max_level,
                 default_true_roots,
                 scratch,
@@ -809,8 +1027,10 @@ impl ATreeEngine {
     /// `(id, subscriber)` matches in `scratch.match_buf`.
     #[allow(clippy::too_many_arguments)] // engine fields passed piecewise
     fn match_event_core(
-        nodes: &[Option<DagNode>],
         meta: &[NodeMeta],
+        children: &Arena<u32>,
+        parents: &Arena<u32>,
+        subscribers: &Arena<(SubscriptionId, SubscriberId)>,
         max_level: u32,
         default_true_roots: &[u32],
         scratch: &mut AtreeScratch,
@@ -818,7 +1038,7 @@ impl ATreeEngine {
         index: &AttributeIndex,
         pairs: &[(AttrId, Value)],
     ) {
-        scratch.advance(nodes.len(), max_level);
+        scratch.advance(meta.len(), max_level);
         let gen = scratch.current_gen;
         let mut fulfilled = 0u64;
         let mut evaluated = 0u64;
@@ -832,21 +1052,20 @@ impl ATreeEngine {
         {
             let mut touch = |n: u32| {
                 let i = n as usize;
-                let Some(node) = nodes.get(i).and_then(|e| e.as_ref()) else {
+                let Some(&m) = meta.get(i) else {
                     return;
                 };
-                if scratch.sched_gen[i] == gen {
+                if scratch.stamps[i].gen == gen {
                     return;
                 }
-                scratch.sched_gen[i] = gen;
+                scratch.stamps[i].gen = gen;
                 fulfilled += 1;
-                let m = meta[i];
                 saved += u64::from(m.refs.saturating_sub(1));
                 if m.has_subscribers {
                     candidates += 1;
                     scratch.true_roots.push(n);
                 }
-                scratch.schedule(&node.parents, 1, meta);
+                scratch.schedule(parents.get(n), 1, meta);
             };
             index.fulfilled_pairs(pairs.iter().map(|(a, v)| (*a, v)), |key| touch(key.slot.0));
         }
@@ -865,13 +1084,11 @@ impl ATreeEngine {
                 let i = n as usize;
                 let m = meta[i];
                 let v = if m.gated {
-                    let v = nodes.get(i).and_then(|e| e.as_ref()).is_some_and(|node| {
-                        node.children.iter().all(|&c| scratch.value_of(c, meta))
-                    });
-                    scratch.count[i] = i32::from(v);
+                    let v = children.get(n).iter().all(|&c| scratch.value_of(c, meta));
+                    scratch.stamps[i].count = i32::from(v);
                     v
                 } else {
-                    m.value(m.base.wrapping_add_signed(scratch.count[i]))
+                    m.value(m.base.wrapping_add_signed(scratch.stamps[i].count))
                 };
                 evaluated += 1;
                 saved += u64::from(m.refs.saturating_sub(1));
@@ -882,9 +1099,7 @@ impl ATreeEngine {
                     }
                 }
                 if v != m.default {
-                    if let Some(node) = nodes.get(i).and_then(|e| e.as_ref()) {
-                        scratch.schedule(&node.parents, if v { 1 } else { -1 }, meta);
-                    }
+                    scratch.schedule(parents.get(n), if v { 1 } else { -1 }, meta);
                 }
             }
             scratch.pending[lvl].clear();
@@ -902,24 +1117,18 @@ impl ATreeEngine {
         // radix sort gives the deterministic id order that keeps this engine
         // byte-identical to the counting engine.
         let AtreeScratch {
-            sched_gen,
+            stamps,
             true_roots,
             match_buf,
             sort_spare,
             ..
         } = scratch;
         for &r in true_roots.iter() {
-            if let Some(node) = nodes.get(r as usize).and_then(|e| e.as_ref()) {
-                match_buf.extend_from_slice(&node.subscribers);
-            }
+            match_buf.extend_from_slice(subscribers.get(r));
         }
         for &r in default_true_roots {
-            let i = r as usize;
-            if sched_gen[i] == gen {
-                continue;
-            }
-            if let Some(node) = nodes.get(i).and_then(|e| e.as_ref()) {
-                match_buf.extend_from_slice(&node.subscribers);
+            if stamps[r as usize].gen != gen {
+                match_buf.extend_from_slice(subscribers.get(r));
             }
         }
         sort_by_id(match_buf, sort_spare);
@@ -1400,30 +1609,129 @@ mod tests {
             .or_else(|| default_false().min())
     }
 
-    /// Checks the incrementally kept per-node facts against values
-    /// recomputed from scratch: every live node's meta from its children,
-    /// its subscribers and the child lists naming it; every parent list
-    /// against the edges the gating rule gives (a gated And's one edge on
-    /// its access child, an edge per child occurrence otherwise); the id map
-    /// against the root lists, the default-true list and the gauges; and
-    /// that every freed slot is inert (default meta, off every list, never
-    /// interned).
+    /// The node `e` holds for `expr`, with its fingerprint, found bottom-up
+    /// by fingerprint, operator and predicate alone, never through the
+    /// arenas. Records each node's child ids, sorted, in `children`, and
+    /// checks that a node reached twice is given the same list both times.
+    fn rebuild_node(e: &ATreeEngine, expr: &Expr, children: &mut [Option<Vec<u32>>]) -> (u32, u64) {
+        let mut below = |kids: &[Expr]| -> (Vec<u32>, Vec<u64>) {
+            kids.iter().map(|c| rebuild_node(e, c, children)).unzip()
+        };
+        let (op, pred, mut kids, fp) = match expr {
+            Expr::Pred(p) => (Op::Leaf, Some(p), Vec::new(), predicate_fingerprint(p)),
+            Expr::And(cs) => {
+                let (kids, fps) = below(cs);
+                (Op::And, None, kids, and_fingerprint(&fps))
+            }
+            Expr::Or(cs) => {
+                let (kids, fps) = below(cs);
+                (Op::Or, None, kids, or_fingerprint(&fps))
+            }
+            Expr::Not(c) => {
+                let (kids, fps) = below(std::slice::from_ref(c));
+                (Op::Not, None, kids, not_fingerprint(fps[0]))
+            }
+        };
+        kids.sort_unstable();
+        let found: Vec<u32> = e
+            .interned
+            .get(&fp)
+            .into_iter()
+            .flatten()
+            .copied()
+            .filter(|&c| {
+                e.meta[c as usize].op == op
+                    && e.nodes[c as usize]
+                        .as_ref()
+                        .is_some_and(|node| node.fp == fp && node.pred.as_ref() == pred)
+            })
+            .collect();
+        assert_eq!(found.len(), 1, "{expr:?} is not interned exactly once");
+        let n = found[0];
+        if let Some(seen) = &children[n as usize] {
+            assert_eq!(seen, &kids, "node {n} rebuilt twice differently");
+        }
+        children[n as usize] = Some(kids);
+        (n, fp)
+    }
+
+    /// Checks the layout of `arena`: one span per slab slot; every live
+    /// list's span inside `data`, its length within its room, overlapping no
+    /// other live span; a garbage count equal to the data no live span
+    /// covers and within the compaction bound; and the default span on every
+    /// freed slot.
+    fn assert_arena_sound<T: Copy>(arena: &Arena<T>, nodes: &[Option<DagNode>], name: &str) {
+        assert_eq!(arena.spans.len(), nodes.len(), "{name}: one span per slot");
+        let mut live: Vec<Span> = Vec::new();
+        for (i, (&span, node)) in arena.spans.iter().zip(nodes).enumerate() {
+            if node.is_none() {
+                assert_eq!(span, Span::default(), "{name}: freed slot {i}");
+                continue;
+            }
+            assert!(
+                span.len <= span.cap && span.start + span.cap as usize <= arena.data.len(),
+                "{name}: node {i} has {span:?} over {} elements",
+                arena.data.len()
+            );
+            if span.cap > 0 {
+                live.push(span);
+            }
+        }
+        live.sort_unstable_by_key(|s| s.start);
+        for w in live.windows(2) {
+            assert!(
+                w[0].start + w[0].cap as usize <= w[1].start,
+                "{name}: {:?} overlaps {:?}",
+                w[0],
+                w[1]
+            );
+        }
+        let covered: usize = live.iter().map(|s| s.cap as usize).sum();
+        assert_eq!(arena.garbage, arena.data.len() - covered, "{name}: garbage");
+        assert!(
+            arena.garbage <= arena.data.len() / GARBAGE_DIVISOR,
+            "{name}: {} garbage of {}",
+            arena.garbage,
+            arena.data.len()
+        );
+    }
+
+    /// Compactions run so far by the three arenas together.
+    fn compactions(e: &ATreeEngine) -> u64 {
+        e.children.compactions + e.parents.compactions + e.subscribers.compactions
+    }
+
+    /// Checks the incrementally kept structure against one recomputed from
+    /// scratch: every live node's children (from the registered trees),
+    /// subscribers (from the id map) and parent edges (the ones the gating
+    /// rule gives over those children: a gated And's one edge on its access
+    /// child, an edge per child occurrence otherwise), read through the
+    /// arenas; every live node's meta from its children and subscribers; the
+    /// default-true list and the gauges; each arena's layout; and that every
+    /// freed slot is inert (default meta, off every list, never interned).
     fn assert_meta_equals_rebuild(e: &ATreeEngine) {
-        let mut child_refs = vec![0u32; e.nodes.len()];
-        let mut expected_parents: Vec<Vec<u32>> = vec![Vec::new(); e.nodes.len()];
-        for (i, node) in e.nodes.iter().enumerate() {
-            let Some(node) = node else { continue };
-            for &c in &node.children {
-                assert!(
-                    e.nodes[c as usize].is_some(),
-                    "node {i} has a freed child {c}"
-                );
+        let slots = e.nodes.len();
+        let mut children: Vec<Option<Vec<u32>>> = vec![None; slots];
+        let mut subscribers: Vec<Vec<(SubscriptionId, SubscriberId)>> = vec![Vec::new(); slots];
+        for (&id, (root, sub)) in &e.subs {
+            let (n, _) = rebuild_node(e, &sub.tree().to_expr(), &mut children);
+            assert_eq!(n, *root, "root of {id:?}");
+            subscribers[n as usize].push((id, sub.subscriber()));
+        }
+        for list in &mut subscribers {
+            list.sort_unstable_by_key(|&(id, _)| id);
+        }
+        let mut child_refs = vec![0u32; slots];
+        let mut expected_parents: Vec<Vec<u32>> = vec![Vec::new(); slots];
+        for (i, kids) in children.iter().enumerate() {
+            let Some(kids) = kids else { continue };
+            for &c in kids {
                 child_refs[c as usize] += 1;
             }
-            match expected_access(e, e.meta[i].op, &node.children) {
+            match expected_access(e, e.meta[i].op, kids) {
                 Some(a) => expected_parents[a as usize].push(i as u32),
                 None => {
-                    for &c in &node.children {
+                    for &c in kids {
                         expected_parents[c as usize].push(i as u32);
                     }
                 }
@@ -1444,31 +1752,40 @@ mod tests {
                 );
                 continue;
             };
-            let kids: Vec<NodeMeta> = node.children.iter().map(|&c| e.meta[c as usize]).collect();
-            let defaults = kids.iter().map(|k| k.default);
+            let Some(kids) = &children[i] else {
+                panic!("live node {i} is in no registered tree");
+            };
+            assert_eq!(e.children.get(n), &kids[..], "children of node {i}");
+            assert_eq!(
+                e.subscribers.get(n),
+                &subscribers[i][..],
+                "subscribers of node {i}"
+            );
+            let mut parents = e.parents.get(n).to_vec();
+            parents.sort_unstable();
+            assert_eq!(parents, expected_parents[i], "parent edges of node {i}");
+            let kid_metas: Vec<NodeMeta> = kids.iter().map(|&c| e.meta[c as usize]).collect();
+            let defaults = kid_metas.iter().map(|k| k.default);
             let (op, default) = match (&node.pred, m.op) {
                 (Some(_), _) => (Op::Leaf, false),
                 (None, Op::And) => (Op::And, defaults.clone().all(|d| d)),
                 (None, Op::Or) => (Op::Or, defaults.clone().any(|d| d)),
-                (None, Op::Not) => (Op::Not, !kids[0].default),
+                (None, Op::Not) => (Op::Not, !kid_metas[0].default),
                 (None, Op::Leaf) => panic!("node {i} is a leaf without a predicate"),
             };
-            let mut parents = node.parents.clone();
-            parents.sort_unstable();
-            assert_eq!(parents, expected_parents[i], "parent edges of node {i}");
             let rebuilt = NodeMeta {
                 op,
                 default,
-                has_subscribers: !node.subscribers.is_empty(),
-                arity: node.children.len() as u32,
+                has_subscribers: !subscribers[i].is_empty(),
+                arity: kids.len() as u32,
                 base: defaults.filter(|&d| d).count() as u32,
-                level: kids
+                level: kid_metas
                     .iter()
                     .map(|k| k.level + 1)
                     .max()
                     .unwrap_or(u32::from(op != Op::Leaf)),
-                refs: child_refs[i] + node.subscribers.len() as u32,
-                gated: expected_access(e, op, &node.children).is_some(),
+                refs: child_refs[i] + subscribers[i].len() as u32,
+                gated: expected_access(e, op, kids).is_some(),
             };
             assert_eq!(m, rebuilt, "node {i} meta");
             assert!(m.refs > 0, "live node {i} without references");
@@ -1476,23 +1793,15 @@ mod tests {
             if m.has_subscribers && m.default {
                 default_true.push(n);
             }
-            assert!(node.subscribers.windows(2).all(|w| w[0].0 < w[1].0));
-            for &(id, subscriber) in &node.subscribers {
-                let (root, sub) = &e.subs[&id];
-                assert_eq!(
-                    (*root, sub.subscriber()),
-                    (n, subscriber),
-                    "{id:?} at node {i}"
-                );
-            }
         }
-        let pairs: usize = e.nodes.iter().flatten().map(|n| n.subscribers.len()).sum();
-        assert_eq!(pairs, e.subs.len(), "every id sits at exactly one root");
         let mut listed = e.default_true_roots.clone();
         listed.sort_unstable();
         assert_eq!(listed, default_true, "default-true roots");
         assert_eq!(e.live_nodes as usize, e.nodes.iter().flatten().count());
         assert_eq!(e.shared_count, shared);
+        assert_arena_sound(&e.children, &e.nodes, "children");
+        assert_arena_sound(&e.parents, &e.nodes, "parents");
+        assert_arena_sound(&e.subscribers, &e.nodes, "subscribers");
     }
 
     /// A random tree over a few attributes, drawn from a small pool of
@@ -1522,10 +1831,11 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(24))]
 
-        /// The per-node facts kept incrementally through random insert /
-        /// replace / remove sequences equal a rebuild after every step, with
+        /// The structure kept incrementally through random insert / replace
+        /// / remove sequences equals a rebuild after every step, with
         /// analysis on and off (off keeps duplicate children), and the
-        /// counter sweep they drive agrees with the naive engine.
+        /// counter sweep it drives agrees with the naive engine. The churn
+        /// compacts the child and subscriber arenas along the way.
         #[test]
         fn incremental_meta_equals_a_rebuild(seed in 0u64..1024) {
             let mut rng = proptest::TestRng::deterministic(seed);
@@ -1556,6 +1866,10 @@ mod tests {
                         "{:?} seed {} step {}", analyze, seed, step
                     );
                 }
+                proptest::prop_assert!(
+                    e.children.compactions > 0 && e.subscribers.compactions > 0,
+                    "{:?} seed {} never compacted", analyze, seed
+                );
             }
         }
     }
@@ -1565,7 +1879,7 @@ mod tests {
     }
 
     fn parents_of(e: &ATreeEngine, n: u32) -> &[u32] {
-        &e.nodes[n as usize].as_ref().expect("live node").parents
+        e.parents.get(n)
     }
 
     #[test]
@@ -1580,7 +1894,7 @@ mod tests {
         ));
         let root = node_of(&e, 1);
         assert!(!e.meta[root as usize].gated);
-        let kids = e.nodes[root as usize].as_ref().unwrap().children.clone();
+        let kids = e.children.get(root).to_vec();
         for c in kids {
             assert_eq!(parents_of(&e, c), &[root][..], "edge {root} -> {c}");
         }
@@ -1603,7 +1917,7 @@ mod tests {
         ));
         let root = node_of(&e, 1);
         assert!(e.meta[root as usize].gated);
-        let kids = e.nodes[root as usize].as_ref().unwrap().children.clone();
+        let kids = e.children.get(root).to_vec();
         let is_eq = |&c: &u32| {
             e.nodes[c as usize]
                 .as_ref()
@@ -1623,7 +1937,7 @@ mod tests {
         assert!(e.match_event(&book_event("books", 30, 0)).is_empty());
         e.remove(SubscriptionId::from_raw(1));
         assert_eq!(e.memory().node_count, 0);
-        assert!(e.nodes.iter().flatten().all(|n| n.parents.is_empty()));
+        assert_eq!(e.parents.live_len(), 0);
     }
 
     #[test]
@@ -1754,5 +2068,83 @@ mod tests {
             "scratch reallocated in steady state"
         );
         assert_eq!(e.scratch_capacity(), capacity);
+        // Churn that leaves the population as it was compacts the arenas;
+        // matching afterwards still grows nothing.
+        let before = compactions(&e);
+        let all: Vec<Subscription> = (0..400u64)
+            .map(|i| e.remove(SubscriptionId::from_raw(i)).unwrap())
+            .collect();
+        for s in all {
+            e.insert(s);
+        }
+        assert!(compactions(&e) > before, "the churn never compacted");
+        for ev in &events {
+            e.match_event(ev);
+        }
+        assert_eq!(e.scratch_grows(), grows, "scratch grew after compaction");
+        assert_eq!(e.scratch_capacity(), capacity);
+    }
+
+    /// Collects every match of a batch with its subscriber.
+    #[derive(Default)]
+    struct TripleSink(Vec<(usize, SubscriptionId, SubscriberId)>);
+
+    impl MatchSink for TripleSink {
+        fn on_match(&mut self, event: usize, id: SubscriptionId, subscriber: SubscriberId) {
+            self.0.push((event, id, subscriber));
+        }
+    }
+
+    #[test]
+    fn compaction_is_invisible_to_matching() {
+        let mut e = ATreeEngine::new();
+        let mut naive = NaiveEngine::new();
+        let kept = |i: u64| {
+            Expr::or(vec![
+                Expr::and(vec![
+                    Expr::eq("category", if i % 3 == 0 { "books" } else { "music" }),
+                    Expr::le("price", (i % 20) as i64),
+                ]),
+                Expr::not(Expr::ge("bids", (i % 7) as i64)),
+            ])
+        };
+        for i in 0..60u64 {
+            e.insert(sub(i, &kept(i)));
+            naive.insert(sub(i, &kept(i)));
+        }
+        let batch: EventBatch = (0..24)
+            .map(|i| book_event(if i % 2 == 0 { "books" } else { "music" }, i, i % 9))
+            .collect();
+        let run = |engine: &mut dyn MatchingEngine| {
+            let mut sink = TripleSink::default();
+            engine.match_batch(&batch, &mut sink);
+            sink.0
+        };
+        let before = run(&mut e);
+        assert!(!before.is_empty());
+        assert_eq!(before, run(&mut naive));
+        // Short-lived subscriptions with shapes of their own come and go
+        // until an arena compacts.
+        let start = compactions(&e);
+        let mut next = 1_000u64;
+        while compactions(&e) == start {
+            for k in 0..8 {
+                let id = next + k;
+                e.insert(sub(
+                    id,
+                    &Expr::and(vec![
+                        Expr::eq("category", format!("c{id}")),
+                        Expr::ge("bids", id as i64),
+                    ]),
+                ));
+            }
+            for k in 0..8 {
+                e.remove(SubscriptionId::from_raw(next + k)).unwrap();
+            }
+            next += 8;
+            assert!(next < 100_000, "no compaction");
+        }
+        assert_meta_equals_rebuild(&e);
+        assert_eq!(run(&mut e), before);
     }
 }
