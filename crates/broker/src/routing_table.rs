@@ -26,18 +26,18 @@
 //! alone, pruned trees included.
 //!
 //! **Break-even.** Measured at 1,000 of the paper's entries towards one
-//! neighbor, in batches of 64 on a 2-core x86-64 host, while trees still
-//! kept a child vector per node (before the preorder layout of
-//! [`SubscriptionTree`], which makes both an evaluation and an engine pass
-//! cheaper; not re-measured since): an engine pass over
-//! events no entry matches costs ~1.2 µs per event, a decision a witness
-//! answers ~0.3 µs (6.2 evaluations on average), and an event that misses a
-//! full list pays all [`MAX_WITNESSES`] evaluations, ~1.2 µs, on top of its
-//! engine pass. The cache therefore pays off once more than ~59 % of the
-//! events reaching a link are forwarded over it (~22 % while the engine
-//! registered every leaf of every entry and a pass cost ~3.7 µs); on the
-//! paper's 5-broker line 95 % are, and 98.8 % of those hit a witness after
-//! 8.4 evaluations on average. The list
+//! neighbor, in batches of 64, best of 7 on a 2-core x86-64 host, with the
+//! stage-0 residuals that decide most matches without a tree walk: an
+//! engine pass over events no entry matches costs ~1.3 µs per event, a
+//! decision a witness answers ~0.4 µs (6.4 evaluations on average), and an
+//! event that misses a full list pays all [`MAX_WITNESSES`] evaluations,
+//! ~1.6 µs, on top of its engine pass. Taking the miss pass as the price of
+//! a decision, the cache pays off once more than ~62 % of the events
+//! reaching a link are forwarded over it; the pass it saves on a forwarded
+//! event is dearer, ~2.3 µs (the engine enumerates every match), which
+//! lowers that share to ~45 %. On the paper's 5-broker line 95 % are
+//! forwarded, and 98.8 % of those hit a witness after 8.4 evaluations on
+//! average. The list
 //! only ever holds entries that did match, so a table whose entries never
 //! match pays nothing — its batches go to the engine as they are. The
 //! witnesses (at most 32 cloned trees per link) are not part of
@@ -238,7 +238,7 @@ impl RoutingTable {
     }
 
     /// Installs (or clears) the selectivity hint steering each engine's
-    /// choice of access clauses and stage-0 keys. Every destination engine —
+    /// choice of access clauses. Every destination engine —
     /// current and future — receives its own copy.
     pub fn set_discrimination_hint(&mut self, hint: Option<DiscriminationHint>) {
         self.local.set_discrimination_hint(hint.clone());

@@ -2,10 +2,11 @@
 
 /// When the stage-0 pre-filter is active.
 ///
-/// The pre-filter (see [`PreFilter`](crate::PreFilter)) kills candidates
-/// stage 1 emitted before stage 2 looks at them, using an attribute-presence
-/// bitmask, one secondary equality key and one exact numeric bound per
-/// subscription. It pays off when the subscription population is large and
+/// The pre-filter (see [`PreFilter`](crate::PreFilter)) decides candidates
+/// stage 1 emitted before stage 2 looks at them, from one compiled residual
+/// per subscription: an attribute-presence bitmask and its required
+/// equalities and exact numeric bounds. It kills those that cannot match
+/// and matches gated conjunctions it compiled whole. It pays off when the subscription population is large and
 /// constrained; on tiny or constraint-free populations the fingerprinting
 /// overhead buys nothing, which is what the `Auto` heuristic accounts for.
 ///

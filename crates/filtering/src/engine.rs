@@ -231,7 +231,7 @@ impl AnyEngine {
     }
 
     /// Installs (or clears) the selectivity hint that steers the choice of
-    /// access clauses and stage-0 keys.
+    /// access clauses.
     pub fn set_discrimination_hint(&mut self, hint: Option<DiscriminationHint>) {
         delegate!(self, e => e.set_discrimination_hint(hint))
     }

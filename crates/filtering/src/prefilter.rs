@@ -4,108 +4,146 @@
 //! The counting engine indexes a subscription that has a required equality
 //! under that one *access clause* (see [`CountingEngine`](crate::CountingEngine)),
 //! so stage 1 emits it only for events that fulfil the clause. Stage 0 is
-//! told the clause's attribute alone, and leaves it out of its key test.
+//! told the clause's nodes, and leaves them out of its tests.
 //!
-//! Before a candidate reaches stage 2, the pre-filter kills subscriptions
-//! that *provably cannot match* an event, using three cheap per-subscription
-//! tests:
+//! Each subscription is compiled once, when it arrives, to one *residual*:
 //!
-//! 1. **Attribute presence.** Every *required* predicate leaf of a
-//!    subscription (a leaf that must be true for the whole tree to be true)
-//!    names an attribute the event must carry: a predicate on an absent
-//!    attribute evaluates to `false` for every operator. The required
-//!    attributes of up to 64 tracked attributes are folded into one `u64`
-//!    bitmask per subscription, and an event is fingerprinted once into the
-//!    same bit space — the presence test is `required & !present != 0`.
-//! 2. **Secondary equality key.** The most selective required equality leaf
-//!    *other than the access clause* (per the sampled
-//!    [`DiscriminationHint`], else the lowest attribute id) is compiled to an
-//!    interned constant id. The event's value at that attribute is interned
-//!    through the same table during fingerprinting; a mismatch means the
-//!    equality cannot hold. This is what separates subscriptions that share
-//!    an access bucket (a Zipf-popular title) but disagree on a secondary
-//!    equality (condition, buy-now flag, ...).
-//! 3. **Exact numeric bound.** One required `<`, `≤`, `>` or `≥` leaf whose
-//!    threshold compares through `f64` exactly as
-//!    [`Operator::evaluate`](pubsub_core::Operator::evaluate) does — a float
-//!    constant, or an int strictly inside ±2^53 — is compiled with its
-//!    threshold. The event's numeric value is fingerprinted beside its key
-//!    (`NaN` when it is not a number, which fails every bound exactly as it
-//!    fails every comparison in the engine). An int constant beyond ±2^53
-//!    rounds in `f64`, so it is never compiled and never kills.
+//! * **Attribute presence.** Every *required* predicate leaf of a
+//!   subscription (a leaf that must be true for the whole tree to be true)
+//!   names an attribute the event must carry: a predicate on an absent
+//!   attribute evaluates to `false` for every operator. The required
+//!   attributes of up to 64 tracked attributes are folded into one `u64`
+//!   bitmask per subscription, and an event is fingerprinted once into the
+//!   same bit space — the presence test is `required & !present != 0`.
+//! * **Leaf tests.** Every required leaf off the access clause, on a tracked
+//!   attribute, that compiles *exactly* — up to `MAX_TESTS` of them — as an
+//!   interval the event's fingerprint must fall in:
+//!   - an `=` with an equality-bucket key, as its constant's interned id.
+//!     The event's value at the attribute is interned through the same
+//!     table while fingerprinting (`EqKey` semantics: `Int` widens to
+//!     `Float`, `-0.0` folds into `0.0`, as in the index buckets), so the
+//!     ids agree exactly when the engine's equality holds;
+//!   - a `<`, `≤`, `>` or `≥` whose threshold compares through `f64` exactly
+//!     as [`Operator::evaluate`] does (a float, or an int strictly inside
+//!     ±2^53), as the positions, in the order of `f64`, of the values that
+//!     fulfil it. The position of the event's numeric value is fingerprinted
+//!     beside its id.
+//!
+//!   A value that is absent, `NaN` or of another type fingerprints as an
+//!   entry above every interval, exactly as `partial_cmp_value` returning
+//!   `None` fails every comparison. An int constant beyond ±2^53 rounds in
+//!   `f64`, so it never compiles. Every test of a slot runs at once, without
+//!   a branch.
+//!
+//! A candidate that fails any of its tests provably cannot match and is
+//! killed. A slot is **exact** when it is gated and its tree is its access
+//! clause alone, or an `And` of the clause and compiled leaves: a stage-1
+//! emission proves the clause, so surviving the tests *is* the match, and
+//! the engine emits it without a tree walk. Every other shape — a `≠`, a
+//! pattern operator, a `Not`, a nested `Or` or `And`, a leaf on an untracked
+//! attribute, more leaves than `MAX_TESTS`, an ungated tree — keeps its
+//! stage-2 walk.
 //!
 //! *Required* leaves are found by a conservative tree walk: the root is
-//! required; every child of a required `And` is required; the only child of a
-//! required single-child `Or` is required; nothing under a `Not` (or a
-//! multi-child `Or`) is claimed. This under-approximates — it never marks a
-//! leaf required unless its falsehood forces the tree false — which is what
-//! makes both the gating and the kill sound for *any* Boolean structure.
+//! required; every child of a required `And` is required; a required `Or`
+//! of equalities on one attribute is one required clause; nothing under a
+//! `Not` (or any other `Or`) is claimed. This under-approximates — it never
+//! marks a leaf required unless its falsehood forces the tree false — which
+//! is what makes both the gating and the kill sound for *any* Boolean
+//! structure.
 //!
 //! A subscription is compiled when it arrives and releases what it took when
 //! it leaves (see [`PreFilter`]); the whole population is recompiled only
-//! when the ranking behind the 64 presence bits is due for a refresh.
+//! when an attribute with required clauses went without a presence bit.
 //!
-//! The tests reject without touching the counting arrays or the subscription
-//! tree; surviving candidates flow into stage 2 unchanged, so match output is
-//! byte-identical with the pre-filter on or off.
+//! A test kills only what cannot match and decides only what must, so match
+//! output is byte-identical with the pre-filter on or off.
 
 use crate::config::PrefilterMode;
 use crate::index::{equality_key, exact_threshold, EqKey};
 use pubsub_core::{
     AttrId, NodeId, NodeKind, Operator, Predicate, Subscription, SubscriptionTree, Value,
 };
-use selectivity::DiscriminationHint;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Sentinel bit for attributes outside the tracked set.
 const NO_BIT: u8 = u8::MAX;
-/// Sentinel key for event values that match no registered equality constant
-/// (or are not internable, e.g. `NaN`).
-const NO_KEY: u32 = u32::MAX;
 /// Width of the presence bitmask: at most this many attributes are tracked.
 const MAX_TRACKED: usize = 64;
+/// Leaf tests compiled per subscription. Three cover every residual of the
+/// paper's §4 classes beside their access clause: a title watcher's price
+/// bound, condition and buy-now flag, and a category browser's price,
+/// rating and shipping bounds.
+const MAX_TESTS: usize = 3;
+/// The fingerprint entry an unused test reads: always `0`, which passes
+/// the test's `[0, 0]`. Presence bit `b` fingerprints into entries `2b + 1`
+/// (the interned id of the event's value) and `2b + 2` (the position of its
+/// numeric value, see [`position`]).
+const UNUSED: u8 = 0;
+/// The fingerprint entry of a value with no interned id, or no number
+/// (absent, `NaN` or another type): above every id and position, so no
+/// test passes it.
+const ABSENT: u64 = u64::MAX;
 
-/// Per-subscription compiled stage-0 filter.
+/// Per-subscription compiled stage-0 residual. A test passes when the
+/// fingerprint entry it reads lies in `[lo, lo + span]`: an `=` reads an
+/// interned id, and its interval is its constant's id; an ordering reads a
+/// numeric value's position, and its interval is the positions of the
+/// values that fulfil it.
 #[derive(Debug, Clone, Copy)]
 struct SlotFilter {
     /// Bits of tracked attributes this subscription requires present.
     required_mask: u64,
-    /// Threshold of the numeric bound (meaningless while `bound_bit` is
-    /// [`NO_BIT`]).
-    bound: f64,
-    /// Interned constant the secondary key attribute must carry.
-    key: u32,
-    /// Bit of the secondary key attribute, or [`NO_BIT`] when the
-    /// subscription has no required internable equality on a tracked
-    /// attribute besides its access clause.
-    key_bit: u8,
-    /// Bit of the numeric bound's attribute, or [`NO_BIT`] when the
-    /// subscription has no exact required bound on a tracked attribute.
-    bound_bit: u8,
-    /// `event value <op> bound` must hold.
-    bound_op: Operator,
+    /// Per test, the fingerprint entry it reads ([`UNUSED`] for none).
+    reads: [u8; MAX_TESTS],
+    /// Whether passing the tests is the match (see the module docs).
+    exact: bool,
+    /// Per test, the lowest entry that passes.
+    lo: [u64; MAX_TESTS],
+    /// Per test, how far above `lo` entries still pass.
+    span: [u64; MAX_TESTS],
 }
 
 impl Default for SlotFilter {
     fn default() -> Self {
-        // The default filter kills nothing.
+        // The default filter kills nothing and decides nothing.
         Self {
             required_mask: 0,
-            bound: 0.0,
-            key: NO_KEY,
-            key_bit: NO_BIT,
-            bound_bit: NO_BIT,
-            bound_op: Operator::Lt,
+            reads: [UNUSED; MAX_TESTS],
+            exact: false,
+            lo: [0; MAX_TESTS],
+            span: [0; MAX_TESTS],
         }
     }
 }
 
-/// One interned secondary-key constant.
+impl SlotFilter {
+    /// The tests in use, as `(fingerprint entry, lo, span)`.
+    fn tests(&self) -> impl Iterator<Item = (u8, u64, u64)> + '_ {
+        (0..MAX_TESTS)
+            .filter(|&i| self.reads[i] != UNUSED)
+            .map(|i| (self.reads[i], self.lo[i], self.span[i]))
+    }
+}
+
+/// Stage 0's decision on one `(event, slot)` pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Verdict {
+    /// The slot provably cannot match the event.
+    Killed,
+    /// The slot matches the event: its residual is exact and holds.
+    Matched,
+    /// Stage 2 decides.
+    Candidate,
+}
+
+/// One interned equality constant.
 #[derive(Debug)]
 struct InternedConstant {
     /// The constant; `None` while the id sits in the free list.
     key: Option<EqKey>,
-    /// Compiled filters using the id as their key.
+    /// Compiled tests comparing against the id.
     refs: u32,
 }
 
@@ -118,12 +156,14 @@ struct InternedConstant {
 /// reference-counted, so neither leaks under churn, and the counts behind
 /// [`PrefilterMode::Auto`] are kept running. A full rebuild (the same
 /// per-subscription compilation, after re-ranking which attributes earn a
-/// presence bit) runs for a configuration or hint change, for a population
-/// loaded before the first match, and once the mutations absorbed since the
-/// last one reach the population — amortised O(1) per mutation, and what
-/// keeps the tracked attributes honest. Queried once per `(event, candidate)`
-/// emission on the hot path. See the `prefilter` module docs for the
-/// semantics.
+/// presence bit) runs for a configuration change, for a population loaded
+/// before the first match, and once the mutations absorbed since the last
+/// one reach the population while some attribute with required clauses
+/// holds no bit — amortised O(1) per mutation, and what keeps the tracked
+/// attributes honest. While every such attribute holds a bit, a re-rank
+/// would track the same set, so none runs. Queried once per slot's first
+/// emission of an event on the hot path. See the `prefilter` module docs for
+/// the semantics.
 #[derive(Debug, Default)]
 pub struct PreFilter {
     /// Whether the compiled state reflects the engine's population. `false`
@@ -148,10 +188,10 @@ pub struct PreFilter {
     /// `AttrId::index()` → required clauses naming the attribute, over all
     /// compiled subscriptions (tracked or not). Same length as `attr_bit`.
     attr_refs: Vec<u32>,
-    /// Interning table over the secondary-key constants of all
-    /// subscriptions. Event values are looked up through the same table, so
-    /// key equality is exactly engine equality ([`EqKey`] semantics,
-    /// including the `Int -> Float` widening).
+    /// Interning table over the equality constants of all compiled tests.
+    /// Event values are looked up through the same table, so key equality
+    /// is exactly engine equality ([`EqKey`] semantics, including the
+    /// `Int -> Float` widening).
     constants: HashMap<EqKey, u32>,
     /// Indexed by interned id.
     constant_slab: Vec<InternedConstant>,
@@ -163,10 +203,13 @@ pub struct PreFilter {
     occupied: usize,
     /// Compiled subscriptions with a non-empty presence mask.
     constrained: usize,
-    /// Mutations absorbed since the last rebuild.
+    /// Mutations absorbed since the last rebuild or re-rank check.
     absorbed: usize,
     /// Reusable traversal stack.
     stack: Vec<NodeId>,
+    /// Full rebuilds run so far.
+    #[cfg(test)]
+    rebuilds: usize,
 }
 
 impl PreFilter {
@@ -192,26 +235,28 @@ impl PreFilter {
         self.built
     }
 
-    /// Forces a full rebuild before the next match (configuration or hint
-    /// changed).
+    /// Forces a full rebuild before the next match (configuration changed).
     pub(crate) fn invalidate(&mut self) {
         self.built = false;
     }
 
     /// Recompiles everything from the current subscription set.
     ///
-    /// `subs` yields every occupied `(slot, subscription, access attribute)`;
-    /// `slot_count` is the slab length (filters of free slots stay at the
-    /// never-kill default). The iterator is walked twice — once to rank
-    /// attributes for the 64 tracked bits, once to compile each subscription
-    /// — hence `Clone`.
+    /// `subs` yields every occupied `(slot, subscription, access clause
+    /// nodes)`; `slot_count` is the slab length (filters of free slots stay
+    /// at the never-kill default). The iterator is walked twice — once to
+    /// rank attributes for the 64 tracked bits, once to compile each
+    /// subscription — hence `Clone`.
     pub(crate) fn rebuild<'a>(
         &mut self,
         slot_count: usize,
-        subs: impl Iterator<Item = (u32, &'a Subscription, Option<AttrId>)> + Clone,
-        hint: Option<&DiscriminationHint>,
+        subs: impl Iterator<Item = (u32, &'a Subscription, Option<&'a Range<u32>>)> + Clone,
         mode: PrefilterMode,
     ) {
+        #[cfg(test)]
+        {
+            self.rebuilds += 1;
+        }
         self.built = true;
         self.mode = mode;
         self.bits = 0;
@@ -258,23 +303,17 @@ impl PreFilter {
         // Pass B: compile each subscription against those bits.
         self.slot_filters.resize(slot_count, SlotFilter::default());
         for (slot, sub, access) in subs {
-            self.compile(slot, sub, access, hint);
+            self.compile(slot, sub, access);
         }
         self.update_enabled();
     }
 
-    /// Compiles one subscription that entered slot `slot`, indexed under an
-    /// access clause on `access` (if gated). An attribute nobody required so
-    /// far takes a presence bit if one is left; an attribute that has
-    /// requirers but no bit stays untracked until the next rebuild, which
-    /// keeps every compiled mask valid.
-    pub(crate) fn insert(
-        &mut self,
-        slot: u32,
-        sub: &Subscription,
-        access: Option<AttrId>,
-        hint: Option<&DiscriminationHint>,
-    ) {
+    /// Compiles one subscription that entered slot `slot`, indexed under the
+    /// access clause spanning `access` (if gated). An attribute nobody
+    /// required so far takes a presence bit if one is left; an attribute
+    /// that has requirers but no bit stays untracked until the next rebuild,
+    /// which keeps every compiled mask valid.
+    pub(crate) fn insert(&mut self, slot: u32, sub: &Subscription, access: Option<&Range<u32>>) {
         if !self.built || self.mode == PrefilterMode::Off {
             return;
         }
@@ -290,7 +329,7 @@ impl PreFilter {
             self.slot_filters
                 .resize(slot as usize + 1, SlotFilter::default());
         }
-        self.compile(slot, sub, access, hint);
+        self.compile(slot, sub, access);
         self.absorb_mutation();
     }
 
@@ -306,8 +345,10 @@ impl PreFilter {
         });
         self.stack = stack;
         let filter = std::mem::take(&mut self.slot_filters[slot as usize]);
-        if filter.key_bit != NO_BIT {
-            self.release_constant(filter.key);
+        for (read, id, _) in filter.tests() {
+            if read % 2 == 1 {
+                self.release_constant(id as u32);
+            }
         }
         self.occupied -= 1;
         if filter.required_mask != 0 {
@@ -316,12 +357,20 @@ impl PreFilter {
         self.absorb_mutation();
     }
 
-    /// Counts one incrementally applied mutation; once as many were absorbed
-    /// as there are subscriptions, the next match re-ranks from scratch.
+    /// Counts one incrementally applied mutation. Once as many were absorbed
+    /// as there are subscriptions, the next match re-ranks from scratch if
+    /// an attribute with required clauses went without a presence bit;
+    /// otherwise the count starts over.
     fn absorb_mutation(&mut self) {
         self.absorbed += 1;
         if self.absorbed >= self.occupied {
-            self.built = false;
+            let all_tracked = (self.attr_refs.iter().zip(&self.attr_bit))
+                .all(|(&refs, &bit)| refs == 0 || bit != NO_BIT);
+            if all_tracked {
+                self.absorbed = 0;
+            } else {
+                self.built = false;
+            }
         }
         self.update_enabled();
     }
@@ -406,62 +455,52 @@ impl PreFilter {
         }
     }
 
-    /// Compiles one subscription's presence mask, its secondary key (the
-    /// best required equality off the `access` attribute) and its numeric
-    /// bound (the exact required bound of lowest `(attribute, operator,
-    /// threshold)`), against the current presence bits.
-    fn compile(
-        &mut self,
-        slot: u32,
-        sub: &Subscription,
-        access: Option<AttrId>,
-        hint: Option<&DiscriminationHint>,
-    ) {
+    /// Compiles one subscription's residual against the current presence
+    /// bits: its presence mask, the first [`MAX_TESTS`] exactly compiling
+    /// required leaves off the access clause spanning `access`, in walk
+    /// order, and whether those tests are the whole tree.
+    fn compile(&mut self, slot: u32, sub: &Subscription, access: Option<&Range<u32>>) {
+        let tree = sub.tree();
         let mut filter = SlotFilter::default();
-        // (score, attribute, bit, constant): lowest wins; the score is "the
-        // probability a random event survives this key".
-        let mut key: Option<(f64, u32, u8, EqKey)> = None;
-        // ((attribute, operator), threshold, bit): lowest wins.
-        let mut bound: Option<((u32, Operator), f64, u8)> = None;
+        let mut tests = 0;
+        // Nodes of the access clause's subtree, once the walk met it.
+        let mut clause_nodes = 0;
+        // Whether every required clause but the access clause became a test.
+        let mut all_compiled = true;
         let mut stack = std::mem::take(&mut self.stack);
-        for_each_required_item(sub.tree(), &mut stack, |item| {
-            let attr = item.attr();
-            let bit = self.attr_bit[attr.index()];
-            if bit == NO_BIT {
+        for_each_required_item(tree, &mut stack, |item| {
+            let bit = self.attr_bit[item.attr().index()];
+            if bit != NO_BIT {
+                filter.required_mask |= 1 << bit;
+            }
+            if let Some(nodes) = access.and_then(|a| clause_span(item, a)) {
+                clause_nodes = nodes;
                 return;
             }
-            filter.required_mask |= 1 << bit;
-            let RequiredItem::Leaf(_, p) = item else {
+            let test = match item {
+                RequiredItem::Leaf(_, p) if bit != NO_BIT && tests < MAX_TESTS => {
+                    self.compile_leaf(p)
+                }
+                _ => None,
+            };
+            let Some((numeric, lo, span)) = test else {
+                all_compiled = false;
                 return;
             };
-            if let Some(threshold) = exact_threshold(p) {
-                let rank = (attr.raw(), p.operator());
-                let better = bound.map_or(true, |(r, t, _)| {
-                    rank.cmp(&r).then(threshold.total_cmp(&t)).is_lt()
-                });
-                if better {
-                    bound = Some((rank, threshold, bit));
-                }
-            } else if let Some(eq_key) = equality_key(p).filter(|_| Some(attr) != access) {
-                let score = hint.and_then(|h| h.score(attr)).unwrap_or(f64::INFINITY);
-                let better = key.as_ref().map_or(true, |(s, raw, _, _)| {
-                    score.total_cmp(s).then(attr.raw().cmp(raw)).is_lt()
-                });
-                if better {
-                    key = Some((score, attr.raw(), bit, eq_key));
-                }
-            }
+            filter.reads[tests] = 2 * bit + 1 + u8::from(numeric);
+            (filter.lo[tests], filter.span[tests]) = (lo, span);
+            tests += 1;
         });
         self.stack = stack;
-        if let Some(((_, op), threshold, bit)) = bound {
-            filter.bound_bit = bit;
-            filter.bound_op = op;
-            filter.bound = threshold;
-        }
-        if let Some((_, _, bit, eq_key)) = key {
-            filter.key_bit = bit;
-            filter.key = self.intern(eq_key);
-        }
+        // The tree is the clause, or an `And` of the clause and the tested
+        // leaves, exactly when no other node is left over.
+        let root_and = matches!(
+            tree.node(tree.root()).map(|n| n.kind()),
+            Some(NodeKind::And)
+        );
+        filter.exact = all_compiled
+            && clause_nodes > 0
+            && tree.node_count() == usize::from(root_and) + clause_nodes + tests;
         self.slot_filters[slot as usize] = filter;
         self.occupied += 1;
         if filter.required_mask != 0 {
@@ -469,17 +508,43 @@ impl PreFilter {
         }
     }
 
+    /// The test of a leaf that compiles exactly (see the module docs), as
+    /// `(whether it reads the numeric value, lo, span)`: an `=` interns its
+    /// constant, taking a reference on it.
+    fn compile_leaf(&mut self, p: &Predicate) -> Option<(bool, u64, u64)> {
+        let Some(t) = exact_threshold(p) else {
+            let id = self.intern(equality_key(p)?);
+            return Some((false, u64::from(id), 0));
+        };
+        let (t, min, max) = (
+            position(t),
+            position(f64::NEG_INFINITY),
+            position(f64::INFINITY),
+        );
+        let (lo, hi) = match p.operator() {
+            Operator::Lt => (min, t - 1),
+            Operator::Le => (min, t),
+            Operator::Gt => (t + 1, max),
+            _ => (t, max),
+        };
+        // `< -∞` and `> ∞` hold for no value: `[0, 0]` lies below every
+        // position.
+        let (lo, span) = hi.checked_sub(lo).map_or((0, 0), |span| (lo, span));
+        Some((true, lo, span))
+    }
+
     /// Fingerprints one event: fills `fp` (per presence bit, the interned
-    /// key of the event's value — [`NO_KEY`] when absent or unknown — and
-    /// its numeric value, `NaN` when absent or not a number) and returns the
+    /// id of the event's value and the position of its numeric value, each
+    /// [`ABSENT`] when there is none; see [`UNUSED`]) and returns the
     /// presence bitmask. `fp` is caller-owned scratch, grow-only.
     pub(crate) fn fingerprint<'a>(
         &self,
         pairs: impl Iterator<Item = (AttrId, &'a Value)>,
-        fp: &mut Vec<(u32, f64)>,
+        fp: &mut Vec<u64>,
     ) -> u64 {
         fp.clear();
-        fp.resize(self.bits as usize, (NO_KEY, f64::NAN));
+        fp.resize(1 + 2 * self.bits as usize, ABSENT);
+        fp[UNUSED as usize] = 0;
         let mut mask = 0u64;
         for (attr, value) in pairs {
             let bit = self.attr_bit.get(attr.index()).copied().unwrap_or(NO_BIT);
@@ -487,37 +552,56 @@ impl PreFilter {
                 continue;
             }
             mask |= 1 << bit;
-            let key = EqKey::from_value(value)
-                .and_then(|k| self.constants.get(&k).copied())
-                .unwrap_or(NO_KEY);
-            fp[bit as usize] = (key, value.as_f64().unwrap_or(f64::NAN));
+            let id = EqKey::from_value(value).and_then(|k| self.constants.get(&k).copied());
+            let at = 2 * bit as usize + 1;
+            fp[at] = id.map_or(ABSENT, u64::from);
+            let number = value.as_f64().filter(|v| !v.is_nan());
+            fp[at + 1] = number.map_or(ABSENT, position);
         }
         mask
     }
 
-    /// Stage-0 kill test for one `(event, slot)` pair against a fingerprint
-    /// produced by [`fingerprint`](Self::fingerprint). `true` means the slot
-    /// provably cannot match the event.
+    /// Stage-0 verdict for one `(event, slot)` pair against a fingerprint
+    /// produced by [`fingerprint`](Self::fingerprint): every test of the
+    /// slot's residual runs, unused ones included, without a branch.
     #[inline]
-    pub(crate) fn kills(&self, slot: usize, mask: u64, fp: &[(u32, f64)]) -> bool {
+    pub(crate) fn verdict(&self, slot: usize, mask: u64, fp: &[u64]) -> Verdict {
         let f = &self.slot_filters[slot];
-        f.required_mask & !mask != 0
-            || (f.key_bit != NO_BIT && fp[f.key_bit as usize].0 != f.key)
-            || (f.bound_bit != NO_BIT
-                && !bound_holds(f.bound_op, fp[f.bound_bit as usize].1, f.bound))
+        // How far each entry lies above its interval, or-ed with the
+        // missing required attributes: zero when every test passes.
+        let mut above = f.required_mask & !mask;
+        for i in 0..MAX_TESTS {
+            above |= (fp[f.reads[i] as usize].wrapping_sub(f.lo[i])).saturating_sub(f.span[i]);
+        }
+        match (above == 0, f.exact) {
+            (false, _) => Verdict::Killed,
+            (true, true) => Verdict::Matched,
+            (true, false) => Verdict::Candidate,
+        }
     }
 }
 
-/// `value <op> bound` in `f64`; `false` for a `NaN` value, as for every
-/// comparison the engine makes with a non-number.
-#[inline]
-fn bound_holds(op: Operator, value: f64, bound: f64) -> bool {
-    match op {
-        Operator::Lt => value < bound,
-        Operator::Le => value <= bound,
-        Operator::Gt => value > bound,
-        Operator::Ge => value >= bound,
-        _ => true,
+/// The position of a number that is not `NaN` in the order of `f64`: two
+/// positions compare as their numbers do, `-0.0` and `0.0` alike, and
+/// every position lies strictly between `0` and [`ABSENT`].
+fn position(value: f64) -> u64 {
+    let bits = (value + 0.0).to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// The number of nodes `item` spans when it is the access clause whose
+/// leaves span `access` — `1` for the leaf, the group's node and children
+/// for an equality group — or `None` for any other clause. The walk never
+/// surfaces a group's children as leaves, so a leaf inside the range is the
+/// clause itself.
+fn clause_span(item: RequiredItem<'_>, access: &Range<u32>) -> Option<usize> {
+    match item {
+        RequiredItem::Leaf(node, _) => access.contains(&node.0).then_some(1),
+        RequiredItem::AnyEq(_, or) => (access.start == or.0 + 1).then(|| access.len() + 1),
     }
 }
 
@@ -537,8 +621,23 @@ pub(crate) struct Snapshot {
     /// Live interned constants, and the references on them.
     pub(crate) constants: usize,
     pub(crate) constant_refs: u64,
-    /// `(slot, attribute, operator, threshold bits)` of every compiled bound.
-    pub(crate) bounds: Vec<(u32, u32, Operator, u64)>,
+    /// Every slot with a test or an exact flag.
+    pub(crate) residuals: Vec<Residual>,
+}
+
+/// `(slot, exact, tests)`; a test is `(attribute, what it passes)`.
+#[cfg(test)]
+pub(crate) type Residual = (u32, bool, Vec<(u32, Passes)>);
+
+/// What a compiled test passes, resolved from the arrival-dependent ids and
+/// bits.
+#[cfg(test)]
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Passes {
+    /// The interned constant of an `=`.
+    Key(EqKey),
+    /// The interval of an ordering, as `(lo, span)`.
+    Range(u64, u64),
 }
 
 #[cfg(test)]
@@ -566,6 +665,17 @@ impl PreFilter {
             self.constant_slab.len(),
             self.constants.len() + self.free_constants.len()
         );
+        let test = |(read, lo, span): (u8, u64, u64)| {
+            let attr = self.attr_bit.iter().position(|&b| b == (read - 1) / 2);
+            let attr = attr.expect("a test reads a tracked attribute") as u32;
+            let passes = if read % 2 == 1 {
+                let key = self.constant_slab[lo as usize].key.clone();
+                Passes::Key(key.expect("a test holds its constant"))
+            } else {
+                Passes::Range(lo, span)
+            };
+            (attr, passes)
+        };
         Snapshot {
             enabled: self.enabled,
             occupied: self.occupied,
@@ -578,21 +688,17 @@ impl PreFilter {
             tracked,
             constants: self.constants.len(),
             constant_refs: live.map(|c| u64::from(c.refs)).sum(),
-            bounds: (0u32..)
+            residuals: (0u32..)
                 .zip(&self.slot_filters)
-                .filter(|(_, f)| f.bound_bit != NO_BIT)
-                .map(|(slot, f)| {
-                    let attr = self.attr_bit.iter().position(|&b| b == f.bound_bit);
-                    let attr = attr.expect("a bound sits on a tracked attribute") as u32;
-                    (slot, attr, f.bound_op, f.bound.to_bits())
-                })
+                .filter(|(_, f)| f.tests().next().is_some() || f.exact)
+                .map(|(slot, f)| (slot, f.exact, f.tests().map(test).collect()))
                 .collect(),
         }
     }
 
-    /// Mutations absorbed since the last full rebuild.
-    pub(crate) fn absorbed(&self) -> usize {
-        self.absorbed
+    /// Full rebuilds run so far.
+    pub(crate) fn rebuilds(&self) -> usize {
+        self.rebuilds
     }
 }
 
@@ -683,16 +789,28 @@ mod tests {
         pubsub_core::attr::intern(name)
     }
 
-    /// Rebuilds over `subs`, each gated on the given access attribute.
+    /// The node range of the first `=` leaf on `attr` in `s`: the access
+    /// clause a gated subscription with a leaf clause is indexed under.
+    fn leaf_clause(s: &Subscription, attr: AttrId) -> Range<u32> {
+        let (node, _) = s
+            .tree()
+            .predicates()
+            .find(|(_, p)| p.attr_id() == attr && p.operator() == Operator::Eq)
+            .expect("the clause leaf exists");
+        node.0..node.0 + 1
+    }
+
+    /// Rebuilds over `subs`, each gated on the given access clause nodes.
     fn rebuild_gated(
         pf: &mut PreFilter,
-        subs: &[(Subscription, Option<AttrId>)],
+        subs: &[(Subscription, Option<Range<u32>>)],
         mode: PrefilterMode,
     ) {
         pf.rebuild(
             subs.len(),
-            subs.iter().enumerate().map(|(i, (s, a))| (i as u32, s, *a)),
-            None,
+            subs.iter()
+                .enumerate()
+                .map(|(i, (s, a))| (i as u32, s, a.as_ref())),
             mode,
         );
     }
@@ -703,10 +821,14 @@ mod tests {
         rebuild_gated(pf, &subs, mode);
     }
 
-    fn fingerprint_event(pf: &PreFilter, ev: &EventMessage) -> (u64, Vec<(u32, f64)>) {
+    fn fingerprint_event(pf: &PreFilter, ev: &EventMessage) -> (u64, Vec<u64>) {
         let mut fp = Vec::new();
         let mask = pf.fingerprint(ev.iter_resolved(), &mut fp);
         (mask, fp)
+    }
+
+    fn kills(pf: &PreFilter, slot: usize, mask: u64, fp: &[u64]) -> bool {
+        pf.verdict(slot, mask, fp) == Verdict::Killed
     }
 
     #[test]
@@ -757,7 +879,7 @@ mod tests {
             .attr("pf_price", 5i64)
             .build();
         let (mask, fp) = fingerprint_event(&pf, &matching);
-        assert!(!pf.kills(0, mask, &fp));
+        assert!(!kills(&pf, 0, mask, &fp));
 
         // Wrong title: the discrimination key mismatches.
         let wrong_key = EventMessage::builder()
@@ -765,7 +887,7 @@ mod tests {
             .attr("pf_price", 5i64)
             .build();
         let (mask, fp) = fingerprint_event(&pf, &wrong_key);
-        assert!(pf.kills(0, mask, &fp));
+        assert!(kills(&pf, 0, mask, &fp));
 
         // Missing price: the presence mask mismatches even though the price
         // bound itself is not an equality.
@@ -773,7 +895,7 @@ mod tests {
             .attr("pf_title", "moby dick")
             .build();
         let (mask, fp) = fingerprint_event(&pf, &missing_attr);
-        assert!(pf.kills(0, mask, &fp));
+        assert!(kills(&pf, 0, mask, &fp));
 
         // A surviving event may still carry *more* attributes than required.
         let extra = EventMessage::builder()
@@ -782,39 +904,31 @@ mod tests {
             .attr("pf_other", true)
             .build();
         let (mask, fp) = fingerprint_event(&pf, &extra);
-        assert!(!pf.kills(0, mask, &fp));
+        assert!(!kills(&pf, 0, mask, &fp));
     }
 
     #[test]
     fn second_discrimination_key_kills_hot_key_survivors() {
         // Two subscriptions gated on the hot title disagree on a secondary
-        // equality; the key (the equality off the access attribute) must
-        // separate them.
+        // equality; its test (an equality off the access clause) must
+        // separate them. Both trees are the clause plus compiled leaves, so
+        // the survivor is decided by stage 0.
         let title = attr("pf2_title");
-        let subs = vec![
-            (
-                sub(
-                    1,
-                    &Expr::and(vec![
-                        Expr::eq("pf2_title", "moby dick"),
-                        Expr::eq("pf2_cond", "new"),
-                        Expr::le("pf2_price", 10i64),
-                    ]),
-                ),
-                Some(title),
-            ),
-            (
-                sub(
-                    2,
-                    &Expr::and(vec![
-                        Expr::eq("pf2_title", "moby dick"),
-                        Expr::eq("pf2_cond", "worn"),
-                        Expr::le("pf2_price", 10i64),
-                    ]),
-                ),
-                Some(title),
-            ),
-        ];
+        let gated = |s: Subscription| {
+            let clause = leaf_clause(&s, title);
+            (s, Some(clause))
+        };
+        let watcher = |id, cond: &str| {
+            gated(sub(
+                id,
+                &Expr::and(vec![
+                    Expr::eq("pf2_title", "moby dick"),
+                    Expr::eq("pf2_cond", cond),
+                    Expr::le("pf2_price", 10i64),
+                ]),
+            ))
+        };
+        let subs = vec![watcher(1, "new"), watcher(2, "worn")];
         let mut pf = PreFilter::new();
         rebuild_gated(&mut pf, &subs, PrefilterMode::On);
         let ev = EventMessage::builder()
@@ -823,18 +937,29 @@ mod tests {
             .attr("pf2_price", 5i64)
             .build();
         let (mask, fp) = fingerprint_event(&pf, &ev);
-        assert!(!pf.kills(0, mask, &fp));
-        assert!(pf.kills(1, mask, &fp), "condition disagrees on sub 2");
+        assert_eq!(pf.verdict(0, mask, &fp), Verdict::Matched);
+        assert!(kills(&pf, 1, mask, &fp), "condition disagrees on sub 2");
         // Only the secondary constants were interned: the access clause is
         // stage 1's business.
         assert_eq!(pf.snapshot().constants, 2);
+        // A value no test names has no id, which fails them.
+        let fair = EventMessage::builder()
+            .attr("pf2_title", "moby dick")
+            .attr("pf2_cond", "fair")
+            .attr("pf2_price", 5i64)
+            .build();
+        let (mask, fp) = fingerprint_event(&pf, &fair);
+        assert!(kills(&pf, 0, mask, &fp) && kills(&pf, 1, mask, &fp));
 
-        // A gated subscription with no other equality has no key at all.
-        let one = vec![(sub(3, &Expr::eq("pf2_title", "moby dick")), Some(title))];
+        // A gated subscription that is its clause alone has no test: every
+        // emission is a match.
+        let one = vec![gated(sub(3, &Expr::eq("pf2_title", "moby dick")))];
         rebuild_gated(&mut pf, &one, PrefilterMode::On);
-        let ev = EventMessage::builder().attr("pf2_title", "ulysses").build();
+        let ev = EventMessage::builder()
+            .attr("pf2_title", "moby dick")
+            .build();
         let (mask, fp) = fingerprint_event(&pf, &ev);
-        assert!(!pf.kills(0, mask, &fp));
+        assert_eq!(pf.verdict(0, mask, &fp), Verdict::Matched);
         assert_eq!(pf.snapshot().constants, 0);
     }
 
@@ -850,11 +975,13 @@ mod tests {
         ];
         let mut pf = PreFilter::new();
         rebuild(&mut pf, &subs, PrefilterMode::On);
-        assert_eq!(pf.snapshot().bounds.len(), 2);
+        let residuals = pf.snapshot().residuals;
+        let slots: Vec<u32> = residuals.iter().map(|&(slot, _, _)| slot).collect();
+        assert_eq!(slots, [0, 1]);
         let kills = |value: Value| {
             let ev = EventMessage::builder().attr("pf5_x", value.clone()).build();
             let (mask, fp) = fingerprint_event(&pf, &ev);
-            let verdicts: Vec<bool> = (0..subs.len()).map(|s| pf.kills(s, mask, &fp)).collect();
+            let verdicts: Vec<bool> = (0..subs.len()).map(|s| kills(&pf, s, mask, &fp)).collect();
             // Never a kill where the engine's own comparison holds.
             for (s, killed) in verdicts.iter().enumerate() {
                 if *killed {
@@ -878,6 +1005,168 @@ mod tests {
     }
 
     #[test]
+    fn exact_only_for_the_clause_and_compiled_leaves() {
+        let title = attr("pf6_title");
+        let cat = attr("pf6_cat");
+        let t = || Expr::eq("pf6_title", "t");
+        let group = || Expr::or(vec![Expr::eq("pf6_cat", "a"), Expr::eq("pf6_cat", "b")]);
+        let le = |name: &str, v: i64| Expr::le(name, v);
+        let big = (1i64 << 53) + 1;
+        // (shape, exact)
+        let shapes = [
+            (t(), true),
+            (Expr::and(vec![t(), le("pf6_price", 10)]), true),
+            (
+                Expr::and(vec![
+                    t(),
+                    Expr::eq("pf6_cond", "new"),
+                    Expr::eq("pf6_buy", true),
+                    Expr::ge("pf6_price", 2.5f64),
+                ]),
+                true,
+            ),
+            (group(), true),
+            (
+                Expr::and(vec![
+                    group(),
+                    le("pf6_price", 10),
+                    Expr::ge("pf6_rating", 3.5f64),
+                    le("pf6_ship", 4),
+                ]),
+                true,
+            ),
+            // One leaf over the cap.
+            (
+                Expr::and(vec![
+                    t(),
+                    le("pf6_price", 10),
+                    Expr::eq("pf6_cond", "new"),
+                    Expr::eq("pf6_buy", true),
+                    Expr::ge("pf6_rating", 3i64),
+                ]),
+                false,
+            ),
+            (
+                Expr::and(vec![t(), Expr::not(Expr::eq("pf6_cond", "worn"))]),
+                false,
+            ),
+            (Expr::and(vec![t(), Expr::ne("pf6_cond", "worn")]), false),
+            (Expr::and(vec![t(), Expr::prefix("pf6_name", "ab")]), false),
+            (
+                Expr::and(vec![
+                    t(),
+                    Expr::or(vec![le("pf6_price", 1), le("pf6_bids", 2)]),
+                ]),
+                false,
+            ),
+            (
+                Expr::and(vec![
+                    t(),
+                    Expr::and(vec![le("pf6_price", 1), le("pf6_bids", 2)]),
+                ]),
+                false,
+            ),
+            (Expr::and(vec![t(), group()]), false),
+            (Expr::and(vec![t(), Expr::eq("pf6_x", big)]), false),
+            (Expr::and(vec![t(), Expr::lt("pf6_x", f64::NAN)]), false),
+        ];
+        let gated: Vec<(Subscription, Option<Range<u32>>)> = (0u64..)
+            .zip(&shapes)
+            .map(|(id, (expr, _))| {
+                let s = sub(id, expr);
+                let tree = s.tree();
+                let clause = match tree.predicates().any(|(_, p)| p.attr_id() == title) {
+                    true => leaf_clause(&s, title),
+                    false => {
+                        let or = tree.node_ids().find(|&n| {
+                            matches!(tree.node(n).map(|n| n.kind()), Some(NodeKind::Or))
+                        });
+                        let group = tree.subtree_range(or.expect("a group"));
+                        assert!(tree.predicates().any(|(_, p)| p.attr_id() == cat));
+                        group.start as u32 + 1..group.end as u32
+                    }
+                };
+                (s, Some(clause))
+            })
+            .collect();
+        let mut pf = PreFilter::new();
+        rebuild_gated(&mut pf, &gated, PrefilterMode::On);
+        let exact: Vec<u32> = (pf.snapshot().residuals.iter())
+            .filter(|&&(_, exact, _)| exact)
+            .map(|&(slot, _, _)| slot)
+            .collect();
+        let want: Vec<u32> = (0u32..)
+            .zip(&shapes)
+            .filter(|(_, (_, exact))| *exact)
+            .map(|(slot, _)| slot)
+            .collect();
+        assert_eq!(exact, want);
+        // Ungated, the same conjunction is not exact: its emission proves
+        // nothing.
+        let ungated = [sub(99, &Expr::and(vec![t(), le("pf6_price", 10)]))];
+        rebuild(&mut pf, &ungated, PrefilterMode::On);
+        assert_eq!(pf.snapshot().residuals.len(), 1);
+        assert!(!pf.snapshot().residuals[0].1);
+    }
+
+    #[test]
+    fn compiled_tests_equal_the_engine_comparison() {
+        // Every `=` and ordering over thresholds at the edges of `f64` — the
+        // zeros, the smallest subnormal, `MAX`, the infinities, ints around
+        // ±2^53 — against values of every type: a compiled test holds
+        // exactly when `Operator::evaluate` does; an uncompiled one (a `NaN`
+        // or beyond-±2^53 constant) kills nothing.
+        let big = 1i64 << 53;
+        let tiny = f64::from_bits(1);
+        let floats = [
+            f64::NEG_INFINITY,
+            -f64::MAX,
+            -1.5,
+            -tiny,
+            -0.0,
+            0.0,
+            tiny,
+            1.0,
+            2.5,
+        ];
+        let floats = floats
+            .into_iter()
+            .chain([f64::MAX, f64::INFINITY, f64::NAN]);
+        let ints = [-big - 1, -big, -1, 0, 1, 3, big - 1, big, big + 1];
+        let numbers: Vec<Value> = (floats.map(Value::Float))
+            .chain(ints.into_iter().map(Value::Int))
+            .collect();
+        let mut values = numbers.clone();
+        values.extend([Value::from("1"), Value::Bool(true)]);
+        let ops = [
+            Operator::Eq,
+            Operator::Lt,
+            Operator::Le,
+            Operator::Gt,
+            Operator::Ge,
+        ];
+        let subs: Vec<Subscription> = (0u64..)
+            .zip(
+                ops.iter()
+                    .flat_map(|&op| numbers.iter().map(move |n| (op, n))),
+            )
+            .map(|(id, (op, n))| sub(id, &Expr::pred(Predicate::new("pf7_x", op, n.clone()))))
+            .collect();
+        let mut pf = PreFilter::new();
+        rebuild(&mut pf, &subs, PrefilterMode::On);
+        for value in &values {
+            let ev = EventMessage::builder().attr("pf7_x", value.clone()).build();
+            let (mask, fp) = fingerprint_event(&pf, &ev);
+            for (slot, s) in subs.iter().enumerate() {
+                let (_, p) = s.tree().predicates().next().expect("one leaf");
+                let compiled = exact_threshold(p).is_some() || equality_key(p).is_some();
+                let killed = kills(&pf, slot, mask, &fp);
+                assert_eq!(killed, compiled && !s.matches(&ev), "{p:?} on {value:?}");
+            }
+        }
+    }
+
+    #[test]
     fn equality_keys_use_engine_equality_semantics() {
         // `= 3` (int) and an event carrying `3.0` (float) must agree, like
         // the engine's equality buckets do.
@@ -886,10 +1175,10 @@ mod tests {
         rebuild(&mut pf, &subs, PrefilterMode::On);
         let ev = EventMessage::builder().attr("pf_num", 3.0f64).build();
         let (mask, fp) = fingerprint_event(&pf, &ev);
-        assert!(!pf.kills(0, mask, &fp));
+        assert!(!kills(&pf, 0, mask, &fp));
         let ev = EventMessage::builder().attr("pf_num", f64::NAN).build();
         let (mask, fp) = fingerprint_event(&pf, &ev);
-        assert!(pf.kills(0, mask, &fp), "NaN can never fulfil an equality");
+        assert!(kills(&pf, 0, mask, &fp), "NaN can never fulfil an equality");
     }
 
     #[test]
@@ -934,7 +1223,7 @@ mod tests {
         assert_eq!(pf.tracked_attributes(), 64);
         let ev = EventMessage::builder().attr("pf_cap_0", 1i64).build();
         let (mask, fp) = fingerprint_event(&pf, &ev);
-        assert!(!pf.kills(0, mask, &fp));
-        assert!(pf.kills(1, mask, &fp), "pf_cap_1 is required but absent");
+        assert!(!kills(&pf, 0, mask, &fp));
+        assert!(kills(&pf, 1, mask, &fp), "pf_cap_1 is required but absent");
     }
 }

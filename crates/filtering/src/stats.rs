@@ -34,7 +34,8 @@ pub struct FilterStats {
     pub killed_by_prefilter: u64,
     /// Number of candidate subscriptions that survived into stage 2 (the
     /// counting/evaluation phase) — i.e. subscriptions with at least one
-    /// surviving fulfilled predicate for some event. On the A-Tree, the
+    /// surviving fulfilled predicate for some event that stage 0 did not
+    /// already match from an exact residual. On the A-Tree, the
     /// number of rooted DAG nodes (nodes with subscribers) evaluated, a
     /// fulfilled rooted leaf included.
     pub stage2_candidates: u64,

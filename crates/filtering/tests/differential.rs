@@ -520,7 +520,11 @@ fn gate_numbers() -> Vec<Value> {
 /// `Contains` leaves, gated and not; a disjunction with nothing required;
 /// an equality group with a child on an int beyond or at ±2^53 (the group
 /// is then no access clause, a title beside it may be); an equality on an
-/// int beyond 2^53 (never an access clause).
+/// int beyond 2^53 (never an access clause); residuals beside the access
+/// clause that stage 0 compiles whole (`=` on every value type, over twins,
+/// zeros and ±2^53 edges, beside a title or an equality group of twins) or
+/// that miss it by one step (a `NaN` constant, `≠`, `Prefix`, a nested `Or`,
+/// a `Not`, one leaf more than it compiles).
 fn gate_body(rng: &mut proptest::TestRng) -> Expr {
     let numbers = gate_numbers();
     let mut num = || numbers[rng.index(numbers.len())].clone();
@@ -535,7 +539,7 @@ fn gate_body(rng: &mut proptest::TestRng) -> Expr {
         _ => Expr::ge(attr, v),
     };
     let big = 1i64 << 53;
-    match rng.index(12) {
+    match rng.index(14) {
         0 => {
             let mut clauses = vec![Expr::eq(G_TITLE, title.as_str()), bound(rng, G_X, n)];
             if rng.index(2) == 0 {
@@ -604,11 +608,46 @@ fn gate_body(rng: &mut proptest::TestRng) -> Expr {
             }
             Expr::and(clauses)
         }
-        _ => Expr::eq(G_X, Value::Int(big + 1)),
+        11 => Expr::eq(G_X, Value::Int(big + 1)),
+        12 => {
+            if rng.index(3) == 0 {
+                // Twins in the access group: an event carrying 3 fires both.
+                let twins = Expr::or(vec![Expr::eq(G_X, 3i64), Expr::eq(G_X, 3.0f64)]);
+                return Expr::and(vec![twins, bound(rng, G_Y, m)]);
+            }
+            let residual = match rng.index(5) {
+                0 => Expr::eq(G_BUY, rng.index(2) == 0),
+                1 => Expr::eq(G_Y, n),
+                2 => Expr::eq(G_Y, f64::NAN),
+                3 => bound(rng, G_Y, m),
+                _ => Expr::eq(G_COND, cond),
+            };
+            let mut clauses = vec![Expr::eq(G_TITLE, title.as_str()), residual];
+            if rng.index(2) == 0 {
+                clauses.push(Expr::eq(G_COND, cond));
+            }
+            Expr::and(clauses)
+        }
+        _ => {
+            let mut clauses = vec![Expr::eq(G_TITLE, title.as_str()), bound(rng, G_X, n)];
+            match rng.index(5) {
+                0 => clauses.push(Expr::ne(G_COND, cond)),
+                1 => clauses.push(Expr::prefix(G_NAME, ["ab", "b", "x"][rng.index(3)])),
+                2 => clauses.push(Expr::or(vec![bound(rng, G_Y, m), Expr::eq(G_BUY, true)])),
+                3 => clauses.push(Expr::not(Expr::eq(G_COND, cond))),
+                _ => {
+                    clauses.push(Expr::eq(G_COND, cond));
+                    clauses.push(Expr::eq(G_BUY, true));
+                    clauses.push(bound(rng, G_Y, m));
+                }
+            }
+            Expr::and(clauses)
+        }
     }
 }
 
-/// A random event over the gating attributes; any attribute may be absent.
+/// A random event over the gating attributes; any attribute may be absent,
+/// and a condition, buy-now flag or `y` may carry a value of another type.
 fn gate_event(rng: &mut proptest::TestRng) -> EventMessage {
     let numbers = gate_numbers();
     let mut event = EventMessage::builder();
@@ -616,10 +655,19 @@ fn gate_event(rng: &mut proptest::TestRng) -> EventMessage {
         event = event.attr(G_TITLE, format!("t{}", rng.index(6)).as_str());
     }
     if rng.index(4) != 0 {
-        event = event.attr(G_COND, ["new", "used", "worn", "fair"][rng.index(4)]);
+        let cond = match rng.index(6) {
+            0 => Value::Int(3),
+            i => Value::from(["new", "used", "worn", "fair", "new"][i - 1]),
+        };
+        event = event.attr(G_COND, cond);
     }
     if rng.index(3) != 0 {
-        event = event.attr(G_BUY, rng.index(2) == 0);
+        let buy = match rng.index(5) {
+            0 => Value::Int(1),
+            1 => Value::from("true"),
+            _ => Value::Bool(rng.index(2) == 0),
+        };
+        event = event.attr(G_BUY, buy);
     }
     if rng.index(3) != 0 {
         event = event.attr(G_CAT, format!("c{}", rng.index(6)).as_str());
@@ -654,7 +702,9 @@ proptest! {
     /// pre-filter mode, over raw trees and over the analyzer's normal form,
     /// and the A-Tree (whose Ands wait on
     /// an access child) with analysis on and off, batch and single-event
-    /// paths, equal the naive engine's matches throughout.
+    /// paths, equal the naive engine's matches throughout. With stage 0 on,
+    /// both of its paths run: matches it decides from an exact residual,
+    /// and candidates it leaves to the tree walk.
     #[test]
     fn gated_and_ungated_populations_agree_with_naive(seed in 0u64..4096) {
         let mut rng = proptest::TestRng::deterministic(seed);
@@ -689,6 +739,12 @@ proptest! {
         let mut got = PerEventSink::new();
         let mut expected = PerEventSink::new();
         let mut single = Vec::new();
+        // Per engine: (matches decided without a tree walk, tree walks of
+        // candidates). A match of a subscription with `pmin > 0` comes from
+        // stage 0 or from a walked stage-2 candidate, so the matches of an
+        // event beyond its walked candidates are a lower bound on the
+        // former.
+        let mut paths = vec![(0u64, 0u64); engines.len()];
         let (mut pruned, mut steps_since_match) = (0usize, 0usize);
         for step in 0..240usize {
             let id = SubscriptionId::from_raw(1 + rng.index(70) as u64);
@@ -735,7 +791,7 @@ proptest! {
             steps_since_match = 0;
             let batch: EventBatch = (0..1 + rng.index(24)).map(|_| gate_event(&mut rng)).collect();
             naive.match_batch(&batch, &mut expected);
-            for (name, engine) in &mut engines {
+            for ((name, engine), paths) in engines.iter_mut().zip(&mut paths) {
                 engine.match_batch(&batch, &mut got);
                 for (i, event) in batch.iter().enumerate() {
                     let event = &event.to_message();
@@ -745,17 +801,32 @@ proptest! {
                         got.for_event(i), &want[..],
                         "{} batch path, seed {} step {} event {}", name, seed, step, event
                     );
+                    let before = *engine.stats();
                     engine.match_event_into(event, &mut single);
                     prop_assert_eq!(
                         &single[..], &want[..],
                         "{} single-event path, seed {} step {} event {}", name, seed, step, event
                     );
+                    let after = engine.stats();
+                    let candidates = after.stage2_candidates - before.stage2_candidates;
+                    let skipped = after.skipped_by_pmin - before.skipped_by_pmin;
+                    let counted = want
+                        .iter()
+                        .filter(|&&id| naive.get(id).is_some_and(|s| s.tree().pmin() > 0))
+                        .count() as u64;
+                    paths.0 += counted.saturating_sub(candidates - skipped);
+                    paths.1 += candidates - skipped;
                 }
             }
         }
         prop_assert!(pruned > 0, "no title clause was pruned");
         let (name, counting_on) = &engines[0];
         prop_assert!(counting_on.stats().killed_by_prefilter > 0, "{} killed nothing", name);
+        for ((name, _), &(decided, walked)) in engines.iter().zip(&paths) {
+            if name.starts_with("counting") && name.ends_with("On") {
+                prop_assert!(decided > 0 && walked > 0, "{}: {} decided, {} walked", name, decided, walked);
+            }
+        }
     }
 }
 
