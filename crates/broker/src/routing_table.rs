@@ -7,8 +7,9 @@
 //! *whether* any entry towards a neighbor matches an event, never *which* —
 //! that is why the paper may prune those entries. So the table does not run
 //! a neighbor's whole engine to learn that one bit. Per neighbor it keeps a
-//! move-to-front list of at most [`MAX_WITNESSES`] **witnesses**: clones of
-//! remote entries that recently matched. [`RoutingTable::forward_batch`]
+//! move-to-front list of at most [`MAX_WITNESSES`] **witnesses**: remote
+//! entries that recently matched, each sharing its tree with the engine's
+//! entry (a clone of a [`Subscription`] copies no tree nodes). [`RoutingTable::forward_batch`]
 //! evaluates the witnesses directly against each event's pairs in the batch
 //! arena ([`SubscriptionTree::evaluate_pairs`]); the first hit decides
 //! "forward". Only the
@@ -16,8 +17,8 @@
 //! through the neighbor's engine, and the first entry the engine reports for
 //! an event becomes the newest witness.
 //!
-//! **Exact.** A witness is a clone of what the engine currently indexes
-//! under that id (its normalized, possibly pruned form), and every mutation
+//! **Exact.** A witness is a shared reference to what the engine currently
+//! indexes under that id (its normalized, possibly pruned form), and every mutation
 //! of the table — `add_local`, `add_remote`, `remove`, `install_remote_tree`
 //! — goes through one `evict`, which drops the witness together with the
 //! entry. A witness therefore never outlives or lags its entry: a hit means
@@ -40,8 +41,8 @@
 //! average. The list
 //! only ever holds entries that did match, so a table whose entries never
 //! match pays nothing — its batches go to the engine as they are. The
-//! witnesses (at most 32 cloned trees per link) are not part of
-//! [`RoutingTable::memory_report`].
+//! witnesses (at most 32 per link, each sharing the engine's tree body) are
+//! not part of [`RoutingTable::memory_report`].
 //!
 //! # Flood suppression
 //!
@@ -316,7 +317,7 @@ impl RoutingTable {
     /// local engine, or out of the engine, *the witness list and the
     /// subsumption index* of the neighbor it points towards. Every mutation
     /// starts here, so no copy of an entry survives in a second engine, no
-    /// witness outlives or lags the entry it was cloned from, and no replaced
+    /// witness outlives or lags the entry it was taken from, and no replaced
     /// or removed entry is reported as a subsumer.
     fn evict(&mut self, id: SubscriptionId) -> Option<Subscription> {
         if let Some(sub) = self.local.remove(id) {

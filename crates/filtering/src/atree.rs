@@ -66,6 +66,12 @@
 //! * **Removal reference-counts.** Every parent edge and every subscriber
 //!   holds one reference; releasing the last one frees the slab slot,
 //!   unregisters the leaf, and cascades to children, so churn never leaks.
+//! * **One body per distinct tree.** Beside the DAG, the engine keeps each
+//!   registered [`Subscription`] for `get`. A subscription whose tree
+//!   equals that of one already rooted at the same node takes that one's
+//!   tree, which shares its node array, so the subscribers of one root
+//!   share one body per distinct tree. Equal roots alone do not suffice:
+//!   `a ∧ b` and `b ∧ a` intern to one node but are kept as inserted.
 //!
 //! Match output is **byte-identical** to [`CountingEngine`](crate::CountingEngine):
 //! id-sorted per event, deterministic, and differential-tested across batch
@@ -566,7 +572,8 @@ pub struct ATreeEngine {
     /// correctness).
     interned: HashMap<u64, Vec<u32>>,
     /// Registered subscriptions with their root node (backs `get`,
-    /// `subscriptions` and replacement).
+    /// `subscriptions` and replacement). Root-mates with equal trees share
+    /// one tree body (see [`share_body`](Self::share_body)).
     subs: HashMap<SubscriptionId, (u32, Subscription)>,
     /// Roots with subscribers whose default value is *true* — like the
     /// counting engine's zero-`pmin` list, they match events that fulfil
@@ -687,6 +694,25 @@ impl ATreeEngine {
             node_count: self.live_nodes as usize,
             edge_count: self.children.live_len(),
             slab_bytes: bytes,
+        }
+    }
+
+    /// Gives `subscription` the tree of a subscription already rooted at
+    /// `root` when the two trees are equal, so root-mates with equal trees
+    /// hold one body. Equality, not the shared root, decides: the And/Or
+    /// fingerprints ignore child order, so `a ∧ b` and `b ∧ a` may share a
+    /// root while `get` must return each tree as it was inserted.
+    fn share_body(&self, root: u32, subscription: Subscription) -> Subscription {
+        let equal = self
+            .subscribers
+            .get(root)
+            .iter()
+            .filter_map(|(mate, _)| self.subs.get(mate))
+            .map(|(_, mate)| mate.tree())
+            .find(|&tree| tree == subscription.tree());
+        match equal {
+            Some(tree) => subscription.with_tree(tree.clone()),
+            None => subscription,
         }
     }
 
@@ -1159,6 +1185,7 @@ impl MatchingEngine for ATreeEngine {
             self.remove_subscriber(old_root, id);
         }
         let root = self.intern_expr(&subscription.tree().to_expr());
+        let subscription = self.share_body(root, subscription);
         self.add_subscriber(root, id, subscription.subscriber());
         self.subs.insert(id, (root, subscription));
         self.refresh_gauges();
@@ -1218,7 +1245,7 @@ impl MatchingEngine for ATreeEngine {
 mod tests {
     use super::*;
     use crate::{AnalyzeMode, CountingEngine, NaiveEngine, VecSink};
-    use pubsub_core::{Expr, SubscriberId};
+    use pubsub_core::{Expr, SubscriberId, SubscriptionTree};
     use std::collections::BTreeSet;
 
     fn sub(id: u64, expr: &Expr) -> Subscription {
@@ -1869,6 +1896,109 @@ mod tests {
                 proptest::prop_assert!(
                     e.children.compactions > 0 && e.subscribers.compactions > 0,
                     "{:?} seed {} never compacted", analyze, seed
+                );
+            }
+        }
+    }
+
+    /// Whether two trees share one node array.
+    fn same_body(a: &SubscriptionTree, b: &SubscriptionTree) -> bool {
+        std::ptr::eq(a.nodes(), b.nodes())
+    }
+
+    /// Shapes for the shared-body churn: repeats, commutative twins that
+    /// intern to one root (`a ∧ b` / `b ∧ a`, at the top and nested), and
+    /// trees the analyzer rewrites into another shape of the pool.
+    fn body_shapes() -> Vec<Expr> {
+        let (a, b, c) = (
+            Expr::eq("a", 1i64),
+            Expr::le("b", 2i64),
+            Expr::ne("c", 0i64),
+        );
+        let and = |x: &Expr, y: &Expr| Expr::and(vec![x.clone(), y.clone()]);
+        let or = |x: &Expr, y: &Expr| Expr::or(vec![x.clone(), y.clone()]);
+        vec![
+            a.clone(),
+            and(&a, &b),
+            and(&b, &a),
+            and(&or(&a, &c), &b),
+            and(&or(&c, &a), &b),
+            and(&b, &or(&a, &c)),
+            Expr::not(and(&a, &b)),
+            Expr::not(and(&b, &a)),
+            and(&a, &a),
+            and(&b, &Expr::le("b", 5i64)),
+            b.clone(),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Root-mates share bodies exactly when their trees are equal.
+        /// Through random insert / replace / remove over a pool of shapes
+        /// with repeats and commutative twins, with analysis on and off,
+        /// after every step: `get` returns what the naive engine holds;
+        /// equal trees under one root share one body and unequal trees
+        /// never do; the subscriptions the step did not touch keep their
+        /// bodies; and the DAG still equals a rebuild.
+        #[test]
+        fn shared_bodies_equal_rebuilt(seed in 0u64..1024) {
+            let shapes = body_shapes();
+            let mut rng = proptest::TestRng::deterministic(seed);
+            for analyze in [AnalyzeMode::Off, AnalyzeMode::On] {
+                let config = EngineConfig::default().analyze(analyze);
+                let mut e = ATreeEngine::with_config(config);
+                let mut naive = NaiveEngine::with_config(config);
+                // Pairs of distinct root-mates seen sharing and not sharing.
+                let (mut shared_mates, mut unequal_mates) = (0, 0);
+                for step in 0..120 {
+                    let before: Vec<Subscription> = e.subscriptions().cloned().collect();
+                    let id = SubscriptionId::from_raw(rng.index(16) as u64);
+                    if rng.index(4) == 0 {
+                        e.remove(id);
+                        naive.remove(id);
+                    } else {
+                        let subscriber = SubscriberId::from_raw(rng.index(4) as u64);
+                        let shape = &shapes[rng.index(shapes.len())];
+                        let s = Subscription::from_expr(id, subscriber, shape);
+                        e.insert(s.clone());
+                        naive.insert(s);
+                    }
+                    let ctx = format!("{analyze:?} seed {seed} step {step}");
+                    for raw in 0..16 {
+                        let id = SubscriptionId::from_raw(raw);
+                        proptest::prop_assert_eq!(e.get(id), naive.get(id), "{}", ctx);
+                    }
+                    for old in before.iter().filter(|s| s.id() != id) {
+                        let now = e.get(old.id()).map(Subscription::tree);
+                        proptest::prop_assert!(
+                            now.is_some_and(|t| same_body(t, old.tree())),
+                            "{} lost the body of {:?}", ctx, old.id()
+                        );
+                    }
+                    let live: Vec<(u32, &Subscription)> =
+                        e.subs.values().map(|(root, sub)| (*root, sub)).collect();
+                    for &(root_x, x) in &live {
+                        for &(root_y, y) in &live {
+                            let shared = same_body(x.tree(), y.tree());
+                            let equal = naive.get(x.id()).map(Subscription::tree)
+                                == naive.get(y.id()).map(Subscription::tree);
+                            if root_x == root_y {
+                                proptest::prop_assert_eq!(shared, equal, "{} {:?} {:?}", ctx, x.id(), y.id());
+                                shared_mates += usize::from(shared && x.id() != y.id());
+                                unequal_mates += usize::from(!equal);
+                            } else {
+                                proptest::prop_assert!(!shared || equal, "{}", ctx);
+                            }
+                        }
+                    }
+                    assert_meta_equals_rebuild(&e);
+                }
+                proptest::prop_assert!(
+                    shared_mates > 0 && unequal_mates > 0,
+                    "{:?} seed {}: {} shared, {} unequal root-mate pairs",
+                    analyze, seed, shared_mates, unequal_mates
                 );
             }
         }

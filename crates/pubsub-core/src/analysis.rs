@@ -212,8 +212,15 @@ impl<'a> Analyzer<'a> {
         };
         report.nodes_after = normalized.node_count();
         report.changed = normalized != expr;
+        // Unchanged means `normalized == tree.to_expr()`, which rebuilds to
+        // a tree equal to `tree`: hand back `tree` itself, sharing its nodes.
+        let tree = if report.changed {
+            SubscriptionTree::from_expr(&normalized)
+        } else {
+            tree.clone()
+        };
         Analysis {
-            tree: Some(SubscriptionTree::from_expr(&normalized)),
+            tree: Some(tree),
             report,
         }
     }
@@ -1096,6 +1103,9 @@ mod tests {
                     tree.to_expr(),
                     again.tree.map(|t| t.to_expr())
                 );
+                // What an unchanged analysis hands back by sharing equals
+                // what rebuilding the normal form would give.
+                assert_eq!(SubscriptionTree::from_expr(&tree.to_expr()), *tree);
             }
         }
     }
@@ -1287,6 +1297,35 @@ mod tests {
 
         let unchanged = Expr::and(vec![Expr::eq("s", "books"), Expr::lt("x", 5i64)]);
         assert!(!analyze(&unchanged).report.changed);
+    }
+
+    #[test]
+    fn an_unchanged_tree_comes_back_sharing_its_nodes() {
+        let normal = SubscriptionTree::from_expr(&Expr::and(vec![
+            Expr::eq("s", "books"),
+            Expr::lt("x", 5i64),
+        ]));
+        let analysis = Analyzer::new().analyze_tree(&normal);
+        assert!(!analysis.report.changed);
+        let back = analysis.tree.expect("satisfiable");
+        assert!(back.shares_nodes_with(&normal));
+
+        let redundant = SubscriptionTree::from_expr(&Expr::And(vec![
+            Expr::gt("x", 3i64),
+            Expr::gt("x", 5i64),
+            Expr::eq("s", "books"),
+        ]));
+        let analysis = Analyzer::new().analyze_tree(&redundant);
+        assert!(analysis.report.changed);
+        let back = analysis.tree.expect("satisfiable");
+        assert!(!back.shares_nodes_with(&redundant));
+        assert_ne!(back, redundant);
+        // The normal form is a fixed point, handed back as it came in.
+        let again = Analyzer::new()
+            .analyze_tree(&back)
+            .tree
+            .expect("satisfiable");
+        assert!(again.shares_nodes_with(&back));
     }
 
     #[test]

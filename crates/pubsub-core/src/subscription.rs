@@ -11,6 +11,9 @@ use std::fmt;
 /// [`Subscription::with_tree`] while keeping the identity stable, which is
 /// what lets brokers route matches of a *pruned* routing entry back to the
 /// original subscriber.
+///
+/// The tree is immutable and its nodes are reference-counted, so a clone of
+/// a subscription shares its tree body: cloning copies no nodes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Subscription {
     id: SubscriptionId,

@@ -26,10 +26,15 @@
 //! trees per event. Subtree sizes, leaf counts and descendant tests are
 //! range scans. The order is also the wire format's, so a tree is encoded
 //! by writing its nodes in order.
+//!
+//! Trees are immutable — [`prune`](SubscriptionTree::prune) builds a new
+//! one — so the array is reference-counted and shared: cloning a tree, or a
+//! [`Subscription`](crate::Subscription) holding one, copies no nodes.
 
 use crate::{AttrId, CoreError, EventMessage, Expr, NodeId, Predicate, Value};
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// The kind of a tree node.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,19 +87,51 @@ fn index_u32(index: usize) -> u32 {
     NodeId::from_index(index).0
 }
 
-/// Appends a node whose subtree is still to come; [`seal`] sets its `end`
-/// once the subtree is in.
-fn push(nodes: &mut Vec<Node>, kind: NodeKind, parent: u32) -> usize {
-    nodes.push(Node {
-        kind,
-        parent,
-        end: 0,
-    });
-    nodes.len() - 1
+/// What a node slot holds until [`Builder::push`] overwrites it.
+const UNWRITTEN: Node = Node {
+    kind: NodeKind::And,
+    parent: NO_PARENT,
+    end: 0,
+};
+
+/// Writes a tree's nodes in preorder into an array allocated once at its
+/// final length.
+struct Builder<'a> {
+    nodes: &'a mut [Node],
+    /// Nodes written so far.
+    len: usize,
 }
 
-fn seal(nodes: &mut [Node], at: usize) {
-    nodes[at].end = index_u32(nodes.len());
+impl Builder<'_> {
+    /// Writes a node whose subtree is still to come; [`seal`](Self::seal)
+    /// sets its `end` once the subtree is in.
+    fn push(&mut self, kind: NodeKind, parent: u32) -> usize {
+        self.nodes[self.len] = Node {
+            kind,
+            parent,
+            end: 0,
+        };
+        self.len += 1;
+        self.len - 1
+    }
+
+    fn seal(&mut self, at: usize) {
+        self.nodes[at].end = index_u32(self.len);
+    }
+}
+
+/// Number of nodes of `expr` once single-child AND/OR nodes are collapsed.
+fn collapsed_len(expr: &Expr) -> usize {
+    match expr {
+        Expr::And(children) | Expr::Or(children) if children.len() == 1 => {
+            collapsed_len(&children[0])
+        }
+        Expr::Pred(_) => 1,
+        Expr::And(children) | Expr::Or(children) => {
+            1 + children.iter().map(collapsed_len).sum::<usize>()
+        }
+        Expr::Not(child) => 1 + collapsed_len(child),
+    }
 }
 
 /// Why a requested pruning was rejected.
@@ -164,9 +201,19 @@ pub struct TreeStats {
 /// * AND/OR nodes have at least two children (single-child nodes are
 ///   collapsed), NOT nodes have exactly one child;
 /// * leaves are predicates and have no children.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A tree is immutable once built. Its nodes live in one reference-counted
+/// allocation, so a clone shares them: cloning costs a reference-count
+/// increment, however large the tree. Equality is structural.
+#[derive(Debug, Clone)]
 pub struct SubscriptionTree {
-    nodes: Vec<Node>,
+    nodes: Arc<[Node]>,
+}
+
+impl PartialEq for SubscriptionTree {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.nodes, &other.nodes) || self.nodes[..] == other.nodes[..]
+    }
 }
 
 impl SubscriptionTree {
@@ -180,8 +227,28 @@ impl SubscriptionTree {
     /// zero children); use [`Expr::is_valid`] to check untrusted input first.
     pub fn from_expr(expr: &Expr) -> Self {
         assert!(expr.is_valid(), "expression is structurally invalid");
-        let mut nodes = Vec::with_capacity(expr.node_count());
-        Self::build_node(expr, NO_PARENT, &mut nodes);
+        Self::build(collapsed_len(expr), |out| {
+            Self::build_node(expr, NO_PARENT, out)
+        })
+    }
+
+    /// Allocates the node array at its final length `len` and lets `fill`
+    /// write all `len` nodes into it, so a tree costs one allocation and no
+    /// copy.
+    fn build(len: usize, fill: impl FnOnce(&mut Builder<'_>)) -> Self {
+        // A mapped range has a trusted length, so this allocates once.
+        let mut nodes: Arc<[Node]> = (0..len).map(|_| UNWRITTEN).collect();
+        let mut written = 0;
+        // Freshly collected, so unshared: `get_mut` always borrows it.
+        if let Some(slots) = Arc::get_mut(&mut nodes) {
+            let mut out = Builder {
+                nodes: slots,
+                len: 0,
+            };
+            fill(&mut out);
+            written = out.len;
+        }
+        debug_assert_eq!(written, len, "tree length computed wrongly");
         Self { nodes }
     }
 
@@ -190,23 +257,23 @@ impl SubscriptionTree {
         Self::from_expr(&Expr::Pred(predicate))
     }
 
-    /// Appends `expr` in preorder below `parent`.
-    fn build_node(expr: &Expr, parent: u32, nodes: &mut Vec<Node>) {
+    /// Writes `expr` in preorder below `parent`.
+    fn build_node(expr: &Expr, parent: u32, out: &mut Builder<'_>) {
         let (kind, children) = match expr {
             Expr::And(children) | Expr::Or(children) if children.len() == 1 => {
                 // Collapse single-child AND/OR.
-                return Self::build_node(&children[0], parent, nodes);
+                return Self::build_node(&children[0], parent, out);
             }
             Expr::Pred(p) => (NodeKind::Predicate(p.clone()), &[][..]),
             Expr::And(children) => (NodeKind::And, &children[..]),
             Expr::Or(children) => (NodeKind::Or, &children[..]),
             Expr::Not(child) => (NodeKind::Not, std::slice::from_ref(&**child)),
         };
-        let at = push(nodes, kind, parent);
+        let at = out.push(kind, parent);
         for child in children {
-            Self::build_node(child, index_u32(at), nodes);
+            Self::build_node(child, index_u32(at), out);
         }
-        seal(nodes, at);
+        out.seal(at);
     }
 
     /// Converts the tree back into a recursive expression.
@@ -487,20 +554,26 @@ impl SubscriptionTree {
     }
 
     /// Removes the subtree rooted at `node` and returns the resulting,
-    /// freshly compacted tree. The original tree is left untouched.
+    /// freshly compacted tree in a new allocation. The original tree, and
+    /// every clone sharing its nodes, is left untouched.
     ///
     /// Node ids of the returned tree are *not* related to node ids of `self`.
     pub fn prune(&self, node: NodeId) -> Result<SubscriptionTree, PruneError> {
         self.validate_prune(node)?;
-        let mut nodes = Vec::with_capacity(self.nodes.len());
-        self.copy_without(self.root(), node, NO_PARENT, &mut nodes);
-        Ok(Self { nodes })
+        // A valid pruning's parent is an AND/OR; left with one child, it
+        // collapses into that child.
+        let parent = self.nodes[node.index()].parent();
+        let collapses = parent.is_some_and(|p| self.children(p).nth(2).is_none());
+        let len = self.nodes.len() - self.subtree_range(node).len() - usize::from(collapses);
+        Ok(Self::build(len, |out| {
+            self.copy_without(self.root(), node, NO_PARENT, out)
+        }))
     }
 
-    /// Appends the subtree of `node` without the subtree of `removed`, in
+    /// Writes the subtree of `node` without the subtree of `removed`, in
     /// preorder below `parent`. An AND/OR left with one child collapses into
     /// it, as [`from_expr`](Self::from_expr) collapses one in an expression.
-    fn copy_without(&self, node: NodeId, removed: NodeId, parent: u32, out: &mut Vec<Node>) {
+    fn copy_without(&self, node: NodeId, removed: NodeId, parent: u32, out: &mut Builder<'_>) {
         let kept = || self.children(node).filter(|&c| c != removed);
         let kind = &self.nodes[node.index()].kind;
         if matches!(kind, NodeKind::And | NodeKind::Or) && kept().nth(1).is_none() {
@@ -508,11 +581,11 @@ impl SubscriptionTree {
                 return self.copy_without(only, removed, parent, out);
             }
         }
-        let at = push(out, kind.clone(), parent);
+        let at = out.push(kind.clone(), parent);
         for child in kept() {
             self.copy_without(child, removed, index_u32(at), out);
         }
-        seal(out, at);
+        out.seal(at);
     }
 
     /// Simulates a pruning without materializing the tree: returns the
@@ -523,6 +596,14 @@ impl SubscriptionTree {
         // Building the pruned tree is O(size of tree); trees are small
         // (tens of nodes), so this stays cheap while remaining exact.
         Ok(self.prune(node)?.stats())
+    }
+}
+
+#[cfg(test)]
+impl SubscriptionTree {
+    /// Whether `self` and `other` share one node array.
+    pub(crate) fn shares_nodes_with(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.nodes, &other.nodes)
     }
 }
 
@@ -948,6 +1029,91 @@ mod tests {
         assert_eq!(back.pmin(), t.pmin());
         let ev = matching_event();
         assert_eq!(back.evaluate(&ev), t.evaluate(&ev));
+    }
+
+    #[test]
+    fn a_clone_shares_its_nodes() {
+        let t = sample_tree();
+        let clone = t.clone();
+        assert!(clone.shares_nodes_with(&t));
+        assert_eq!(clone, t);
+        let sub = crate::Subscription::new(
+            crate::SubscriptionId::from_raw(1),
+            crate::SubscriberId::from_raw(2),
+            t.clone(),
+        );
+        assert!(sub.clone().tree().shares_nodes_with(&t));
+        // A tree built separately is equal but has a body of its own.
+        let rebuilt = sample_tree();
+        assert_eq!(rebuilt, t);
+        assert!(!rebuilt.shares_nodes_with(&t));
+    }
+
+    #[test]
+    fn prune_returns_a_fresh_body_and_leaves_the_original_untouched() {
+        let t = sample_tree();
+        let clone = t.clone();
+        let before = t.to_expr();
+        for node in t.generalizing_removals() {
+            let pruned = t.prune(node).unwrap();
+            assert!(!pruned.shares_nodes_with(&t));
+            assert_ne!(pruned, t);
+            // Every node of the one allocation was written in place.
+            assert_eq!(SubscriptionTree::from_expr(&pruned.to_expr()), pruned);
+        }
+        assert_eq!(t.to_expr(), before);
+        assert!(clone.shares_nodes_with(&t));
+        assert_eq!(clone.to_expr(), before);
+    }
+
+    /// A random expression over a few leaves, nested at most `depth` deep,
+    /// with single-child AND/OR wrappers, so equal trees recur and some are
+    /// built from differently wrapped expressions.
+    fn random_expr(rng: &mut proptest::TestRng, depth: usize) -> Expr {
+        if depth == 0 || rng.index(3) == 0 {
+            let v = rng.index(2) as i64;
+            return match rng.index(3) {
+                0 => Expr::eq("a", v),
+                1 => Expr::le("b", v),
+                _ => Expr::eq("c", "x"),
+            };
+        }
+        let kids = |rng: &mut proptest::TestRng| {
+            (0..1 + rng.index(2))
+                .map(|_| random_expr(rng, depth - 1))
+                .collect::<Vec<_>>()
+        };
+        match rng.index(3) {
+            0 => Expr::And(kids(rng)),
+            1 => Expr::Or(kids(rng)),
+            _ => Expr::not(random_expr(rng, depth - 1)),
+        }
+    }
+
+    #[test]
+    fn equality_agrees_with_expr_equality_on_random_trees() {
+        let mut rng = proptest::TestRng::deterministic(7);
+        let exprs: Vec<Expr> = (0..120).map(|_| random_expr(&mut rng, 3)).collect();
+        let trees: Vec<SubscriptionTree> = exprs.iter().map(SubscriptionTree::from_expr).collect();
+        let mut equal_pairs = 0;
+        for (i, a) in trees.iter().enumerate() {
+            assert_eq!(SubscriptionTree::from_expr(&exprs[i]), *a);
+            assert_eq!(SubscriptionTree::from_expr(&a.to_expr()), *a);
+            for b in &trees {
+                let same = a.to_expr() == b.to_expr();
+                assert_eq!(a == b, same, "{a} vs {b}");
+                assert_eq!(a.clone() == b.clone(), same, "clones of {a} vs {b}");
+                equal_pairs += usize::from(same && !a.shares_nodes_with(b));
+            }
+            for node in a.generalizing_removals() {
+                let pruned = a.prune(node).unwrap();
+                assert_eq!(SubscriptionTree::from_expr(&pruned.to_expr()), pruned);
+            }
+        }
+        assert!(
+            equal_pairs > trees.len(),
+            "too few separately built equal trees"
+        );
     }
 
     #[test]
