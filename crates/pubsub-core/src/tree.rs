@@ -87,51 +87,19 @@ fn index_u32(index: usize) -> u32 {
     NodeId::from_index(index).0
 }
 
-/// What a node slot holds until [`Builder::push`] overwrites it.
-const UNWRITTEN: Node = Node {
-    kind: NodeKind::And,
-    parent: NO_PARENT,
-    end: 0,
-};
-
-/// Writes a tree's nodes in preorder into an array allocated once at its
-/// final length.
-struct Builder<'a> {
-    nodes: &'a mut [Node],
-    /// Nodes written so far.
-    len: usize,
+/// Appends a node whose subtree is still to come; [`seal`] sets its `end`
+/// once the subtree is in.
+fn push(nodes: &mut Vec<Node>, kind: NodeKind, parent: u32) -> usize {
+    nodes.push(Node {
+        kind,
+        parent,
+        end: 0,
+    });
+    nodes.len() - 1
 }
 
-impl Builder<'_> {
-    /// Writes a node whose subtree is still to come; [`seal`](Self::seal)
-    /// sets its `end` once the subtree is in.
-    fn push(&mut self, kind: NodeKind, parent: u32) -> usize {
-        self.nodes[self.len] = Node {
-            kind,
-            parent,
-            end: 0,
-        };
-        self.len += 1;
-        self.len - 1
-    }
-
-    fn seal(&mut self, at: usize) {
-        self.nodes[at].end = index_u32(self.len);
-    }
-}
-
-/// Number of nodes of `expr` once single-child AND/OR nodes are collapsed.
-fn collapsed_len(expr: &Expr) -> usize {
-    match expr {
-        Expr::And(children) | Expr::Or(children) if children.len() == 1 => {
-            collapsed_len(&children[0])
-        }
-        Expr::Pred(_) => 1,
-        Expr::And(children) | Expr::Or(children) => {
-            1 + children.iter().map(collapsed_len).sum::<usize>()
-        }
-        Expr::Not(child) => 1 + collapsed_len(child),
-    }
+fn seal(nodes: &mut [Node], at: usize) {
+    nodes[at].end = index_u32(nodes.len());
 }
 
 /// Why a requested pruning was rejected.
@@ -227,29 +195,11 @@ impl SubscriptionTree {
     /// zero children); use [`Expr::is_valid`] to check untrusted input first.
     pub fn from_expr(expr: &Expr) -> Self {
         assert!(expr.is_valid(), "expression is structurally invalid");
-        Self::build(collapsed_len(expr), |out| {
-            Self::build_node(expr, NO_PARENT, out)
-        })
-    }
-
-    /// Allocates the node array at its final length `len` and lets `fill`
-    /// write all `len` nodes into it, so a tree costs one allocation and no
-    /// copy.
-    fn build(len: usize, fill: impl FnOnce(&mut Builder<'_>)) -> Self {
-        // A mapped range has a trusted length, so this allocates once.
-        let mut nodes: Arc<[Node]> = (0..len).map(|_| UNWRITTEN).collect();
-        let mut written = 0;
-        // Freshly collected, so unshared: `get_mut` always borrows it.
-        if let Some(slots) = Arc::get_mut(&mut nodes) {
-            let mut out = Builder {
-                nodes: slots,
-                len: 0,
-            };
-            fill(&mut out);
-            written = out.len;
+        let mut nodes = Vec::with_capacity(expr.node_count());
+        Self::build_node(expr, NO_PARENT, &mut nodes);
+        Self {
+            nodes: nodes.into(),
         }
-        debug_assert_eq!(written, len, "tree length computed wrongly");
-        Self { nodes }
     }
 
     /// Builds a tree consisting of a single predicate.
@@ -257,23 +207,23 @@ impl SubscriptionTree {
         Self::from_expr(&Expr::Pred(predicate))
     }
 
-    /// Writes `expr` in preorder below `parent`.
-    fn build_node(expr: &Expr, parent: u32, out: &mut Builder<'_>) {
+    /// Appends `expr` in preorder below `parent`.
+    fn build_node(expr: &Expr, parent: u32, nodes: &mut Vec<Node>) {
         let (kind, children) = match expr {
             Expr::And(children) | Expr::Or(children) if children.len() == 1 => {
                 // Collapse single-child AND/OR.
-                return Self::build_node(&children[0], parent, out);
+                return Self::build_node(&children[0], parent, nodes);
             }
             Expr::Pred(p) => (NodeKind::Predicate(p.clone()), &[][..]),
             Expr::And(children) => (NodeKind::And, &children[..]),
             Expr::Or(children) => (NodeKind::Or, &children[..]),
             Expr::Not(child) => (NodeKind::Not, std::slice::from_ref(&**child)),
         };
-        let at = out.push(kind, parent);
+        let at = push(nodes, kind, parent);
         for child in children {
-            Self::build_node(child, index_u32(at), out);
+            Self::build_node(child, index_u32(at), nodes);
         }
-        out.seal(at);
+        seal(nodes, at);
     }
 
     /// Converts the tree back into a recursive expression.
@@ -560,20 +510,17 @@ impl SubscriptionTree {
     /// Node ids of the returned tree are *not* related to node ids of `self`.
     pub fn prune(&self, node: NodeId) -> Result<SubscriptionTree, PruneError> {
         self.validate_prune(node)?;
-        // A valid pruning's parent is an AND/OR; left with one child, it
-        // collapses into that child.
-        let parent = self.nodes[node.index()].parent();
-        let collapses = parent.is_some_and(|p| self.children(p).nth(2).is_none());
-        let len = self.nodes.len() - self.subtree_range(node).len() - usize::from(collapses);
-        Ok(Self::build(len, |out| {
-            self.copy_without(self.root(), node, NO_PARENT, out)
-        }))
+        let mut nodes = Vec::with_capacity(self.nodes.len());
+        self.copy_without(self.root(), node, NO_PARENT, &mut nodes);
+        Ok(Self {
+            nodes: nodes.into(),
+        })
     }
 
-    /// Writes the subtree of `node` without the subtree of `removed`, in
+    /// Appends the subtree of `node` without the subtree of `removed`, in
     /// preorder below `parent`. An AND/OR left with one child collapses into
     /// it, as [`from_expr`](Self::from_expr) collapses one in an expression.
-    fn copy_without(&self, node: NodeId, removed: NodeId, parent: u32, out: &mut Builder<'_>) {
+    fn copy_without(&self, node: NodeId, removed: NodeId, parent: u32, out: &mut Vec<Node>) {
         let kept = || self.children(node).filter(|&c| c != removed);
         let kind = &self.nodes[node.index()].kind;
         if matches!(kind, NodeKind::And | NodeKind::Or) && kept().nth(1).is_none() {
@@ -581,11 +528,11 @@ impl SubscriptionTree {
                 return self.copy_without(only, removed, parent, out);
             }
         }
-        let at = out.push(kind.clone(), parent);
+        let at = push(out, kind.clone(), parent);
         for child in kept() {
             self.copy_without(child, removed, index_u32(at), out);
         }
-        out.seal(at);
+        seal(out, at);
     }
 
     /// Simulates a pruning without materializing the tree: returns the
@@ -1058,7 +1005,7 @@ mod tests {
             let pruned = t.prune(node).unwrap();
             assert!(!pruned.shares_nodes_with(&t));
             assert_ne!(pruned, t);
-            // Every node of the one allocation was written in place.
+            // The pruned body is well formed: a rebuild gives the same tree.
             assert_eq!(SubscriptionTree::from_expr(&pruned.to_expr()), pruned);
         }
         assert_eq!(t.to_expr(), before);
